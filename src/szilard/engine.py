@@ -47,13 +47,13 @@ from .measurement import (
     RepeatReport,
     Transition,
     WayReport,
+    _way_report,
     apply_instrument,
     build_degenerate_instrument,
     build_transition_model,
     check_energy_conserving_measurement,
     check_repeatable,
     premeasure_and_objectify,
-    way_witness,
 )
 from .qop import (
     EPS_ALG,
@@ -61,12 +61,10 @@ from .qop import (
     MAX_DIM,
     ConstructionError,
     DensityMatrix,
-    Factor,
     HardAssertionError,
     Operator,
     PureState,
     SizeError,
-    SubsystemLayout,
     _ptrace_nd,
     basis_state,
     dagger,
@@ -178,9 +176,11 @@ class Certification:
 class EngineConfig:
     """One complete engine: state preparation through erasure accounting.
 
-    ``non_conforming`` skips the construction-time certification (for
-    negative tests); it also disables the hard assertions that are theorems
-    only for certified engines.
+    Construction certifies the engine once and keeps the report.
+    ``non_conforming`` (for negative tests) still runs and keeps that
+    certification but does not raise ``ConstructionError`` when it fails;
+    it also disables the hard assertions that are theorems only for
+    certified engines.
     """
 
     rho_s: DensityMatrix
@@ -224,6 +224,12 @@ class EngineConfig:
         if self.reservoir is not None and not self.feedback.includes_reservoir:
             raise ValueError("configured reservoir is unused by the feedback")
         h_w, rho_w = _weight_parts(self.weight)
+        object.__setattr__(self, "_h_w", h_w)
+        object.__setattr__(self, "_rho_w", rho_w)
+        h_d = self.h_d
+        if h_d is None:
+            h_d = Operator(np.zeros((self.demon_dim, self.demon_dim)))
+        object.__setattr__(self, "_h_d", h_d)
         branch_dim = h_w.dim * self.rho_s.dim
         if self.reservoir is not None:
             if self.reservoir.hamiltonian.dim != self.reservoir.state.dim:
@@ -261,7 +267,10 @@ class EngineConfig:
                 raise ValueError(
                     "reservoir state is not thermal at the context temperature"
                 )
-        cert = self._certify()
+        # composed once: certification and the cycle's joint check share it
+        v = compose_feedback_unitary(self.feedback)
+        object.__setattr__(self, "_feedback_unitary", v)
+        cert = self._certify(v)
         object.__setattr__(self, "_certification", cert)
         if not self.non_conforming:
             failures = []
@@ -278,24 +287,20 @@ class EngineConfig:
             if failures:
                 raise ConstructionError("; ".join(failures))
 
-    def _certify(self) -> Certification:
-        h_w, _ = _weight_parts(self.weight)
+    def _certify(self, v: Operator) -> Certification:
         h_r = self.reservoir.hamiltonian if self.reservoir is not None else None
         fb_energy = check_feedback_energy(
-            self.feedback, h_w, self.h_s, self.demon_hamiltonian, h_r
+            self.feedback, self._h_w, self.h_s, self._h_d, h_r
         )
-        v = compose_feedback_unitary(self.feedback)
         fb_form = check_feedback_form(
             v, self.feedback.demon_projectors, self.feedback.branch_dim
         )
         if isinstance(self.measurement, MeasurementModel):
             me = check_energy_conserving_measurement(
-                self.measurement, self.h_s, self.demon_hamiltonian
+                self.measurement, self.h_s, self._h_d
             )
             rep = check_repeatable(self.measurement)
-            way = way_witness(
-                self.measurement, self.h_s, self.demon_hamiltonian
-            )
+            way = _way_report(self.measurement, self.h_s, me, rep)
         else:
             me, rep, way = None, None, None
         return Certification(
@@ -331,9 +336,7 @@ class EngineConfig:
 
     @property
     def demon_hamiltonian(self) -> Operator:
-        if self.h_d is not None:
-            return self.h_d
-        return Operator(np.zeros((self.demon_dim, self.demon_dim)))
+        return self._h_d
 
     @property
     def demon_initial(self) -> PureState:
@@ -343,11 +346,11 @@ class EngineConfig:
 
     @property
     def weight_hamiltonian(self) -> Operator:
-        return _weight_parts(self.weight)[0]
+        return self._h_w
 
     @property
     def weight_initial(self) -> DensityMatrix:
-        return _weight_parts(self.weight)[1]
+        return self._rho_w
 
     @property
     def work_floor(self) -> float:
@@ -355,23 +358,10 @@ class EngineConfig:
 
     @property
     def total_dim(self) -> int:
-        d = self.weight_hamiltonian.dim * self.rho_s.dim * self.demon_dim
+        d = self._h_w.dim * self.rho_s.dim * self.demon_dim
         if self.reservoir is not None:
             d *= self.reservoir.state.dim
         return d
-
-    @property
-    def layout(self) -> SubsystemLayout:
-        factors = [
-            Factor("W", self.weight_hamiltonian.dim, self.weight_hamiltonian),
-            Factor("S", self.h_s.dim, self.h_s),
-            Factor("D", self.demon_dim, self.demon_hamiltonian),
-        ]
-        if self.reservoir is not None:
-            factors.append(
-                Factor("R", self.reservoir.state.dim, self.reservoir.hamiltonian)
-            )
-        return SubsystemLayout(tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +463,7 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     and fail hard when violated.
     """
     ctx = config.thermo
-    h_w, rho_w = _weight_parts(config.weight)
+    h_w, rho_w = config.weight_hamiltonian, config.weight_initial
     h_s = config.h_s
     tau_r = config.reservoir.state if config.reservoir is not None else None
 
@@ -642,7 +632,7 @@ def _joint_consistency(
         joint = _permute_factors(joint, [dw, ds, dd, dr], [0, 1, 3, 2])
         dims = [dw, ds, dr, dd]
     branch_dim = int(np.prod(dims[:-1]))
-    v = compose_feedback_unitary(config.feedback).entries
+    v = config._feedback_unitary.entries
 
     projs = [p.entries for _, p in config.feedback.demon_projectors]
     evolved = v @ joint @ dagger(v)
@@ -717,7 +707,7 @@ def evaluate_features(result: CycleResult, config: EngineConfig) -> FeatureRepor
     violation raises, since it would prove an implementation bug.
     """
     if isinstance(config.measurement, MeasurementModel):
-        rep = check_repeatable(config.measurement)
+        rep = config.certification.repeatability
         f1 = rep.passed
         fids = rep.fidelities
     else:
@@ -837,6 +827,21 @@ def _example_I(
 ) -> EngineConfig:
     """Eigenstate measurement in the energy basis; one branch lifts the
     weight a full quantum, the other does nothing."""
+    return _eigenstate_engine(q, N, omega, temperature, kb, erasure, tol_s, "example_I")
+
+
+def _eigenstate_engine(
+    q: float,
+    N: int,
+    omega: float,
+    temperature: float,
+    kb: float,
+    erasure: str | ExplicitReservoir,
+    tol_s: float | None,
+    label: str,
+) -> EngineConfig:
+    """The ``example_I`` engine under the given label; the scenario and the
+    ``eigenstate_posts`` scan family both build through here."""
     _check_range("q", q, 0.0, 1.0)
     if N < 2:
         raise ValueError(f"parameter 'N' = {N} must be at least 2")
@@ -866,7 +871,7 @@ def _example_I(
         h_d=h_d,
         erasure=erasure,
         tol_s=tol_s,
-        label="example_I",
+        label=label,
     )
 
 
@@ -1155,8 +1160,16 @@ def _family_eigenstate_posts(
     levels = int(rng.integers(4, 11))
     ctx = ThermoContext(1.0)
     q = _thermal_q(omega, ctx) if thermal_system else float(rng.uniform(0.1, 0.9))
-    cfg = _example_I(q=q, N=levels, omega=omega)
-    return dataclasses.replace(cfg, label="eigenstate_posts")
+    return _eigenstate_engine(
+        q=q,
+        N=levels,
+        omega=omega,
+        temperature=ctx.temperature,
+        kb=ctx.kb,
+        erasure="landauer_optimal",
+        tol_s=None,
+        label="eigenstate_posts",
+    )
 
 
 def _family_superposition_posts(

@@ -24,6 +24,8 @@ from .qop import (
     DensityMatrix,
     Operator,
     PureState,
+    _entries_of,
+    _fix_phase,
     _ptrace_nd,
     commutator_norm,
     dagger,
@@ -41,7 +43,6 @@ __all__ = [
     "check_feedback_energy",
     "conditional_feedback_map",
     "build_oscillator_weight",
-    "build_shift_unitaries",
     "random_energy_conserving_unitary",
     "objectification_order_gap",
 ]
@@ -169,7 +170,7 @@ def check_feedback_form(
 
     All contractions ride on the demon being the (small) final factor.
     """
-    m = np.asarray(getattr(v, "entries", v), dtype=complex)
+    m = _entries_of(v)
     dps = [
         (l, p if isinstance(p, Operator) else Operator(p))
         for l, p in demon_projectors
@@ -228,15 +229,15 @@ def check_feedback_energy(
     memory Hamiltonian.  Together these certify that the composed controlled
     operation conserves total energy.
     """
-    hw = np.asarray(getattr(h_w, "entries", h_w), dtype=complex)
-    hs = np.asarray(getattr(h_s, "entries", h_s), dtype=complex)
-    hd = np.asarray(getattr(h_d, "entries", h_d), dtype=complex)
+    hw = _entries_of(h_w)
+    hs = _entries_of(h_s)
+    hd = _entries_of(h_d)
     dw, ds = hw.shape[0], hs.shape[0]
     hadd = np.kron(hw, np.eye(ds)) + np.kron(np.eye(dw), hs)
     if scheme.includes_reservoir:
         if h_r is None:
             raise ValueError("scheme includes a reservoir but h_r is missing")
-        hr = np.asarray(getattr(h_r, "entries", h_r), dtype=complex)
+        hr = _entries_of(h_r)
         hadd = np.kron(hadd, np.eye(hr.shape[0])) + np.kron(
             np.eye(dw * ds), hr
         )
@@ -279,7 +280,6 @@ class BranchOutput:
     rho_system: DensityMatrix
     rho_weight: DensityMatrix
     rho_reservoir: DensityMatrix | None
-    joint: DensityMatrix  # weight (x) system (x) [reservoir]
 
 
 def conditional_feedback_map(
@@ -310,12 +310,7 @@ def conditional_feedback_map(
         if scheme.includes_reservoir
         else None
     )
-    return BranchOutput(
-        rho_system=rho_s,
-        rho_weight=rho_w,
-        rho_reservoir=rho_r,
-        joint=DensityMatrix(out),
-    )
+    return BranchOutput(rho_system=rho_s, rho_weight=rho_w, rho_reservoir=rho_r)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +329,9 @@ def objectification_order_gap(
     genuinely controlled feedback the two orders agree exactly; the returned
     operator-norm gap quantifies any violation.
     """
-    m = np.asarray(getattr(v, "entries", v), dtype=complex)
-    rho = np.asarray(getattr(rho_joint, "entries", rho_joint), dtype=complex)
-    projs = [
-        np.kron(
-            np.eye(branch_dim),
-            np.asarray(getattr(p, "entries", p), dtype=complex),
-        )
-        for _, p in demon_projectors
-    ]
+    m = _entries_of(v)
+    rho = _entries_of(rho_joint)
+    projs = [np.kron(np.eye(branch_dim), _entries_of(p)) for _, p in demon_projectors]
     objectified = sum(p @ rho @ p for p in projs)
     before = m @ objectified @ dagger(m)
     evolved = m @ rho @ dagger(m)
@@ -398,13 +387,6 @@ def build_oscillator_weight(
     return OscillatorWeight(omega=float(omega), levels=int(levels), dim=int(dim))
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for a in v:
-        if abs(a) > 1e-8:
-            return v * (abs(a) / a)
-    return v
-
-
 def build_shift_unitary(
     weight: OscillatorWeight, post: np.ndarray | PureState
 ) -> Operator:
@@ -440,23 +422,6 @@ def build_shift_unitary(
     return Operator(u)
 
 
-def build_shift_unitaries(
-    weight: OscillatorWeight,
-    omega_s: float,
-    post_minus: np.ndarray | PureState,
-    post_plus: np.ndarray | PureState,
-) -> dict[str, Operator]:
-    """Strokes for a two-outcome engine, keyed ``"minus"`` / ``"plus"``."""
-    if abs(omega_s - weight.omega) > EPS_ALG:
-        raise ValueError(
-            f"qubit gap {omega_s} must equal the ladder spacing {weight.omega}"
-        )
-    return {
-        "minus": build_shift_unitary(weight, post_minus),
-        "plus": build_shift_unitary(weight, post_plus),
-    }
-
-
 # ---------------------------------------------------------------------------
 # random conserving unitaries
 
@@ -465,7 +430,7 @@ def random_energy_conserving_unitary(
     hamiltonian: object, rng: np.random.Generator
 ) -> Operator:
     """Haar-random within each eigenvalue cluster of the Hamiltonian."""
-    h = np.asarray(getattr(hamiltonian, "entries", hamiltonian), dtype=complex)
+    h = _entries_of(hamiltonian)
     ev, vec = np.linalg.eigh(h)
     n = h.shape[0]
     tol = 1e-8 * (1.0 + float(np.abs(ev).max()))

@@ -28,6 +28,8 @@ from .qop import (
     HardAssertionError,
     Operator,
     PureState,
+    _entries_of,
+    _fix_phase,
     commutator_norm,
     dagger,
     operator_norm,
@@ -413,17 +415,11 @@ def complete_unitary(
 
 
 def _vector_from_projector(p: Operator) -> np.ndarray:
-    """Deterministic unit vector spanning a rank-1 projector's range."""
+    """Deterministic unit vector in the range of a projector of any rank."""
     m = p.entries
     j = int(np.argmax(np.linalg.norm(m, axis=0)))
     v = m[:, j]
-    v = v / np.linalg.norm(v)
-    # fix the global phase: first significant amplitude real positive
-    for a in v:
-        if abs(a) > 1e-8:
-            v = v * (abs(a) / a)
-            break
-    return v
+    return _fix_phase(v / np.linalg.norm(v))
 
 
 def build_transition_model(
@@ -448,8 +444,8 @@ def build_transition_model(
         pairs.append((src, dst))
     h = None
     if hamiltonians is not None:
-        hs = np.asarray(getattr(hamiltonians[0], "entries", hamiltonians[0]), complex)
-        hd = np.asarray(getattr(hamiltonians[1], "entries", hamiltonians[1]), complex)
+        hs = _entries_of(hamiltonians[0])
+        hd = _entries_of(hamiltonians[1])
         h = np.kron(hs, np.eye(dd)) + np.kron(np.eye(ds), hd)
     u = complete_unitary(pairs, ds * dd, h)
     return MeasurementModel(
@@ -486,7 +482,7 @@ def build_standard_premeasurement(
         post = post_states[label]
         if not isinstance(post, PureState):
             post = PureState(post)  # raises ValueError when not normalised
-        rec = _vector_from_projector_any(pointer.projector_for(label))
+        rec = _vector_from_projector(pointer.projector_for(label))
         transitions.append(
             Transition(
                 outcome=label,
@@ -498,19 +494,6 @@ def build_standard_premeasurement(
     return build_transition_model(
         target, pointer, demon_initial, transitions, hamiltonians
     )
-
-
-def _vector_from_projector_any(p: Operator) -> np.ndarray:
-    """Deterministic unit vector in the range of a projector of any rank."""
-    m = p.entries
-    j = int(np.argmax(np.linalg.norm(m, axis=0)))
-    v = m[:, j]
-    v = v / np.linalg.norm(v)
-    for a in v:
-        if abs(a) > 1e-8:
-            v = v * (abs(a) / a)
-            break
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +553,8 @@ def check_energy_conserving_measurement(
 ) -> EnergyReport:
     """Both conditions: the coupling conserves ``H_S + H_D`` and the pointer
     observable commutes with ``H_D``."""
-    hs = np.asarray(getattr(h_s, "entries", h_s), dtype=complex)
-    hd = np.asarray(getattr(h_d, "entries", h_d), dtype=complex)
+    hs = _entries_of(h_s)
+    hd = _entries_of(h_d)
     htot = np.kron(hs, np.eye(model.demon_dim)) + np.kron(
         np.eye(model.system_dim), hd
     )
@@ -630,10 +613,20 @@ def way_witness(model: MeasurementModel, h_s: object, h_d: object) -> WayReport:
     commute with the system Hamiltonian.  A violation of that implication
     cannot arise from physics and raises a hard failure.
     """
-    en = check_energy_conserving_measurement(model, h_s, h_d)
-    rep = check_repeatable(model)
-    hs = np.asarray(getattr(h_s, "entries", h_s), dtype=complex)
-    tc = commutator_norm(model.target.operator(), hs)
+    return _way_report(
+        model,
+        h_s,
+        check_energy_conserving_measurement(model, h_s, h_d),
+        check_repeatable(model),
+    )
+
+
+def _way_report(
+    model: MeasurementModel, h_s: object, en: EnergyReport, rep: RepeatReport
+) -> WayReport:
+    """The WAY implication, given the model's energy and repeatability
+    reports, so a caller that already holds them need not recompute them."""
+    tc = commutator_norm(model.target.operator(), h_s)
     commutes = tc <= EPS_ALG
     hyp2 = rep.passed or (en.pointer_commutator <= EPS_ALG)
     if en.passed and hyp2 and not commutes:
@@ -677,7 +670,7 @@ def build_degenerate_instrument(
     groups = []
     if kind == "strong_value_correlation":
         for label, _, proj in target.outcomes:
-            v = np.asarray(getattr(data[label], "entries", data[label]), complex)
+            v = _entries_of(data[label])
             k = v @ proj.entries
             if repeatable:
                 leak = operator_norm((np.eye(target.dim) - proj.entries) @ k)

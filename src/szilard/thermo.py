@@ -25,6 +25,7 @@ from .qop import (
     HardAssertionError,
     Operator,
     PureState,
+    _entries_of,
     _ptrace_nd,
     dagger,
     operator_norm,
@@ -46,7 +47,6 @@ __all__ = [
     "work_per_outcome",
     "work_energy_entropy_form",
     "feature2_test",
-    "mean_energy_above_ground",
     "work_threshold",
     "erase_demon",
     "build_swap_erasure",
@@ -79,14 +79,10 @@ class ThermoContext:
         return self.kb * self.temperature
 
 
-def _mat(x: object) -> np.ndarray:
-    return np.asarray(getattr(x, "entries", x), dtype=complex)
-
-
 def free_energy(rho: object, h: object, ctx: ThermoContext) -> float:
     """``tr[H rho] - K_B T S(rho)``."""
-    m = _mat(rho)
-    hm = _mat(h)
+    m = _entries_of(rho)
+    hm = _entries_of(h)
     if operator_norm(hm - dagger(hm)) > EPS_ALG:
         raise ValueError("free_energy requires a Hermitian Hamiltonian")
     if m.shape != hm.shape:
@@ -113,8 +109,10 @@ def work_energy_entropy_form(
     """Branch work recomputed from the system's energy loss plus the weight's
     entropy change.  Agrees with :func:`work_per_outcome` whenever the branch
     dynamics conserve the summed weight+system energy."""
-    hs = _mat(h_s)
-    de_s = float(np.trace(hs @ (_mat(rho_s_before) - _mat(rho_s_after))).real)
+    hs = _entries_of(h_s)
+    de_s = float(
+        np.trace(hs @ (_entries_of(rho_s_before) - _entries_of(rho_s_after))).real
+    )
     ds_w = von_neumann_entropy(rho_w_before) - von_neumann_entropy(rho_w_after)
     return de_s + ctx.kt * ds_w
 
@@ -138,7 +136,7 @@ def feature2_test(
     skipped.  Default tolerance scales with the weight's log-dimension.
     """
     s0 = von_neumann_entropy(rho_w)
-    dim = _mat(rho_w).shape[0]
+    dim = _entries_of(rho_w).shape[0]
     if tol_s is None:
         tol_s = 1e-9 * math.log(max(dim, 2))
     rows = []
@@ -152,27 +150,6 @@ def feature2_test(
         if not good:
             ok = False
     return Feature2Report(passed=ok, tol_s=float(tol_s), per_outcome=tuple(rows))
-
-
-def mean_energy_above_ground(post_state: object, h_s: object) -> float:
-    """Mean energy of a post state above the bottom of the spectrum.
-
-    For an engine whose weight entropy is invariant, the branch work can
-    never exceed this value.
-    """
-    hm = _mat(h_s)
-    if operator_norm(hm - dagger(hm)) > EPS_ALG:
-        raise ValueError("requires a Hermitian Hamiltonian")
-    ground = float(np.linalg.eigvalsh(hm).min())
-    v = getattr(post_state, "amplitudes", None)
-    if v is not None or (
-        isinstance(post_state, np.ndarray) and post_state.ndim == 1
-    ):
-        vv = np.asarray(v if v is not None else post_state, dtype=complex)
-        mean = float(np.vdot(vv, hm @ vv).real)
-    else:
-        mean = float(np.trace(hm @ _mat(post_state)).real)
-    return mean - ground
 
 
 def work_threshold(omega: float, ctx: ThermoContext) -> float:
@@ -227,7 +204,7 @@ def erase_demon(
     Both modes price the demon's own energy change as
     ``W_R = tr[H_D(|psi><psi| - rho_D')] + Q``.
     """
-    hd = _mat(h_d)
+    hd = _entries_of(h_d)
     dd = rho_d_prime.dim
     if hd.shape[0] != dd or demon_initial.dim != dd:
         raise ValueError("demon dimensions inconsistent")
@@ -373,15 +350,15 @@ def work_ledger(
     rows = []
     w_avg = 0.0
     s_w0 = von_neumann_entropy(rho_w)
-    hw = _mat(h_w)
-    e_w0 = float(np.trace(hw @ _mat(rho_w)).real)
+    hw = _entries_of(h_w)
+    e_w0 = float(np.trace(hw @ _entries_of(rho_w)).real)
     s_branch_avg = 0.0
     for outcome, p, state in branches:
         if p <= EPS_EIG or state is None:
             continue
         w_x = work_per_outcome(rho_w, state, h_w, ctx)
         s_x = von_neumann_entropy(state)
-        e_x = float(np.trace(hw @ _mat(state)).real)
+        e_x = float(np.trace(hw @ _entries_of(state)).real)
         rows.append(
             OutcomeWork(
                 outcome=outcome,
@@ -484,18 +461,22 @@ def reservoir_assisted_bound(
     inputs did not come from a conforming branch.
     """
     t = ctx.kt
-    hs = _mat(h_s)
-    hr = _mat(h_r)
-    hw = _mat(h_w)
-    tau = _mat(tau_r)
-    tau_after = _mat(tau_r_after)
+    hs = _entries_of(h_s)
+    hr = _entries_of(h_r)
+    hw = _entries_of(h_w)
+    tau = _entries_of(tau_r)
+    tau_after = _entries_of(tau_r_after)
     if operator_norm(thermal_state(hr, ctx.beta).entries - tau) > 1e-8:
         raise ValueError("reservoir input state is not thermal at the context "
                          "temperature")
     w_x = work_per_outcome(rho_w, rho_w_after, h_w, ctx)
-    de_w = float(np.trace(hw @ (_mat(rho_w_after) - _mat(rho_w))).real)
+    de_w = float(
+        np.trace(hw @ (_entries_of(rho_w_after) - _entries_of(rho_w))).real
+    )
     ds_w = von_neumann_entropy(rho_w_after) - von_neumann_entropy(rho_w)
-    de_s_drop = float(np.trace(hs @ (_mat(rho_s_branch) - _mat(rho_s_after))).real)
+    de_s_drop = float(
+        np.trace(hs @ (_entries_of(rho_s_branch) - _entries_of(rho_s_after))).real
+    )
     energy_form = (
         float(np.trace(hr @ (tau - tau_after)).real) + de_s_drop
     )

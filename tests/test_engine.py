@@ -483,6 +483,39 @@ class TestImpossibilityScan:
         with pytest.raises(ValueError, match="positive"):
             impossibility_scan(0, seed=0)
 
+    def test_each_engine_is_certified_once(self, monkeypatch):
+        import szilard.engine as engine_mod
+        import szilard.measurement as measurement_mod
+
+        calls = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+            return wrapper
+
+        counted(EngineConfig, "__init__")
+        for name in ("check_repeatable", "check_energy_conserving_measurement"):
+            wrapper = counted(measurement_mod, name)
+            monkeypatch.setattr(engine_mod, name, wrapper)
+        counted(engine_mod, "compose_feedback_unitary")
+        impossibility_scan(8, seed=1)
+        assert calls == {
+            "__init__": 8,
+            "check_repeatable": 8,
+            "check_energy_conserving_measurement": 8,
+            "compose_feedback_unitary": 8,
+        }
+        rng = np.random.default_rng(0)
+        assert SCAN_FAMILIES["eigenstate_posts"](rng, False).label == (
+            "eigenstate_posts"
+        )
+
     def test_pattern_counts_partition_the_records(self):
         report = impossibility_scan(12, seed=5)
         assert sum(n for _, n in report.pattern_counts) == 12

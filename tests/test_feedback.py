@@ -16,7 +16,6 @@ from szilard import (
     PureState,
     basis_state,
     build_oscillator_weight,
-    build_shift_unitaries,
     build_shift_unitary,
     check_feedback_energy,
     check_feedback_form,
@@ -258,11 +257,13 @@ class TestConditionalMap:
         w = random_density(rng, 2)
         s = random_density(rng, 3)
         out = conditional_feedback_map(scheme, "0", w, s)
+        u = scheme.unitary_for("0").entries
+        joint = u @ np.kron(w.entries, s.entries) @ dagger(u)
         assert operator_norm(
-            out.rho_weight.entries - _ptrace_nd(out.joint.entries, (2, 3), [0])
+            out.rho_weight.entries - _ptrace_nd(joint, (2, 3), [0])
         ) < 1e-12
         assert operator_norm(
-            out.rho_system.entries - _ptrace_nd(out.joint.entries, (2, 3), [1])
+            out.rho_system.entries - _ptrace_nd(joint, (2, 3), [1])
         ) < 1e-12
 
     def test_missing_reservoir_state_rejected(self):
@@ -395,23 +396,6 @@ class TestShiftUnitary:
         weight = build_oscillator_weight(1.0, 4)
         u = build_shift_unitary(weight, np.array([0.0, 1.0], dtype=complex))
         assert operator_norm(u.entries - np.eye(2 * weight.dim)) < 1e-12
-
-    def test_pair_builder_checks_gap(self):
-        weight = build_oscillator_weight(1.0, 4)
-        with pytest.raises(ValueError):
-            build_shift_unitaries(
-                weight,
-                0.5,
-                np.array([0.0, 1.0], dtype=complex),
-                np.array([1.0, 0.0], dtype=complex),
-            )
-        pair = build_shift_unitaries(
-            weight,
-            1.0,
-            np.array([0.0, 1.0], dtype=complex),
-            np.array([1.0, 0.0], dtype=complex),
-        )
-        assert set(pair) == {"minus", "plus"}
 
     def test_non_qubit_post_rejected(self):
         weight = build_oscillator_weight(1.0, 4)

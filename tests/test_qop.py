@@ -238,6 +238,16 @@ class TestEntropy:
         want = p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
         assert abs(relative_entropy(rho, sigma) - want) < 1e-10
 
+    def test_norm_is_exact_above_1024_dims(self):
+        # rank-one residual whose kernel holds the all-ones vector, so an
+        # iterative estimate started from that vector reads 0
+        n = 1100
+        v = np.zeros(n, dtype=complex)
+        v[0], v[1] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+        r = 2e-3 * np.outer(v, v.conj())
+        assert abs(operator_norm(r) - 2e-3) < 1e-12
+        assert not Operator(np.eye(n) + r).is_unitary
+
     def test_commutator_norm(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.diag([1.0, -1.0]).astype(complex)

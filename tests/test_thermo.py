@@ -22,7 +22,6 @@ from szilard import (
     erase_demon,
     feature2_test,
     free_energy,
-    mean_energy_above_ground,
     operator_norm,
     random_energy_conserving_unitary,
     thermal_state,
@@ -116,14 +115,6 @@ class TestBranchWork:
         w1 = work_per_outcome(rho_w, w_after, h_w, ctx)
         w2 = work_energy_entropy_form(rho_s, s_after, h_s, rho_w, w_after, ctx)
         assert abs(w1 - w2) < 1e-9
-
-    def test_mean_energy_above_ground(self):
-        h = np.diag([-1.0, 0.0, 3.0]).astype(complex)
-        v = np.zeros(3, dtype=complex)
-        v[2] = 1.0
-        assert abs(mean_energy_above_ground(v, h) - 4.0) < 1e-12
-        mixed = DensityMatrix(np.diag([0.5, 0.0, 0.5]).astype(complex))
-        assert abs(mean_energy_above_ground(mixed, h) - 2.0) < 1e-12
 
     def test_work_threshold_scales(self):
         assert work_threshold(1.0, ThermoContext(1.0)) == pytest.approx(1e-9)
