@@ -298,7 +298,7 @@ def parse_scenario(
                     p[key] = overrides[key]
             config = scenario_library(scenario_name, **p)
             if doc.get("non_conforming"):
-                config = dataclasses.replace(config, non_conforming=True)
+                config = config._as_non_conforming()
         else:
             scenario_name = "explicit"
             block = dict(doc["config"] or {})

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import szilard
-from szilard import HardAssertionError
+from szilard import EngineConfig, HardAssertionError
 from szilard.cli import main, parse_scenario, run_records
 
 
@@ -108,6 +108,21 @@ class TestParseScenario:
         doc["non_conforming"] = True
         runs = parse_scenario(doc)
         assert runs[0].config.non_conforming
+
+    def test_non_conforming_library_engine_is_built_once(self, monkeypatch):
+        built = []
+        original = EngineConfig.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(EngineConfig, "__init__", counted)
+        runs = parse_scenario({"scenario": "example_I", "non_conforming": True})
+        assert len(built) == 1
+        config = runs[0].config
+        assert config.non_conforming and not config.conforming
+        assert config.certification.passed
 
     def test_document_must_be_mapping(self):
         with pytest.raises(ValueError, match="mapping"):

@@ -42,6 +42,8 @@ from szilard import (
     work_threshold,
 )
 
+import szilard.engine as engine_mod
+import _dense
 from _oracles import harvest_works
 
 
@@ -325,6 +327,108 @@ class TestRunCycle:
         assert result.branches[0].work == pytest.approx(1.0, abs=1e-9)
 
 
+def _consistency_routes(config, **marginals):
+    """``(gap, deviation)`` of one cycle from the factored check and from
+    the dense oracle, with any mixture-built marginal overridden."""
+    result = run_cycle(config)
+    sigma_sd, gem, _ = engine_mod._measure(config)
+    after = {
+        "rho_s_after": result.rho_s_after,
+        "rho_w_after": result.rho_w_after,
+        "rho_d_after": result.rho_d_after,
+        "rho_r_after": result.rho_r_after,
+    }
+    after.update(marginals)
+    args = (config, sigma_sd, gem, config.weight_initial, after["rho_s_after"],
+            after["rho_w_after"], after["rho_d_after"], after["rho_r_after"])
+    routes = []
+    for route in (engine_mod._joint_consistency, _dense.joint_consistency):
+        try:
+            routes.append(route(*args))
+        except HardAssertionError as exc:
+            routes.append(exc)
+    return result, routes
+
+
+def _shifted(rho: DensityMatrix) -> DensityMatrix:
+    """Mix 1e-6 of the least populated level into ``rho``; the shift is at
+    least 1e-6 * (1 - 1/dim) in operator norm."""
+    m = (1.0 - 1e-6) * rho.entries
+    k = int(np.argmin(m.diagonal().real))
+    m[k, k] += 1e-6
+    return DensityMatrix(m)
+
+
+class TestJointConsistency:
+    """The factored joint check against the dense oracle in ``_dense``."""
+
+    def _assert_routes_agree(self, config):
+        result, (factored, dense) = _consistency_routes(config)
+        assert factored == (
+            result.objectification_order_gap,
+            result.marginal_deviation,
+        )
+        assert factored[0] == pytest.approx(dense[0], abs=1e-12)
+        assert factored[1] == pytest.approx(dense[1], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("example_II", {"N": 5}),
+            ("example_II", {"N": 20}),
+            ("reservoir_circumvention", {"dim_R": 2}),
+            ("reservoir_circumvention", {"dim_R": 3}),
+            ("degenerate_circumvention", {}),
+            ("null_engine", {}),
+            ("example_I", {}),
+        ],
+    )
+    def test_library_matches_dense_oracle(self, name, params):
+        self._assert_routes_agree(scenario_library(name, **params))
+
+    @pytest.mark.parametrize("thermal", [False, True])
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_scan_families_match_dense_oracle(self, family, thermal):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            self._assert_routes_agree(SCAN_FAMILIES[family](rng, thermal))
+
+    @pytest.mark.parametrize(
+        "marginal", ["rho_w_after", "rho_s_after", "rho_r_after", "rho_d_after"]
+    )
+    def test_shifted_marginal_raises_on_both_routes(self, marginal):
+        config = scenario_library("reservoir_circumvention", dim_R=2)
+        result = run_cycle(config)
+        _, routes = _consistency_routes(
+            config, **{marginal: _shifted(getattr(result, marginal))}
+        )
+        for exc in routes:
+            assert isinstance(exc, HardAssertionError)
+            assert "mixture marginals deviate" in str(exc)
+
+    def test_dropped_population_enters_both_bounds(self):
+        # a 1e-13 population sits below EPS_EIG, so the factor drops it; the
+        # dense route keeps it and reads only rounding.  The factored weight
+        # marginal misses that population (1e-13 off) and the bound adds the
+        # dropped mass on top; the two pinched factors miss it alike, so
+        # the gap is twice the dropped mass
+        base = SCAN_FAMILIES["entropy_harvest"](np.random.default_rng(3), False)
+        rho = base.weight_initial.entries.copy()
+        top = int(np.argmax(rho.diagonal().real))
+        rho[top, top] -= 1e-13
+        rho[0, 0] += 1e-13
+        config = dataclasses.replace(
+            base,
+            weight=GenericWeight(base.weight_hamiltonian, DensityMatrix(rho)),
+        )
+        _, ((gap, dev), (gap_d, dev_d)) = _consistency_routes(config)
+        assert dev_d < 1e-14
+        assert dev >= 2 * 0.99e-13 and dev >= dev_d
+        assert gap >= 2 * 0.99e-13 and gap >= gap_d
+        assert dev == pytest.approx(dev_d, abs=1e-12)
+        assert gap == pytest.approx(gap_d, abs=1e-12)
+
+
 class TestFeatureReports:
     def test_reports_are_recomputable(self, example_i_cycles):
         config, result, report = example_i_cycles[0.5]
@@ -484,7 +588,6 @@ class TestImpossibilityScan:
             impossibility_scan(0, seed=0)
 
     def test_each_engine_is_certified_once(self, monkeypatch):
-        import szilard.engine as engine_mod
         import szilard.measurement as measurement_mod
 
         calls = {}

@@ -200,6 +200,44 @@ class TestEnergyCheck:
         assert not rep.passed
         assert any(c > 0.5 for _, c in rep.pointer_group_commutators)
 
+    @staticmethod
+    def _stroke_groups(u1: np.ndarray) -> list[set]:
+        """Outcome groups for a scheme whose strokes are 1 and ``u1``."""
+        scheme = FeedbackScheme(
+            branch_unitaries=(
+                ("0", Operator(np.eye(4, dtype=complex))),
+                ("1", Operator(u1)),
+            ),
+            demon_projectors=basis_projectors(2),
+        )
+        zero = np.zeros((2, 2))
+        rep = check_feedback_energy(scheme, zero, zero, zero)
+        return [set(g) for g, _ in rep.pointer_group_commutators]
+
+    def test_strokes_1e9_apart_are_not_grouped(self):
+        u1 = np.diag(np.exp(1j * np.array([1e-9, 0.0, 0.0, 0.0])))
+        assert operator_norm(u1 - np.eye(4)) > EPS_ALG
+        assert self._stroke_groups(u1) == [{"0"}, {"1"}]
+
+    @pytest.mark.parametrize("rank_one", [True, False])
+    def test_grouping_takes_the_exact_norm_where_bounds_straddle(
+        self, rank_one
+    ):
+        # column norms at or below EPS_ALG, Frobenius norm above it: the
+        # rank-one difference has spectral norm 1.5e-10 (distinct strokes),
+        # the diagonal one 0.9e-10 (one stroke)
+        if rank_one:
+            v = np.full(4, 0.5, dtype=complex)
+            u1 = np.eye(4) + (np.exp(1.5e-10j) - 1.0) * np.outer(v, v.conj())
+        else:
+            u1 = np.diag(np.exp(np.full(4, 0.9e-10j)))
+        d = u1 - np.eye(4)
+        assert np.linalg.norm(d, axis=0).max() <= EPS_ALG < np.linalg.norm(d)
+        same = operator_norm(d) <= EPS_ALG
+        assert same is not rank_one
+        want = [{"0", "1"}] if same else [{"0"}, {"1"}]
+        assert self._stroke_groups(u1) == want
+
     def test_nonconserving_branch_flagged(self):
         # raising the weight without lowering anything else costs energy
         raise_w = np.zeros((3, 3), dtype=complex)
