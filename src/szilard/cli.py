@@ -28,6 +28,7 @@ from .engine import (
     FeatureReport,
     CycleResult,
     SCENARIO_NAMES,
+    ScanReport,
     evaluate_features,
     impossibility_scan,
     run_cycle,
@@ -549,10 +550,17 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
             )
         _emit(buf.getvalue(), ns.out)
         return 0
-    payload = {
+    payload = _scan_payload(report, ns.thermal)
+    _emit(json.dumps(payload, indent=2), ns.out)
+    return 0
+
+
+def _scan_payload(report: ScanReport, thermal_system: bool) -> dict:
+    """The JSON document ``szilard scan`` writes for one report."""
+    return {
         "count": report.count,
         "seed": report.seed,
-        "thermal_system": ns.thermal,
+        "thermal_system": thermal_system,
         "all_three_count": report.all_three_count,
         "pattern_counts": [
             {"triple": list(triple), "count": count}
@@ -571,8 +579,6 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
             for r in report.records
         ],
     }
-    _emit(json.dumps(payload, indent=2), ns.out)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

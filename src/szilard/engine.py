@@ -66,6 +66,7 @@ from .qop import (
     Operator,
     PureState,
     SizeError,
+    _factor,
     _ptrace_nd,
     basis_state,
     dagger,
@@ -442,6 +443,12 @@ def _measure(config: EngineConfig) -> tuple[DensityMatrix | None, Gemenge, dict]
 def run_cycle(config: EngineConfig) -> CycleResult:
     """Execute one full cycle and assemble its ledger.
 
+    Each branch state is carried as a low-rank factor ``X`` with
+    ``rho = X X^dag`` through the feedback map, and the averaged weight
+    state is built from the branches' stacked factors, so entropies come
+    from singular values and no state of the joint dimension is formed.
+    The results are ordinary :class:`DensityMatrix` objects.
+
     Every marginal is cross-checked against the joint evolution of the
     weight-system-demon(-reservoir) state, carried as a low-rank factor
     through the composed feedback unitary, and the order-of-objectification
@@ -463,9 +470,10 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     )
     branches = []
     chains = []
-    dw, ds = h_w.dim, h_s.dim
+    ds = h_s.dim
     rho_s_after = np.zeros((ds, ds), dtype=complex)
-    rho_w_after = np.zeros((dw, dw), dtype=complex)
+    # factor of the mixture sum_x p_x rho_W^x, one block of columns a branch
+    w_after_factor = []
     rho_d_after = np.zeros((config.demon_dim, config.demon_dim), dtype=complex)
     rho_r_after = (
         np.zeros((tau_r.dim, tau_r.dim), dtype=complex)
@@ -509,13 +517,13 @@ def run_cycle(config: EngineConfig) -> CycleResult:
             )
         )
         rho_s_after += b.probability * out.rho_system.entries
-        rho_w_after += b.probability * out.rho_weight.entries
+        w_after_factor.append(math.sqrt(b.probability) * _factor(out.rho_weight)[0])
         rho_d_after += b.probability * demon_records[b.outcome].entries
         if rho_r_after is not None:
             rho_r_after += b.probability * out.rho_reservoir.entries
 
     rho_s_after = DensityMatrix(rho_s_after)
-    rho_w_after = DensityMatrix(rho_w_after)
+    rho_w_after = DensityMatrix._from_factor(np.hstack(w_after_factor))
     rho_d_after = DensityMatrix(rho_d_after)
     rho_r_after = DensityMatrix(rho_r_after) if rho_r_after is not None else None
 
@@ -583,19 +591,21 @@ def _branch_chain(
     )
 
 
-def _factor(rho: DensityMatrix) -> tuple[np.ndarray, tuple[float, float]]:
-    """``X`` with ``rho = X X^dag`` up to the populations at or below
-    EPS_EIG, which are dropped; also the trace norms kept and dropped."""
-    ev, vec = np.linalg.eigh(rho.entries)
-    keep = ev > EPS_EIG
-    norms = (float(ev[keep].sum()), float(np.abs(ev[~keep]).sum()))
-    return vec[:, keep] * np.sqrt(ev[keep]), norms
-
-
 def _dropped_mass(parts: Sequence[tuple[float, float]]) -> float:
     """Trace norm bound on ``(x)_i (K_i + D_i) - (x)_i K_i`` from the kept
     and dropped trace norms ``(|K_i|_1, |D_i|_1)`` of each factor."""
     return math.prod(k + d for k, d in parts) - math.prod(k for k, _ in parts)
+
+
+def _outer_difference_norm(f: np.ndarray, g: np.ndarray) -> float:
+    """``operator_norm(F F^dag - G G^dag)`` without forming either product.
+
+    The reduced QR ``[F G] = Q [R1 R2]`` has an isometry ``Q``, so the
+    difference equals ``Q (R1 R1^dag - R2 R2^dag) Q^dag`` and shares its
+    norm with a core as wide as ``F`` and ``G`` together."""
+    r = np.linalg.qr(np.hstack([f, g]), mode="r")
+    r1, r2 = r[:, : f.shape[1]], r[:, f.shape[1] :]
+    return operator_norm(r1 @ dagger(r1) - r2 @ dagger(r2))
 
 
 def _joint_consistency(
@@ -613,8 +623,10 @@ def _joint_consistency(
     deviation of any mixture-built marginal from the joint marginal.
 
     The joint state has rank at most a few columns, so ``X`` goes through
-    the composed feedback unitary instead of the dense state.  Populations
-    the factorization drops are added back in trace norm, once to the
+    the composed feedback unitary instead of the dense state, and the gap
+    is taken on the small QR core of the two pinched factors; apart from
+    the config's composed unitary, no n x n array exists.  Populations the
+    factorization drops are added back in trace norm, once to the
     deviation and twice to the gap; pinching, unitary conjugation and the
     partial trace do not increase the trace norm, so both stay upper
     bounds of their dense values.
@@ -622,10 +634,7 @@ def _joint_consistency(
     dw = rho_w.dim
     ds = config.rho_s.dim
     dd = config.demon_dim
-    if isinstance(config.weight, OscillatorWeight):
-        x_w, w_part = config.weight.initial_state.amplitudes[:, None], (1.0, 0.0)
-    else:
-        x_w, w_part = _factor(rho_w)
+    x_w, w_part = _factor(rho_w)
     parts = [w_part]
     # (probability, factor on (S, D), its system-side (kept, dropped))
     terms = []
@@ -670,8 +679,7 @@ def _joint_consistency(
 
     first = v @ pinch(x)
     last = pinch(v @ x)
-    gap = operator_norm(first @ dagger(first) - last @ dagger(last))
-    gap += 2.0 * dropped
+    gap = _outer_difference_norm(first, last) + 2.0 * dropped
 
     # pinch-first is the state the branch pipeline actually realises;
     # its marginals must match the mixture-built ones exactly

@@ -14,6 +14,8 @@ the demon control sits as the last tensor factor of the composed operation.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +27,8 @@ from .qop import (
     Operator,
     PureState,
     _entries_of,
+    _factor,
     _fix_phase,
-    _ptrace_nd,
     commutator_norm,
     dagger,
     operator_norm,
@@ -302,28 +304,37 @@ def conditional_feedback_map(
     rho_system: DensityMatrix,
     rho_reservoir: DensityMatrix | None = None,
 ) -> BranchOutput:
-    """Apply one branch unitary to ``weight (x) system [(x) reservoir]``."""
+    """Apply one branch unitary to ``weight (x) system [(x) reservoir]``.
+
+    The branch state is carried as a factor ``X`` with ``rho = X X^dag``:
+    each input contributes its carried factor, or an ``eigh`` factor that
+    keeps every positive population, and ``U (X_W (x) X_S [(x) X_R])`` is
+    only as wide as the product of their ranks.  Each marginal is ``A A^dag``
+    with ``A`` the evolved factor reshaped with that factor's axis first, and
+    the returned states carry ``A``.
+    """
     u = scheme.unitary_for(outcome).entries
-    joint = np.kron(rho_weight.entries, rho_system.entries)
-    dims = [rho_weight.dim, rho_system.dim]
+    states = [rho_weight, rho_system]
     if scheme.includes_reservoir:
         if rho_reservoir is None:
             raise ValueError("scheme includes a reservoir but none was supplied")
-        joint = np.kron(joint, rho_reservoir.entries)
-        dims.append(rho_reservoir.dim)
-    if u.shape[0] != int(np.prod(dims)):
+        states.append(rho_reservoir)
+    dims = [r.dim for r in states]
+    if u.shape[0] != math.prod(dims):
         raise ValueError(
-            f"branch unitary dimension {u.shape[0]} != joint {int(np.prod(dims))}"
+            f"branch unitary dimension {u.shape[0]} != joint {math.prod(dims)}"
         )
-    out = u @ joint @ dagger(u)
-    rho_w = DensityMatrix(_ptrace_nd(out, dims, [0]))
-    rho_s = DensityMatrix(_ptrace_nd(out, dims, [1]))
-    rho_r = (
-        DensityMatrix(_ptrace_nd(out, dims, [2]))
-        if scheme.includes_reservoir
-        else None
+    x = functools.reduce(np.kron, (_factor(r, floor=0.0)[0] for r in states))
+    t = (u @ x).reshape(*dims, -1)
+    out = [
+        DensityMatrix._from_factor(np.moveaxis(t, ax, 0).reshape(d, -1))
+        for ax, d in enumerate(dims)
+    ]
+    return BranchOutput(
+        rho_system=out[1],
+        rho_weight=out[0],
+        rho_reservoir=out[2] if scheme.includes_reservoir else None,
     )
-    return BranchOutput(rho_system=rho_s, rho_weight=rho_w, rho_reservoir=rho_r)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,11 @@ def operator_norm(a: object) -> float:
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
-    return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
+    # past the first entry, the flat entries of a square matrix fall in rows
+    # of n + 1 that each end on the next diagonal entry
+    n = a.shape[0]
+    off = np.ascontiguousarray(a).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    return not off.any()
 
 
 def commutator_norm(a: object, b: object) -> float:
@@ -218,26 +222,76 @@ class Operator:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Positive unit-trace Hermitian matrix."""
+    """Positive unit-trace Hermitian matrix.
+
+    Validation computes the spectrum once and the state keeps it, so
+    :func:`von_neumann_entropy` never diagonalises the same state twice.  A
+    state built from a factor ``X`` with ``rho = X X^dag`` (a pure state's
+    amplitude column, or a branch marginal inside the cycle) also carries
+    ``X``, and takes its spectrum from the singular values of ``X``.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.entries)
-        herm = operator_norm(m - dagger(m))
-        if herm > EPS_ALG:
-            raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > EPS_ALG:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        mn = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0).min())
-        if mn < -EPS_ALG:
-            raise ValueError(f"density matrix has negative eigenvalue {mn:.3e}")
+        ev = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
+        _validate(m, ev)
         object.__setattr__(self, "entries", _freeze(m))
+        object.__setattr__(self, "_spectrum", _freeze(ev))
+        object.__setattr__(self, "_carried_factor", None)
+
+    @classmethod
+    def _from_factor(cls, x: np.ndarray) -> DensityMatrix:
+        """``X X^dag``, validated like any state, with its spectrum taken
+        from ``X``: the nonzero eigenvalues of ``X X^dag`` are the squared
+        singular values of ``X``, so no eigendecomposition of the (possibly
+        large) product is needed."""
+        x = np.array(x, dtype=complex)
+        if x.ndim != 2 or x.shape[0] < 1 or not np.isfinite(x).all():
+            raise ValueError(f"factor must be a finite 2-d array, shape {x.shape}")
+        m = x @ dagger(x)
+        sv = np.linalg.svd(x, compute_uv=False)
+        ev = np.zeros(m.shape[0])
+        ev[m.shape[0] - sv.size :] = np.sort(sv * sv)
+        _validate(m, ev)
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", _freeze(m))
+        object.__setattr__(out, "_spectrum", _freeze(ev))
+        object.__setattr__(out, "_carried_factor", _freeze(x))
+        return out
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _validate(m: np.ndarray, spectrum: np.ndarray) -> None:
+    herm = operator_norm(m - dagger(m))
+    if herm > EPS_ALG:
+        raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > EPS_ALG:
+        raise ValueError(f"density matrix trace {tr} differs from 1")
+    mn = float(spectrum.min())
+    if mn < -EPS_ALG:
+        raise ValueError(f"density matrix has negative eigenvalue {mn:.3e}")
+
+
+def _factor(
+    rho: DensityMatrix, floor: float = EPS_EIG
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """``X`` with ``rho = X X^dag`` and the trace norms it keeps and drops.
+
+    A carried factor is returned as it is and drops nothing.  Otherwise
+    ``X`` comes from ``eigh`` and drops the populations at or below
+    ``floor``; ``floor=0`` keeps every positive population."""
+    if rho._carried_factor is not None:
+        return rho._carried_factor, (float(rho._spectrum.sum()), 0.0)
+    ev, vec = np.linalg.eigh(rho.entries)
+    keep = ev > floor
+    norms = (float(ev[keep].sum()), float(np.abs(ev[~keep]).sum()))
+    return vec[:, keep] * np.sqrt(ev[keep]), norms
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -258,8 +312,8 @@ class PureState:
         return self.amplitudes.shape[0]
 
     def density(self) -> DensityMatrix:
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()))
+        """``|v><v|``, carrying the amplitude column as its factor."""
+        return DensityMatrix._from_factor(self.amplitudes[:, None])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -392,9 +446,14 @@ def partial_trace(
 
 
 def von_neumann_entropy(rho: object) -> float:
-    """``-tr[rho ln rho]`` in nats; populations below EPS_EIG contribute 0."""
-    m = _entries_of(rho)
-    ev = np.linalg.eigvalsh(m)
+    """``-tr[rho ln rho]`` in nats; populations below EPS_EIG contribute 0.
+
+    A :class:`DensityMatrix` supplies the spectrum it kept when it was
+    built; a bare matrix is diagonalised here."""
+    if isinstance(rho, DensityMatrix):
+        ev = rho._spectrum
+    else:
+        ev = np.linalg.eigvalsh(_entries_of(rho))
     ev = ev[ev > EPS_EIG]
     if ev.size == 0:
         return 0.0

@@ -26,6 +26,7 @@ from .qop import (
     Operator,
     PureState,
     _entries_of,
+    _is_diagonal,
     _ptrace_nd,
     dagger,
     operator_norm,
@@ -79,6 +80,13 @@ class ThermoContext:
         return self.kb * self.temperature
 
 
+def _energy(h: np.ndarray, m: np.ndarray) -> float:
+    """``tr[H m]``; a diagonal ``H`` needs only the diagonal of ``m``."""
+    if _is_diagonal(h):
+        return float(np.sum(np.diagonal(h) * np.diagonal(m)).real)
+    return float(np.trace(h @ m).real)
+
+
 def free_energy(rho: object, h: object, ctx: ThermoContext) -> float:
     """``tr[H rho] - K_B T S(rho)``."""
     m = _entries_of(rho)
@@ -87,8 +95,7 @@ def free_energy(rho: object, h: object, ctx: ThermoContext) -> float:
         raise ValueError("free_energy requires a Hermitian Hamiltonian")
     if m.shape != hm.shape:
         raise ValueError(f"dimension mismatch {m.shape} vs {hm.shape}")
-    energy = float(np.trace(hm @ m).real)
-    return energy - ctx.kt * von_neumann_entropy(m)
+    return _energy(hm, m) - ctx.kt * von_neumann_entropy(rho)
 
 
 def work_per_outcome(
@@ -110,9 +117,7 @@ def work_energy_entropy_form(
     entropy change.  Agrees with :func:`work_per_outcome` whenever the branch
     dynamics conserve the summed weight+system energy."""
     hs = _entries_of(h_s)
-    de_s = float(
-        np.trace(hs @ (_entries_of(rho_s_before) - _entries_of(rho_s_after))).real
-    )
+    de_s = _energy(hs, _entries_of(rho_s_before) - _entries_of(rho_s_after))
     ds_w = von_neumann_entropy(rho_w_before) - von_neumann_entropy(rho_w_after)
     return de_s + ctx.kt * ds_w
 
@@ -210,7 +215,7 @@ def erase_demon(
         raise ValueError("demon dimensions inconsistent")
     s_record = von_neumann_entropy(rho_d_prime)
     blank = projector_onto(demon_initial)
-    e_term = float(np.trace(hd @ (blank - rho_d_prime.entries)).real)
+    e_term = _energy(hd, blank - rho_d_prime.entries)
 
     if mode == "landauer_optimal":
         q = ctx.kt * s_record
@@ -245,7 +250,7 @@ def erase_demon(
             f"reset restores the blank state with fidelity {fid:.9f} < 1 - 1e-6"
         )
     tau_after = _ptrace_nd(joint, [dd, dr], [1])
-    q = float(np.trace(res.h_r.entries @ (tau_after - res.reservoir_state.entries)).real)
+    q = _energy(res.h_r.entries, tau_after - res.reservoir_state.entries)
     if q < ctx.kt * s_record - _TOL:
         raise HardAssertionError(
             f"explicit erasure heat {q} beats the Landauer cost "
@@ -351,14 +356,14 @@ def work_ledger(
     w_avg = 0.0
     s_w0 = von_neumann_entropy(rho_w)
     hw = _entries_of(h_w)
-    e_w0 = float(np.trace(hw @ _entries_of(rho_w)).real)
+    e_w0 = _energy(hw, _entries_of(rho_w))
     s_branch_avg = 0.0
     for outcome, p, state in branches:
         if p <= EPS_EIG or state is None:
             continue
         w_x = work_per_outcome(rho_w, state, h_w, ctx)
         s_x = von_neumann_entropy(state)
-        e_x = float(np.trace(hw @ _entries_of(state)).real)
+        e_x = _energy(hw, _entries_of(state))
         rows.append(
             OutcomeWork(
                 outcome=outcome,
@@ -470,16 +475,10 @@ def reservoir_assisted_bound(
         raise ValueError("reservoir input state is not thermal at the context "
                          "temperature")
     w_x = work_per_outcome(rho_w, rho_w_after, h_w, ctx)
-    de_w = float(
-        np.trace(hw @ (_entries_of(rho_w_after) - _entries_of(rho_w))).real
-    )
+    de_w = _energy(hw, _entries_of(rho_w_after) - _entries_of(rho_w))
     ds_w = von_neumann_entropy(rho_w_after) - von_neumann_entropy(rho_w)
-    de_s_drop = float(
-        np.trace(hs @ (_entries_of(rho_s_branch) - _entries_of(rho_s_after))).real
-    )
-    energy_form = (
-        float(np.trace(hr @ (tau - tau_after)).real) + de_s_drop
-    )
+    de_s_drop = _energy(hs, _entries_of(rho_s_branch) - _entries_of(rho_s_after))
+    energy_form = _energy(hr, tau - tau_after) + de_s_drop
     if abs(de_w - energy_form) > _TOL:
         raise HardAssertionError(
             f"weight energy gain {de_w} does not match the released energy "

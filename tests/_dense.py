@@ -1,12 +1,15 @@
-"""Dense reference for the cycle's joint-consistency check.
+"""Dense references for the cycle's factored stages.
 
 ``joint_consistency`` forms the full weight-system-demon(-reservoir) state
 as an n x n matrix and pushes it through the composed feedback unitary on
 both sides, exactly as ``run_cycle`` did before the check moved onto a
-low-rank factor.  The arithmetic is numpy only, with no package helpers, so
-it is an independent route for differential tests of
-``szilard.engine._joint_consistency``; it takes the same arguments and
-raises the same ``HardAssertionError``.
+low-rank factor; it takes the same arguments as
+``szilard.engine._joint_consistency`` and raises the same
+``HardAssertionError``.  ``conditional_feedback_map`` is the dense branch
+map ``U rho U^dag`` that ``szilard.feedback.conditional_feedback_map``
+replaced with a factored one, and ``entropy`` / ``free_energy`` price its
+outputs from a fresh ``eigvalsh``.  The arithmetic is numpy only, with no
+package helpers, so each is an independent route for differential tests.
 """
 
 from __future__ import annotations
@@ -101,3 +104,33 @@ def joint_consistency(
             f"mixture marginals deviate from the joint evolution by {dev}"
         )
     return gap, dev
+
+
+def conditional_feedback_map(
+    scheme, outcome, rho_weight, rho_system, rho_reservoir=None
+):
+    """Weight, system and reservoir (or None) marginals of one branch,
+    ``U (rho_W (x) rho_S [(x) tau_R]) U^dag`` formed as a dense matrix."""
+    u = scheme.unitary_for(outcome).entries
+    joint = np.kron(rho_weight.entries, rho_system.entries)
+    dims = [rho_weight.dim, rho_system.dim]
+    if scheme.includes_reservoir:
+        joint = np.kron(joint, rho_reservoir.entries)
+        dims.append(rho_reservoir.dim)
+    out = u @ joint @ u.conj().T
+    marginals = [_ptrace(out, dims, ax) for ax in range(len(dims))]
+    if not scheme.includes_reservoir:
+        marginals.append(None)
+    return tuple(marginals)
+
+
+def entropy(rho: np.ndarray) -> float:
+    """``-tr[rho ln rho]`` from a fresh ``eigvalsh``, populations at or
+    below 1e-12 dropped."""
+    ev = np.linalg.eigvalsh(rho)
+    ev = ev[ev > 1e-12]
+    return float(-(ev * np.log(ev)).sum())
+
+
+def free_energy(rho: np.ndarray, h: np.ndarray, kt: float) -> float:
+    return float(np.trace(h @ rho).real) - kt * entropy(rho)

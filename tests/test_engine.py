@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,19 @@ def _shifted(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+# small engines of every shape: pure and mixed weights, a reservoir, an
+# instrument, a degenerate target and a single-outcome null engine
+LIBRARY_CASES = [
+    ("example_II", {"N": 5}),
+    ("example_II", {"N": 20}),
+    ("reservoir_circumvention", {"dim_R": 2}),
+    ("reservoir_circumvention", {"dim_R": 3}),
+    ("degenerate_circumvention", {}),
+    ("null_engine", {}),
+    ("example_I", {}),
+]
+
+
 class TestJointConsistency:
     """The factored joint check against the dense oracle in ``_dense``."""
 
@@ -371,18 +385,7 @@ class TestJointConsistency:
         assert factored[0] == pytest.approx(dense[0], abs=1e-12)
         assert factored[1] == pytest.approx(dense[1], abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "name, params",
-        [
-            ("example_II", {"N": 5}),
-            ("example_II", {"N": 20}),
-            ("reservoir_circumvention", {"dim_R": 2}),
-            ("reservoir_circumvention", {"dim_R": 3}),
-            ("degenerate_circumvention", {}),
-            ("null_engine", {}),
-            ("example_I", {}),
-        ],
-    )
+    @pytest.mark.parametrize("name, params", LIBRARY_CASES)
     def test_library_matches_dense_oracle(self, name, params):
         self._assert_routes_agree(scenario_library(name, **params))
 
@@ -427,6 +430,104 @@ class TestJointConsistency:
         assert gap >= 2 * 0.99e-13 and gap >= gap_d
         assert dev == pytest.approx(dev_d, abs=1e-12)
         assert gap == pytest.approx(gap_d, abs=1e-12)
+
+
+class TestOuterDifferenceNorm:
+    """The joint check's gap core against the dense difference."""
+
+    @pytest.mark.parametrize("rows, cols", [(40, 3), (7, 5), (3, 4), (1, 1)])
+    def test_matches_the_dense_norm(self, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        f, g = (
+            rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+            for _ in range(2)
+        )
+        dense = np.linalg.norm(f @ f.conj().T - g @ g.conj().T, 2)
+        got = engine_mod._outer_difference_norm(f, g)
+        assert got == pytest.approx(dense, rel=1e-12)
+
+    def test_equal_factors_up_to_columns_give_zero(self):
+        # G spans the same outer product as F with its columns rotated
+        rng = np.random.default_rng(9)
+        f = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+        c, s = math.cos(0.3), math.sin(0.3)
+        g = f @ np.array([[c, -s], [s, c]])
+        assert engine_mod._outer_difference_norm(f, g) < 1e-13
+        assert engine_mod._outer_difference_norm(f, f) < 1e-13
+
+
+class TestFactoredBranchMap:
+    """Every branch of the factored cycle against the dense branch map in
+    ``_dense``: post states, work and weight-entropy change."""
+
+    def _assert_branches_match(self, config):
+        result = run_cycle(config)
+        rho_w = config.weight_initial.entries
+        h_w = config.weight_hamiltonian.entries
+        kt = config.thermo.kt
+        tau_r = config.reservoir.state if config.reservoir is not None else None
+        assert result.branches
+        for br in result.branches:
+            w, s, r = _dense.conditional_feedback_map(
+                config.feedback, br.outcome, config.weight_initial,
+                br.pre_system, tau_r,
+            )
+            assert np.abs(br.post_weight.entries - w).max() <= 1e-12
+            assert np.abs(br.post_system.entries - s).max() <= 1e-12
+            if r is None:
+                assert br.post_reservoir is None
+            else:
+                assert np.abs(br.post_reservoir.entries - r).max() <= 1e-12
+            work = _dense.free_energy(w, h_w, kt) - _dense.free_energy(
+                rho_w, h_w, kt
+            )
+            assert br.work == pytest.approx(work, abs=1e-12)
+            ds = _dense.entropy(w) - _dense.entropy(rho_w)
+            assert br.weight_entropy_change == pytest.approx(ds, abs=1e-12)
+
+    @pytest.mark.parametrize("name, params", LIBRARY_CASES)
+    def test_library_matches_dense_oracle(self, name, params):
+        self._assert_branches_match(scenario_library(name, **params))
+
+    @pytest.mark.parametrize("thermal", [False, True])
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_scan_families_match_dense_oracle(self, family, thermal):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            self._assert_branches_match(SCAN_FAMILIES[family](rng, thermal))
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("example_II", {"N": 200}), ("reservoir_circumvention", {"dim_R": 4})],
+    )
+    def test_cycle_peaks_below_one_joint_matrix(self, name, params):
+        # the cycle carries factors, so it never holds an n x n complex array
+        # of the joint dimension n
+        config = scenario_library(name, **params)
+        tracemalloc.start()
+        try:
+            evaluate_features(run_cycle(config), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * config.total_dim**2
+
+    def test_no_diagonalisation_at_the_weight_dimension(self, monkeypatch):
+        # the weight states' spectra come from their factors' singular
+        # values, so nothing of the weight's dimension is diagonalised
+        config = scenario_library("example_II", N=20)
+        dw = config.weight_hamiltonian.dim
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        evaluate_features(run_cycle(config), config)
+        assert all(n < dw for n in sizes), sizes
 
 
 class TestFeatureReports:

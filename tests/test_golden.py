@@ -1,0 +1,69 @@
+"""The committed scan outputs as a tolerance gate.
+
+``golden/scan500.json`` and ``golden/thermal100.json`` are the documents
+``szilard scan`` wrote for the session scans (``--count 500 --seed
+20260814`` and ``--count 100 --seed 7151 --thermal``) before the cycle
+carried its states as low-rank factors.  Reordered floating-point sums may
+move a value in its last bits, nothing more: every float must stay within
+1e-12 * max(1, |x|) of its committed value, and every key, boolean, triple,
+family label and count must be identical.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import SCAN_COUNT, SCAN_SEED, THERMAL_COUNT, THERMAL_SEED
+from szilard.cli import _scan_payload
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REL = 1e-12
+
+
+def _assert_close(want, got, path: str = "$") -> None:
+    assert type(got) is type(want), f"{path}: {got!r} is not like {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys differ"
+        for key in want:
+            _assert_close(want[key], got[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: lengths differ"
+        for i, (w, g) in enumerate(zip(want, got)):
+            _assert_close(w, g, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= REL * max(1.0, abs(want)), (
+            f"{path}: {got!r} drifted from {want!r}"
+        )
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize(
+    "fixture, golden, count, seed, thermal",
+    [
+        ("scan500", "scan500.json", SCAN_COUNT, SCAN_SEED, False),
+        ("thermal100", "thermal100.json", THERMAL_COUNT, THERMAL_SEED, True),
+    ],
+)
+def test_scan_matches_golden(request, fixture, golden, count, seed, thermal):
+    report = request.getfixturevalue(fixture)
+    assert (report.count, report.seed) == (count, seed)
+    # round-trip through JSON, exactly as the command writes it
+    got = json.loads(json.dumps(_scan_payload(report, thermal)))
+    want = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
+    _assert_close(want, got)
+
+
+def test_gate_catches_a_drift_past_the_tolerance():
+    want = {"records": [{"triple": [True, False], "min_work": 0.25}]}
+    _assert_close(want, {"records": [{"triple": [True, False],
+                                      "min_work": 0.25 + 0.9e-12}]})
+    with pytest.raises(AssertionError, match="drifted"):
+        _assert_close(want, {"records": [{"triple": [True, False],
+                                          "min_work": 0.25 + 1.1e-12}]})
+    with pytest.raises(AssertionError):
+        _assert_close(want, {"records": [{"triple": [True, True],
+                                          "min_work": 0.25}]})

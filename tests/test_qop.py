@@ -25,8 +25,11 @@ from szilard import (
     thermal_state,
     von_neumann_entropy,
 )
+import szilard.qop as qop_mod
 from szilard.qop import EPS_ALG, SizeError, _ptrace_nd
 from szilard.thermo import ThermoContext, free_energy
+
+import _dense
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -260,6 +263,63 @@ class TestEntropy:
         want = np.zeros((3, 3), dtype=complex)
         want[1, 1] = 1.0
         assert operator_norm(np.asarray(getattr(p, "entries", p)) - want) < 1e-15
+
+
+class TestKeptSpectrum:
+    """A state keeps the spectrum it was validated with, and
+    ``von_neumann_entropy`` reads it instead of diagonalising again."""
+
+    @staticmethod
+    def _unit_factor(rng, rows: int, cols: int) -> np.ndarray:
+        x = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        return x / np.linalg.norm(x)
+
+    @pytest.mark.parametrize("rows, cols", [(6, 6), (7, 1), (40, 3), (200, 2)])
+    def test_entropy_matches_a_fresh_eigvalsh(self, rows, cols):
+        # full rank, pure and rank-deficient, from both constructors
+        x = self._unit_factor(np.random.default_rng(rows * cols), rows, cols)
+        for rho in (DensityMatrix(x @ dagger(x)), DensityMatrix._from_factor(x)):
+            want = _dense.entropy(rho.entries)
+            assert abs(von_neumann_entropy(rho) - want) < 1e-12
+            assert abs(von_neumann_entropy(rho.entries) - want) < 1e-12
+
+    def test_pure_and_random_states(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=9) + 1j * rng.normal(size=9)
+        pure = PureState(v / np.linalg.norm(v)).density()
+        for rho in (pure, random_density(rng, 5), random_density(rng, 12)):
+            want = _dense.entropy(rho.entries)
+            assert abs(von_neumann_entropy(rho) - want) < 1e-12
+
+    def test_factor_state_matches_the_dense_one(self):
+        x = self._unit_factor(np.random.default_rng(2), 10, 3)
+        rho = DensityMatrix._from_factor(x)
+        assert np.abs(rho.entries - x @ dagger(x)).max() < 1e-15
+        assert rho.entries.flags.writeable is False
+        assert np.abs(rho._spectrum - np.linalg.eigvalsh(rho.entries)).max() < 1e-12
+
+    def test_factor_constructor_checks_the_trace(self):
+        x = self._unit_factor(np.random.default_rng(3), 5, 2)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix._from_factor(x * math.sqrt(1.0 + 1e-6))
+
+    def test_factor_constructor_checks_hermiticity(self, monkeypatch):
+        # X X^dag is Hermitian in exact arithmetic; a product that comes out
+        # otherwise (here: an adjoint off by 1e-6 in one entry) is refused
+        def skewed(a):
+            out = np.asarray(a).conj().T.copy()
+            if out.shape[0] == out.shape[1]:
+                out[0, -1] += 1e-6
+            return out
+
+        monkeypatch.setattr(qop_mod, "dagger", skewed)
+        x = self._unit_factor(np.random.default_rng(4), 5, 1)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix._from_factor(x)
+
+    def test_factor_constructor_rejects_non_finite_input(self):
+        with pytest.raises(ValueError):
+            DensityMatrix._from_factor(np.array([[np.nan], [1.0]]))
 
 
 class TestThermalState:

@@ -79,6 +79,20 @@ class TestFreeEnergy:
         assert abs(f1 + math.log(2)) < 1e-12
         assert abs(f2 + 2 * math.log(2)) < 1e-12
 
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_energy_term_matches_the_trace(self, diagonal):
+        # a diagonal H is priced from the two diagonals alone, any other H
+        # through the full product; both give tr[H rho]
+        rng = np.random.default_rng(8)
+        rho = random_density(rng, 6)
+        h = np.diag(rng.normal(size=6)).astype(complex)
+        if not diagonal:
+            h[0, 3] = h[3, 0] = 0.4
+        ctx = ThermoContext(0.7)
+        want = float(np.trace(h @ rho.entries).real)
+        want -= ctx.kt * von_neumann_entropy(rho)
+        assert free_energy(rho, h, ctx) == pytest.approx(want, abs=1e-14)
+
 
 class TestBranchWork:
     def test_pure_lift_is_energy_difference(self):
