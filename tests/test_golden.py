@@ -7,6 +7,12 @@ carried its states as low-rank factors.  Reordered floating-point sums may
 move a value in its last bits, nothing more: every float must stay within
 1e-12 * max(1, |x|) of its committed value, and every key, boolean, triple,
 family label and count must be identical.
+
+``golden/library.json`` holds, for each scenario document it lists, the
+document ``szilard run --format json`` wrote for it: the five library
+scenarios at their defaults, ``example_II`` at N = 5, 20 and 120, and
+``reservoir_circumvention`` at dim_R = 4.  The same gate applies to every
+record, so the scenario builders cannot move a number unnoticed.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SCAN_COUNT, SCAN_SEED, THERMAL_COUNT, THERMAL_SEED
-from szilard.cli import _scan_payload
+from szilard.cli import _scan_payload, parse_scenario, run_records
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
@@ -55,6 +61,21 @@ def test_scan_matches_golden(request, fixture, golden, count, seed, thermal):
     got = json.loads(json.dumps(_scan_payload(report, thermal)))
     want = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
     _assert_close(want, got)
+
+
+LIBRARY = json.loads((GOLDEN / "library.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "entry", LIBRARY, ids=[e["document"]["name"] for e in LIBRARY]
+)
+def test_library_run_matches_golden(entry):
+    doc = entry["document"]
+    runs = parse_scenario(doc)
+    # the payload ``szilard run --format json`` writes, round-tripped
+    payload = {"name": runs[0].name, "records": run_records(runs)}
+    got = json.loads(json.dumps(payload))
+    _assert_close(entry["output"], got)
 
 
 def test_gate_catches_a_drift_past_the_tolerance():
