@@ -24,13 +24,14 @@ import copy
 import dataclasses
 import inspect
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .feedback import (
     FeedbackScheme,
     OscillatorWeight,
+    _plane_stroke,
     build_oscillator_weight,
     build_shift_unitary,
     check_feedback_energy,
@@ -58,7 +59,10 @@ from .measurement import (
 )
 from .qop import (
     EPS_ALG,
+    EPS_ASSERT,
     EPS_EIG,
+    EPS_FID,
+    EPS_ROUTE,
     MAX_DIM,
     ConstructionError,
     DensityMatrix,
@@ -66,6 +70,7 @@ from .qop import (
     Operator,
     PureState,
     SizeError,
+    _check_hermitian,
     _factor,
     _ptrace_nd,
     basis_state,
@@ -82,9 +87,10 @@ from .thermo import (
     Feature2Report,
     ThermoContext,
     WorkLedger,
+    _check_thermal,
     erase_demon,
     feature2_test,
-    free_energy,
+    reservoir_assisted_bound,
     work_energy_entropy_form,
     work_ledger,
     work_per_outcome,
@@ -107,8 +113,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "SCAN_FAMILIES",
 ]
-
-_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +207,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.rho_s.dim != self.h_s.dim:
             raise ValueError("system state and Hamiltonian dimensions differ")
+        _check_hermitian(self.h_s, "system Hamiltonian h_s must be Hermitian")
         if isinstance(self.measurement, MeasurementModel):
             if self.measurement.system_dim != self.rho_s.dim:
                 raise ValueError("measurement system dimension mismatch")
@@ -231,6 +236,7 @@ class EngineConfig:
         h_d = self.h_d
         if h_d is None:
             h_d = Operator(np.zeros((self.demon_dim, self.demon_dim)))
+        _check_hermitian(h_d, "demon Hamiltonian h_d must be Hermitian")
         object.__setattr__(self, "_h_d", h_d)
         branch_dim = h_w.dim * self.rho_s.dim
         if self.reservoir is not None:
@@ -262,13 +268,12 @@ class EngineConfig:
                         "projectors in outcome order"
                     )
         if self.reservoir is not None:
-            tau = thermal_state(
-                self.reservoir.hamiltonian.entries, self.thermo.beta
+            _check_thermal(
+                self.reservoir.state,
+                self.reservoir.hamiltonian,
+                self.thermo,
+                "reservoir state is not thermal at the context temperature",
             )
-            if operator_norm(tau.entries - self.reservoir.state.entries) > 1e-8:
-                raise ValueError(
-                    "reservoir state is not thermal at the context temperature"
-                )
         # composed once: certification and the cycle's joint check share it
         v = compose_feedback_unitary(self.feedback)
         object.__setattr__(self, "_feedback_unitary", v)
@@ -492,18 +497,25 @@ def run_cycle(config: EngineConfig) -> CycleResult:
             alt = work_energy_entropy_form(
                 b.state, out.rho_system, h_s, rho_w, out.rho_weight, ctx
             )
-            if abs(w_x - alt) > 1e-8:
+            if abs(w_x - alt) > EPS_ROUTE:
                 raise HardAssertionError(
                     f"branch {b.outcome!r}: free-energy work {w_x} disagrees "
                     f"with the energy+entropy form {alt}"
                 )
         if config.reservoir is not None:
-            chains.append(
-                (
-                    b.outcome,
-                    _branch_chain(config, b.state, out, rho_w, w_x),
-                )
+            chain = reservoir_assisted_bound(
+                rho_w,
+                out.rho_weight,
+                b.state,
+                out.rho_system,
+                tau_r,
+                out.rho_reservoir,
+                h_s,
+                config.reservoir.hamiltonian,
+                h_w,
+                ctx,
             )
+            chains.append((b.outcome, chain))
         branches.append(
             BranchResult(
                 outcome=b.outcome,
@@ -565,29 +577,6 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         objectification_order_gap=gap,
         marginal_deviation=marginal_dev,
         reservoir_chains=tuple(chains),
-    )
-
-
-def _branch_chain(
-    config: EngineConfig,
-    pre_system: DensityMatrix,
-    out,
-    rho_w: DensityMatrix,
-    w_x: float,
-) -> ChainReport:
-    from .thermo import reservoir_assisted_bound
-
-    return reservoir_assisted_bound(
-        rho_w,
-        out.rho_weight,
-        pre_system,
-        out.rho_system,
-        config.reservoir.state,
-        out.rho_reservoir,
-        config.h_s,
-        config.reservoir.hamiltonian,
-        config.weight_hamiltonian,
-        config.thermo,
     )
 
 
@@ -696,7 +685,7 @@ def _joint_consistency(
         a = np.moveaxis(t, ax, 0).reshape(dims[ax], -1)
         dev = max(dev, operator_norm(a @ dagger(a) - m.entries))
     dev += dropped
-    if dev > _TOL:
+    if dev > EPS_ASSERT:
         raise HardAssertionError(
             f"mixture marginals deviate from the joint evolution by {dev}"
         )
@@ -755,7 +744,7 @@ def evaluate_features(result: CycleResult, config: EngineConfig) -> FeatureRepor
         fids = rep.fidelities
     else:
         fids = _instrument_repeat_fidelities(config.measurement, result.branches)
-        f1 = all(p >= 1.0 - 1e-9 for _, p in fids)
+        f1 = all(p >= 1.0 - EPS_FID for _, p in fids)
     f2_rep = feature2_test(
         [(b.outcome, b.probability, b.post_weight) for b in result.branches],
         config.weight_initial,
@@ -794,69 +783,126 @@ def evaluate_features(result: CycleResult, config: EngineConfig) -> FeatureRepor
 # scenario library
 
 
-def _qubit_energy_observable(value_plus: float = 1.0) -> Observable:
-    return Observable(
-        (
-            ("+", value_plus, Operator(np.diag([1.0, 0.0]))),
-            ("-", -value_plus, Operator(np.diag([0.0, 1.0]))),
-        )
-    )
-
-
-def _record_write_model(
-    h_s: Operator,
-    h_d: Operator,
-    posts: Mapping[str, np.ndarray],
-    pointer_vectors: Mapping[str, int],
-    demon_initial: np.ndarray,
-    demon_dim: int = 2,
-) -> MeasurementModel:
-    """Two-outcome qubit model writing orthogonal pointer records."""
-    target = _qubit_energy_observable()
-    pointer = Observable(
-        (
-            ("+", 1.0, Operator(projector_onto(basis_state(demon_dim, pointer_vectors["+"])))),
-            ("-", -1.0, Operator(projector_onto(basis_state(demon_dim, pointer_vectors["-"])))),
-        )
-    )
-    transitions = (
-        Transition(
-            "+",
-            PureState(basis_state(2, 0)),
-            PureState(posts["+"]),
-            PureState(basis_state(demon_dim, pointer_vectors["+"])),
-        ),
-        Transition(
-            "-",
-            PureState(basis_state(2, 1)),
-            PureState(posts["-"]),
-            PureState(basis_state(demon_dim, pointer_vectors["-"])),
-        ),
-    )
-    return build_transition_model(
-        target,
-        pointer,
-        PureState(demon_initial),
-        transitions,
-        hamiltonians=(h_s, h_d),
-    )
-
-
-def _two_outcome_scheme(
-    u_plus: Operator, u_minus: Operator, demon_dim: int = 2
-) -> FeedbackScheme:
-    return FeedbackScheme(
-        branch_unitaries=(("+", u_plus), ("-", u_minus)),
-        demon_projectors=(
-            ("+", Operator(projector_onto(basis_state(demon_dim, 0)))),
-            ("-", Operator(projector_onto(basis_state(demon_dim, 1)))),
-        ),
-    )
-
-
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     if not (lo <= value <= hi):
         raise ValueError(f"parameter {name!r} = {value} outside [{lo}, {hi}]")
+
+
+def _record_write_engine(
+    label: str,
+    ctx: ThermoContext,
+    q: float,
+    h_s: Operator,
+    h_d: Operator,
+    posts: Sequence[np.ndarray],
+    demon_initial: np.ndarray,
+    weight: OscillatorWeight | GenericWeight,
+    strokes: Sequence[Operator],
+    erasure: str | ExplicitReservoir = "landauer_optimal",
+    tol_s: float | None = None,
+    reservoir: ReservoirSpec | None = None,
+) -> EngineConfig:
+    """The two-outcome engine behind every model-based scenario and scan
+    family.  The qubit system starts in ``diag(q, 1 - q)`` and is measured
+    in its energy basis: outcome ``"+"`` (``"-"``) takes basis state 0 (1)
+    to its post state and writes demon basis state 0 (1), and that record
+    selects the outcome's stroke.  ``posts`` and ``strokes`` are in outcome
+    order; a given reservoir takes part in the strokes."""
+    records = [PureState(basis_state(2, i)) for i in range(2)]
+    # the target, the pointer and the feedback control share one basis
+    basis = Observable(
+        (
+            ("+", 1.0, Operator(projector_onto(records[0]))),
+            ("-", -1.0, Operator(projector_onto(records[1]))),
+        )
+    )
+    transitions = [
+        Transition(x, r, PureState(post), r)
+        for x, r, post in zip(basis.labels, records, posts)
+    ]
+    model = build_transition_model(
+        basis, basis, PureState(demon_initial), transitions, (h_s, h_d)
+    )
+    scheme = FeedbackScheme(
+        branch_unitaries=tuple(zip(basis.labels, strokes)),
+        demon_projectors=tuple((x, p) for x, _, p in basis.outcomes),
+        includes_reservoir=reservoir is not None,
+    )
+    return EngineConfig(
+        rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
+        h_s=h_s,
+        measurement=model,
+        feedback=scheme,
+        weight=weight,
+        thermo=ctx,
+        h_d=h_d,
+        erasure=erasure,
+        reservoir=reservoir,
+        reservoir_in_feedback=reservoir is not None,
+        tol_s=tol_s,
+        label=label,
+    )
+
+
+def _ladder_engine(
+    label: str,
+    ctx: ThermoContext,
+    q: float,
+    N: int,
+    omega: float,
+    h_d: Operator,
+    posts: Sequence[np.ndarray],
+    demon_initial: np.ndarray,
+    erasure: str | ExplicitReservoir = "landauer_optimal",
+    tol_s: float | None = None,
+) -> EngineConfig:
+    """A record-write engine on a qubit of gap ``omega`` whose strokes turn
+    each post state to the ground state while raising an ``N``-level
+    ladder weight one rung."""
+    _check_range("q", q, 0.0, 1.0)
+    if N < 2:
+        raise ValueError(f"parameter 'N' = {N} must be at least 2")
+    h_s = Operator(np.diag([omega / 2, -omega / 2]))
+    weight = build_oscillator_weight(omega, N)
+    strokes = [build_shift_unitary(weight, post) for post in posts]
+    return _record_write_engine(
+        label, ctx, q, h_s, h_d, posts, demon_initial, weight, strokes, erasure, tol_s
+    )
+
+
+def _eigenstate_engine(
+    label: str,
+    ctx: ThermoContext,
+    q: float,
+    N: int,
+    omega: float,
+    erasure: str | ExplicitReservoir = "landauer_optimal",
+    tol_s: float | None = None,
+) -> EngineConfig:
+    """Each outcome leaves its measured eigenstate and the demon has no
+    energy.  ``example_I`` and the ``eigenstate_posts`` family build here."""
+    h_d = Operator(np.zeros((2, 2)))
+    posts = (basis_state(2, 0), basis_state(2, 1))
+    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], erasure, tol_s)
+
+
+def _superposition_engine(
+    label: str,
+    ctx: ThermoContext,
+    q: float,
+    N: int,
+    omega: float,
+    c1: float,
+    c2: float,
+    erasure: str | ExplicitReservoir = "landauer_optimal",
+    tol_s: float | None = None,
+) -> EngineConfig:
+    """Outcomes leave ``c1|0> + c2|1>`` and ``c1|0> - c2|1>``; the demon
+    carries the system's Hamiltonian and starts in the first post state.
+    ``example_II`` and the ``superposition_posts`` family build here."""
+    h_d = Operator(np.diag([omega / 2, -omega / 2]))
+    posts = (np.array([c1, c2], dtype=complex), np.array([c1, -c2], dtype=complex))
+    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], erasure, tol_s)
 
 
 def _example_I(
@@ -870,52 +916,8 @@ def _example_I(
 ) -> EngineConfig:
     """Eigenstate measurement in the energy basis; one branch lifts the
     weight a full quantum, the other does nothing."""
-    return _eigenstate_engine(q, N, omega, temperature, kb, erasure, tol_s, "example_I")
-
-
-def _eigenstate_engine(
-    q: float,
-    N: int,
-    omega: float,
-    temperature: float,
-    kb: float,
-    erasure: str | ExplicitReservoir,
-    tol_s: float | None,
-    label: str,
-) -> EngineConfig:
-    """The ``example_I`` engine under the given label; the scenario and the
-    ``eigenstate_posts`` scan family both build through here."""
-    _check_range("q", q, 0.0, 1.0)
-    if N < 2:
-        raise ValueError(f"parameter 'N' = {N} must be at least 2")
     ctx = ThermoContext(temperature, kb)
-    h_s = Operator(np.diag([omega / 2, -omega / 2]))
-    h_d = Operator(np.zeros((2, 2)))
-    model = _record_write_model(
-        h_s,
-        h_d,
-        posts={"+": basis_state(2, 0), "-": basis_state(2, 1)},
-        pointer_vectors={"+": 0, "-": 1},
-        demon_initial=basis_state(2, 0),
-    )
-    weight = build_oscillator_weight(omega, N)
-    scheme = _two_outcome_scheme(
-        build_shift_unitary(weight, basis_state(2, 0)),
-        build_shift_unitary(weight, basis_state(2, 1)),
-    )
-    rho_s = DensityMatrix(np.diag([q, 1.0 - q]))
-    return EngineConfig(
-        rho_s=rho_s,
-        h_s=h_s,
-        measurement=model,
-        feedback=scheme,
-        weight=weight,
-        thermo=ctx,
-        h_d=h_d,
-        erasure=erasure,
-        tol_s=tol_s,
-        label=label,
-    )
+    return _eigenstate_engine("example_I", ctx, q, N, omega, erasure, tol_s)
 
 
 def _example_II(
@@ -929,40 +931,9 @@ def _example_II(
 ) -> EngineConfig:
     """Eigenstate measurement whose post states are balanced superpositions;
     both branches extract close to half a quantum at large N."""
-    _check_range("q", q, 0.0, 1.0)
-    if N < 2:
-        raise ValueError(f"parameter 'N' = {N} must be at least 2")
     ctx = ThermoContext(temperature, kb)
-    h_s = Operator(np.diag([omega / 2, -omega / 2]))
-    h_d = Operator(np.diag([omega / 2, -omega / 2]))
     s = 1.0 / math.sqrt(2.0)
-    post_plus = np.array([s, s], dtype=complex)
-    post_minus = np.array([s, -s], dtype=complex)
-    model = _record_write_model(
-        h_s,
-        h_d,
-        posts={"+": post_plus, "-": post_minus},
-        pointer_vectors={"+": 0, "-": 1},
-        demon_initial=np.array([s, s], dtype=complex),
-    )
-    weight = build_oscillator_weight(omega, N)
-    scheme = _two_outcome_scheme(
-        build_shift_unitary(weight, post_plus),
-        build_shift_unitary(weight, post_minus),
-    )
-    rho_s = DensityMatrix(np.diag([q, 1.0 - q]))
-    return EngineConfig(
-        rho_s=rho_s,
-        h_s=h_s,
-        measurement=model,
-        feedback=scheme,
-        weight=weight,
-        thermo=ctx,
-        h_d=h_d,
-        erasure=erasure,
-        tol_s=tol_s,
-        label="example_II",
-    )
+    return _superposition_engine("example_II", ctx, q, N, omega, s, s, erasure, tol_s)
 
 
 def _degenerate_circumvention(
@@ -1004,33 +975,23 @@ def _degenerate_circumvention(
     target_rows = []
     data = {}
     for i, (o, r) in enumerate(zip(offsets, ranks)):
-        proj = np.zeros((d, d), dtype=complex)
-        pairs = []
-        for s in range(o, o + r):
-            proj[s, s] = 1.0
-            pairs.append(
-                (
-                    PureState(basis_state(d, s)),
-                    PureState(basis_state(d, tops[i])),
-                )
-            )
+        covered = range(o, o + r)
+        top = PureState(basis_state(d, tops[i]))
+        proj = np.diag([1.0 if s in covered else 0.0 for s in range(d)])
         target_rows.append((labels[i], float(i), Operator(proj)))
-        data[labels[i]] = pairs
+        data[labels[i]] = [(PureState(basis_state(d, s)), top) for s in covered]
     target = Observable(tuple(target_rows))
     instr = build_degenerate_instrument("coarse_grained", target, data)
     weight = build_oscillator_weight(omega, N, dim=N + d + 2)
     dw = weight.dim
     k = len(ranks)
+    swap = [[0.0, 1.0], [1.0, 0.0]]
     unitaries = []
-    for i, t in enumerate(tops):
-        u = np.eye(dw * d, dtype=complex)
-        if t > 0:
-            for n in range(dw - t):
-                a = n * d + t  # |n, top>
-                b = (n + t) * d + 0  # |n + top, ground>
-                u[a, a] = u[b, b] = 0.0
-                u[a, b] = u[b, a] = 1.0
-        unitaries.append((labels[i], Operator(u)))
+    for label, t in zip(labels, tops):
+        # every top is at least 1: trade |n, top> with |n + top, ground>
+        n = np.arange(dw - t)
+        u = _plane_stroke(dw * d, n * d + t, (n + t) * d, swap)
+        unitaries.append((label, Operator(u)))
     scheme = FeedbackScheme(
         branch_unitaries=tuple(unitaries),
         demon_projectors=tuple(
@@ -1074,55 +1035,35 @@ def _reservoir_circumvention(
     if N < 2:
         raise ValueError(f"parameter 'N' = {N} must be at least 2")
     ctx = ThermoContext(temperature, kb)
-    h_s = Operator(np.zeros((2, 2)))
-    h_d = Operator(np.zeros((2, 2)))
-    model = _record_write_model(
-        h_s,
-        h_d,
-        posts={"+": basis_state(2, 0), "-": basis_state(2, 1)},
-        pointer_vectors={"+": 0, "-": 1},
-        demon_initial=basis_state(2, 0),
-    )
     weight = build_oscillator_weight(omega, N)
     dw = weight.dim
     h_r = Operator(np.diag([omega * k for k in range(dim_R)]))
     tau_r = thermal_state(h_r.entries, ctx.beta)
-
-    def swap_planes(s_in: int) -> Operator:
-        # each plane trades one reservoir quantum for one weight quantum
-        # while flipping the (energy-free) system, conserving total energy
-        u = np.eye(dw * 2 * dim_R, dtype=complex)
-        c, s = math.cos(theta), math.sin(theta)
-        for n in range(dw - 1):
-            for k in range(1, dim_R):
-                i = (n * 2 + s_in) * dim_R + k
-                j = ((n + 1) * 2 + (1 - s_in)) * dim_R + (k - 1)
-                u[i, i] = u[j, j] = c
-                u[i, j] = u[j, i] = -1j * s
-        return Operator(u)
-
-    scheme = FeedbackScheme(
-        branch_unitaries=(("+", swap_planes(0)), ("-", swap_planes(1))),
-        demon_projectors=(
-            ("+", Operator(projector_onto(basis_state(2, 0)))),
-            ("-", Operator(projector_onto(basis_state(2, 1)))),
-        ),
-        includes_reservoir=True,
-    )
-    rho_s = DensityMatrix(np.diag([q, 1.0 - q]))
-    return EngineConfig(
-        rho_s=rho_s,
-        h_s=h_s,
-        measurement=model,
-        feedback=scheme,
-        weight=weight,
-        thermo=ctx,
-        h_d=h_d,
-        erasure=erasure,
-        reservoir=ReservoirSpec(hamiltonian=h_r, state=tau_r),
-        reservoir_in_feedback=True,
-        tol_s=tol_s,
-        label="reservoir_circumvention",
+    c, s = math.cos(theta), math.sin(theta)
+    block = [[c, -1j * s], [-1j * s, c]]
+    # each plane trades one reservoir quantum for one weight quantum while
+    # flipping the (energy-free) system, conserving total energy
+    n, k = np.meshgrid(np.arange(dw - 1), np.arange(1, dim_R), indexing="ij")
+    strokes = []
+    for s_in in (0, 1):
+        i = (n * 2 + s_in) * dim_R + k  # |n, s_in, k>
+        j = ((n + 1) * 2 + (1 - s_in)) * dim_R + (k - 1)  # |n+1, 1-s_in, k-1>
+        strokes.append(Operator(_plane_stroke(dw * 2 * dim_R, i, j, block)))
+    zero = Operator(np.zeros((2, 2)))
+    posts = (basis_state(2, 0), basis_state(2, 1))
+    return _record_write_engine(
+        "reservoir_circumvention",
+        ctx,
+        q,
+        zero,
+        zero,
+        posts,
+        posts[0],
+        weight,
+        strokes,
+        erasure,
+        tol_s,
+        ReservoirSpec(hamiltonian=h_r, state=tau_r),
     )
 
 
@@ -1203,16 +1144,7 @@ def _family_eigenstate_posts(
     levels = int(rng.integers(4, 11))
     ctx = ThermoContext(1.0)
     q = _thermal_q(omega, ctx) if thermal_system else float(rng.uniform(0.1, 0.9))
-    return _eigenstate_engine(
-        q=q,
-        N=levels,
-        omega=omega,
-        temperature=ctx.temperature,
-        kb=ctx.kb,
-        erasure="landauer_optimal",
-        tol_s=None,
-        label="eigenstate_posts",
-    )
+    return _eigenstate_engine("eigenstate_posts", ctx, q, levels, omega)
 
 
 def _family_superposition_posts(
@@ -1224,31 +1156,8 @@ def _family_superposition_posts(
     c1, c2 = math.sqrt(w), math.sqrt(1.0 - w)
     ctx = ThermoContext(1.0)
     q = _thermal_q(omega, ctx) if thermal_system else float(rng.uniform(0.1, 0.9))
-    h_s = Operator(np.diag([omega / 2, -omega / 2]))
-    h_d = Operator(np.diag([omega / 2, -omega / 2]))
-    post_plus = np.array([c1, c2], dtype=complex)
-    post_minus = np.array([c1, -c2], dtype=complex)
-    model = _record_write_model(
-        h_s,
-        h_d,
-        posts={"+": post_plus, "-": post_minus},
-        pointer_vectors={"+": 0, "-": 1},
-        demon_initial=np.array([c1, c2], dtype=complex),
-    )
-    weight = build_oscillator_weight(omega, levels)
-    scheme = _two_outcome_scheme(
-        build_shift_unitary(weight, post_plus),
-        build_shift_unitary(weight, post_minus),
-    )
-    return EngineConfig(
-        rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
-        h_s=h_s,
-        measurement=model,
-        feedback=scheme,
-        weight=weight,
-        thermo=ctx,
-        h_d=h_d,
-        label="superposition_posts",
+    return _superposition_engine(
+        "superposition_posts", ctx, q, levels, omega, c1, c2
     )
 
 
@@ -1259,30 +1168,12 @@ def _family_excited_posts(
     levels = int(rng.integers(4, 11))
     ctx = ThermoContext(1.0)
     q = _thermal_q(omega, ctx) if thermal_system else float(rng.uniform(0.1, 0.9))
-    h_s = Operator(np.diag([omega / 2, -omega / 2]))
     # both outcomes leave the system excited; conservation prices the pointer
     # record of the ground outcome one quantum below the other
     h_d = Operator(np.diag([0.0, -omega]))
     excited = basis_state(2, 0)
-    model = _record_write_model(
-        h_s,
-        h_d,
-        posts={"+": excited, "-": excited},
-        pointer_vectors={"+": 0, "-": 1},
-        demon_initial=basis_state(2, 0),
-    )
-    weight = build_oscillator_weight(omega, levels)
-    stroke = build_shift_unitary(weight, excited)
-    scheme = _two_outcome_scheme(stroke, stroke)
-    return EngineConfig(
-        rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
-        h_s=h_s,
-        measurement=model,
-        feedback=scheme,
-        weight=weight,
-        thermo=ctx,
-        h_d=h_d,
-        label="excited_posts",
+    return _ladder_engine(
+        "excited_posts", ctx, q, levels, omega, h_d, (excited, excited), excited
     )
 
 
@@ -1295,15 +1186,6 @@ def _family_entropy_harvest(
     omega = float(rng.uniform(0.5, omega_hi))
     ctx = ThermoContext(1.0)
     q = _thermal_q(omega, ctx) if thermal_system else float(rng.uniform(0.2, 0.8))
-    h_s = Operator(np.diag([omega / 2, -omega / 2]))
-    h_d = Operator(np.zeros((2, 2)))
-    model = _record_write_model(
-        h_s,
-        h_d,
-        posts={"+": basis_state(2, 0), "-": basis_state(2, 1)},
-        pointer_vectors={"+": 0, "-": 1},
-        demon_initial=basis_state(2, 0),
-    )
     dim_w, m = 8, 3
     h_w = Operator(np.diag([omega * n for n in range(dim_w)]))
     rho_w = DensityMatrix(
@@ -1312,23 +1194,20 @@ def _family_entropy_harvest(
     )
     # one conserving plane: trading the system quantum against the weight
     # rung purifies the weight on both branches, harvesting its mixing
-    # entropy as work
-    u = np.eye(dim_w * 2, dtype=complex)
-    a = m * 2 + 0  # |m, excited>
-    b = (m + 1) * 2 + 1  # |m+1, ground>
-    u[a, a] = u[b, b] = 0.0
-    u[a, b] = u[b, a] = 1.0
-    stroke = Operator(u)
-    scheme = _two_outcome_scheme(stroke, stroke)
-    return EngineConfig(
-        rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
-        h_s=h_s,
-        measurement=model,
-        feedback=scheme,
-        weight=GenericWeight(hamiltonian=h_w, initial=rho_w),
-        thermo=ctx,
-        h_d=h_d,
-        label="entropy_harvest",
+    # entropy as work; the plane is span{|m, excited>, |m+1, ground>}
+    swap = [[0.0, 1.0], [1.0, 0.0]]
+    stroke = Operator(_plane_stroke(dim_w * 2, [m * 2], [(m + 1) * 2 + 1], swap))
+    posts = (basis_state(2, 0), basis_state(2, 1))
+    return _record_write_engine(
+        "entropy_harvest",
+        ctx,
+        q,
+        Operator(np.diag([omega / 2, -omega / 2])),
+        Operator(np.zeros((2, 2))),
+        posts,
+        posts[0],
+        GenericWeight(hamiltonian=h_w, initial=rho_w),
+        (stroke, stroke),
     )
 
 

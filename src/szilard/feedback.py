@@ -26,6 +26,7 @@ from .qop import (
     DensityMatrix,
     Operator,
     PureState,
+    _energy_sectors,
     _entries_of,
     _factor,
     _fix_phase,
@@ -411,6 +412,22 @@ def build_oscillator_weight(
     return OscillatorWeight(omega=float(omega), levels=int(levels), dim=int(dim))
 
 
+def _plane_stroke(dim: int, i: object, j: object, block: object) -> np.ndarray:
+    """The identity on ``dim`` states with the 2x2 ``block`` acting on each
+    plane ``span{|i_k>, |j_k>}``, in that basis order; planes are disjoint.
+
+    A stroke that conserves an additive Hamiltonian is a direct sum of such
+    rotations inside its degenerate total-energy sectors."""
+    i, j = np.asarray(i), np.asarray(j)
+    b = np.asarray(block, dtype=complex)
+    u = np.eye(dim, dtype=complex)
+    u[i, i] = b[0, 0]
+    u[i, j] = b[0, 1]
+    u[j, i] = b[1, 0]
+    u[j, j] = b[1, 1]
+    return u
+
+
 def build_shift_unitary(
     weight: OscillatorWeight, post: np.ndarray | PureState
 ) -> Operator:
@@ -438,12 +455,8 @@ def build_shift_unitary(
     # 2x2 sector block in the (e0, e1) basis: post -> ground (weight up one
     # rung), orthogonal complement -> excited (weight unchanged)
     g = np.outer([0.0, 1.0], np.conj(vpost)) + np.outer([1.0, 0.0], np.conj(vperp))
-    u = np.eye(2 * dw, dtype=complex)
-    for k in range(1, dw - 1):
-        i_stay = 2 * k  # |k, e0>
-        i_up = 2 * (k + 1) + 1  # |k+1, e1>
-        u[np.ix_([i_stay, i_up], [i_stay, i_up])] = g
-    return Operator(u)
+    k = np.arange(1, dw - 1)
+    return Operator(_plane_stroke(2 * dw, 2 * k, 2 * (k + 1) + 1, g))
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +466,16 @@ def build_shift_unitary(
 def random_energy_conserving_unitary(
     hamiltonian: object, rng: np.random.Generator
 ) -> Operator:
-    """Haar-random within each eigenvalue cluster of the Hamiltonian."""
+    """Haar-random within each energy sector of the Hamiltonian."""
     h = _entries_of(hamiltonian)
     ev, vec = np.linalg.eigh(h)
     n = h.shape[0]
-    tol = 1e-8 * (1.0 + float(np.abs(ev).max()))
     blocks = np.zeros((n, n), dtype=complex)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and ev[stop] - ev[stop - 1] <= tol:
-            stop += 1
-        k = stop - start
+    for sector in _energy_sectors(ev):
+        k = sector.size
         z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         q, r = np.linalg.qr(z)
         q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        blocks[start:stop, start:stop] = q
-        start = stop
+        blocks[np.ix_(sector, sector)] = q
     u = vec @ blocks @ dagger(vec)
     return Operator(u)

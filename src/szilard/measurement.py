@@ -23,11 +23,18 @@ import numpy as np
 from .qop import (
     EPS_ALG,
     EPS_EIG,
+    EPS_EXTEND,
+    EPS_FID,
+    EPS_GRAM,
+    EPS_RANK,
+    EPS_SUPPORT,
     ConstructionError,
     DensityMatrix,
     HardAssertionError,
     Operator,
     PureState,
+    _check_hermitian,
+    _energy_sectors,
     _entries_of,
     _fix_phase,
     commutator_norm,
@@ -55,8 +62,6 @@ __all__ = [
     "RepeatReport",
     "WayReport",
 ]
-
-_FID_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +112,6 @@ class Observable:
         for l, _, p in self.outcomes:
             if l == label:
                 return p
-        raise ValueError(f"unknown outcome label {label!r}")
-
-    def eigenvalue_for(self, label: object) -> float:
-        for l, v, _ in self.outcomes:
-            if l == label:
-                return v
         raise ValueError(f"unknown outcome label {label!r}")
 
     def operator(self) -> np.ndarray:
@@ -170,7 +169,7 @@ class MeasurementModel:
             dst = np.kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
             got = u.entries @ src
             fid = abs(np.vdot(dst, got)) ** 2
-            if fid < 1.0 - _FID_TOL:
+            if fid < 1.0 - EPS_FID:
                 raise ValueError(
                     f"transition for outcome {t.outcome!r} reproduced with "
                     f"fidelity {fid:.12f} < 1 - 1e-9"
@@ -181,7 +180,7 @@ class MeasurementModel:
                     (np.eye(dd) - p) @ t.pointer_out.amplitudes
                 )
             )
-            if leak > _FID_TOL:
+            if leak > EPS_FID:
                 raise ValueError(
                     f"pointer record for outcome {t.outcome!r} leaves its "
                     f"subspace (leak {leak:.3e})"
@@ -290,9 +289,7 @@ class Gemenge:
 # unitary completion
 
 
-def _orthonormal_extension(
-    columns: np.ndarray, dim: int, tol: float = 1e-7
-) -> np.ndarray:
+def _orthonormal_extension(columns: np.ndarray, dim: int) -> np.ndarray:
     """Extend orthonormal columns to a full basis, deterministically.
 
     Candidate vectors are the canonical basis in index order; each is
@@ -309,7 +306,7 @@ def _orthonormal_extension(
             for c in cols:
                 v = v - c * np.vdot(c, v)
         n = float(np.linalg.norm(v))
-        if n > tol:
+        if n > EPS_EXTEND:
             cols.append(v / n)
     if len(cols) != dim:
         raise ConstructionError("failed to extend basis (degenerate input)")
@@ -328,13 +325,13 @@ def _unitary_from_pairs(
         return np.eye(dim, dtype=complex)
     g_in = dagger(vecs_in) @ vecs_in
     g_out = dagger(vecs_out) @ vecs_out
-    if operator_norm(g_in - g_out) > 1e-8:
+    if operator_norm(g_in - g_out) > EPS_GRAM:
         raise ConstructionError(
             "transition table is not compatible with an isometry "
             "(Gram matrices differ)"
         )
     u_svd, s, vh = np.linalg.svd(vecs_in, full_matrices=False)
-    if np.any(s < 1e-8):
+    if np.any(s < EPS_RANK):
         raise ConstructionError("isometry inputs are linearly dependent")
     # orthonormal domain basis q_j and its image p_j under the pair map
     coef = dagger(vh) @ np.diag(1.0 / s)
@@ -345,17 +342,6 @@ def _unitary_from_pairs(
     return pf @ dagger(qf)
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.argsort(values)
-    groups: list[list[int]] = [[order[0]]]
-    for i in order[1:]:
-        if values[i] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.array(g) for g in groups]
-
-
 def complete_unitary(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     dim: int,
@@ -364,8 +350,8 @@ def complete_unitary(
     """Extend the map ``in_i -> out_i`` to a unitary on the whole space.
 
     With a Hamiltonian the extension is performed separately inside each
-    eigenvalue cluster, which forces the result to commute with it; pairs
-    whose in and out vectors distribute differently over the clusters are
+    of its energy sectors, which forces the result to commute with it; pairs
+    whose in and out vectors distribute differently over the sectors are
     rejected as incompatible with conservation.
     """
     if not pairs:
@@ -378,32 +364,27 @@ def complete_unitary(
         return _unitary_from_pairs(x, y, dim)
 
     h = np.asarray(hamiltonian, dtype=complex)
+    # eigh reads one triangle only, so a non-Hermitian H must stop here
+    _check_hermitian(
+        h, "energy-conserving completion needs a Hermitian Hamiltonian"
+    )
     ev, vec = np.linalg.eigh(h)
-    tol = 1e-8 * (1.0 + float(np.abs(ev).max()))
     blocks = np.zeros((dim, dim), dtype=complex)
     cx = dagger(vec) @ x
     cy = dagger(vec) @ y
-    for sector in _cluster(ev, tol):
-        xs = cx[sector, :]
-        ys = cy[sector, :]
-        keep = [
-            j
-            for j in range(xs.shape[1])
-            if np.linalg.norm(xs[:, j]) > 1e-12 or np.linalg.norm(ys[:, j]) > 1e-12
-        ]
-        gx = dagger(xs[:, keep]) @ xs[:, keep] if keep else np.zeros((0, 0))
-        gy = dagger(ys[:, keep]) @ ys[:, keep] if keep else np.zeros((0, 0))
-        if keep and operator_norm(gx - gy) > 1e-8:
+    for sector in _energy_sectors(ev):
+        # the pairs with a component in this sector
+        keep = (np.linalg.norm(cx[sector], axis=0) > EPS_SUPPORT) | (
+            np.linalg.norm(cy[sector], axis=0) > EPS_SUPPORT
+        )
+        xs = cx[sector][:, keep]
+        ys = cy[sector][:, keep]
+        if operator_norm(dagger(xs) @ xs - dagger(ys) @ ys) > EPS_GRAM:
             raise ConstructionError(
                 "transition table moves amplitude between energy sectors; "
                 "no energy-conserving completion exists"
             )
-        usec = (
-            _unitary_from_pairs(xs[:, keep], ys[:, keep], len(sector))
-            if keep
-            else np.eye(len(sector), dtype=complex)
-        )
-        blocks[np.ix_(sector, sector)] = usec
+        blocks[np.ix_(sector, sector)] = _unitary_from_pairs(xs, ys, len(sector))
     u = vec @ blocks @ dagger(vec)
     if commutator_norm(u, h) > EPS_ALG:
         raise HardAssertionError("blockwise completion failed to commute")
@@ -529,7 +510,7 @@ def premeasure_and_objectify(
     if model.target.is_nondegenerate:
         for label, _, proj in model.target.outcomes:
             born = float(np.trace(proj.entries @ rho_s.entries).real)
-            if abs(gem.probability_for(label) - born) > _FID_TOL:
+            if abs(gem.probability_for(label) - born) > EPS_FID:
                 raise HardAssertionError(
                     f"branch probability for {label!r} deviates from the "
                     f"projection rule by more than 1e-9"
@@ -590,7 +571,7 @@ def check_repeatable(model: MeasurementModel) -> RepeatReport:
             np.vdot(t.sys_out.amplitudes, proj @ t.sys_out.amplitudes).real
         )
         fids.append((t.outcome, w))
-        if w < 1.0 - _FID_TOL:
+        if w < 1.0 - EPS_FID:
             ok = False
     return RepeatReport(passed=ok, fidelities=tuple(fids))
 
@@ -674,7 +655,7 @@ def build_degenerate_instrument(
             k = v @ proj.entries
             if repeatable:
                 leak = operator_norm((np.eye(target.dim) - proj.entries) @ k)
-                if leak > _FID_TOL:
+                if leak > EPS_FID:
                     raise ConstructionError(
                         f"outcome {label!r}: post map leaves the outcome subspace"
                     )
@@ -691,7 +672,7 @@ def build_degenerate_instrument(
                     leak = float(
                         np.linalg.norm((np.eye(target.dim) - proj.entries) @ f)
                     )
-                    if leak > _FID_TOL:
+                    if leak > EPS_FID:
                         raise ConstructionError(
                             f"outcome {label!r}: post vector outside its subspace"
                         )

@@ -60,6 +60,34 @@ EPS_ALG = 1e-10
 EPS_EIG = 1e-12
 MAX_DIM = 4096
 
+# Every other tolerance of the package, one name per role.
+# slack of hard-asserted bounds and balances: ledger, chains, marginals
+EPS_ASSERT = 1e-9
+# agreement of two routes to one energy (work forms, heat identity)
+EPS_ROUTE = 1e-8
+# probabilities and fidelities of records, repeatability and the Born rule
+EPS_FID = 1e-9
+# operator-norm distance at which a state counts as the Gibbs state
+EPS_THERMAL = 1e-8
+# blank-state fidelity deficit an explicit erasure reset may leave
+EPS_RESET = 1e-6
+# eigenvalue gap splitting energy sectors, relative to 1 + max|E|
+EPS_SECTOR = 1e-8
+# Gram-matrix agreement of a completion's in and out vectors
+EPS_GRAM = 1e-8
+# smallest singular value of linearly independent completion inputs
+EPS_RANK = 1e-8
+# residual norm at which a candidate vector extends an orthonormal basis
+EPS_EXTEND = 1e-7
+# norm below which a completion pair has no component in a sector
+EPS_SUPPORT = 1e-12
+# smallest amplitude that may fix a vector's global phase
+EPS_PHASE = 1e-8
+# default weight-entropy invariance tolerance per nat of log-dimension
+EPS_ENTROPY = 1e-9
+# positive-work floor per unit of max(weight energy scale, temperature)
+EPS_WORK = 1e-9
+
 
 class SzilardError(Exception):
     """Base class for package-specific failures."""
@@ -145,6 +173,27 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return not off.any()
 
 
+def _is_hermitian(m: np.ndarray) -> bool:
+    """``operator_norm(m - m^dag) <= EPS_ALG``.  For a diagonal ``m`` that
+    norm is exactly ``2 max |Im m_ii|``, so no n x n temporary is formed."""
+    if _is_diagonal(m):
+        return 2.0 * float(np.abs(np.diagonal(m).imag).max()) <= EPS_ALG
+    return operator_norm(m - dagger(m)) <= EPS_ALG
+
+
+def _check_hermitian(h: object, message: str) -> None:
+    """Raise ``ValueError(message)`` unless ``h`` is Hermitian."""
+    if not _is_hermitian(_entries_of(h)):
+        raise ValueError(message)
+
+
+def _energy_sectors(ev: np.ndarray) -> list[np.ndarray]:
+    """Index groups of the ascending eigenvalues ``ev``, split wherever two
+    neighbours differ by more than ``EPS_SECTOR * (1 + max|ev|)``."""
+    tol = EPS_SECTOR * (1.0 + float(np.abs(ev).max()))
+    return np.split(np.arange(ev.size), np.flatnonzero(np.diff(ev) > tol) + 1)
+
+
 def commutator_norm(a: object, b: object) -> float:
     """Operator norm of ``AB - BA``; values within EPS_ALG count as commuting."""
     ma = np.asarray(_entries_of(a), dtype=complex)
@@ -175,7 +224,7 @@ def _entries_of(x: object) -> np.ndarray:
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     """Fix a vector's global phase: first significant amplitude real positive."""
     for a in v:
-        if abs(a) > 1e-8:
+        if abs(a) > EPS_PHASE:
             return v * (abs(a) / a)
     return v
 
@@ -200,7 +249,7 @@ class Operator:
 
     @property
     def is_hermitian(self) -> bool:
-        return operator_norm(self.entries - dagger(self.entries)) <= EPS_ALG
+        return _is_hermitian(self.entries)
 
     @property
     def is_unitary(self) -> bool:
@@ -487,8 +536,7 @@ def relative_entropy(rho: object, sigma: object) -> float:
 def thermal_state(h: object, beta: float) -> DensityMatrix:
     """Gibbs state ``exp(-beta H) / Z``; ``beta = 0`` is maximally mixed."""
     m = _entries_of(h)
-    if operator_norm(m - dagger(m)) > EPS_ALG:
-        raise ValueError("thermal_state requires a Hermitian Hamiltonian")
+    _check_hermitian(m, "thermal_state requires a Hermitian Hamiltonian")
     if not (beta >= 0.0):
         raise ValueError(f"beta must be non-negative, got {beta}")
     ev, vec = np.linalg.eigh(m)

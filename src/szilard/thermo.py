@@ -18,13 +18,19 @@ import numpy as np
 
 from .measurement import _orthonormal_extension
 from .qop import (
-    EPS_ALG,
+    EPS_ASSERT,
     EPS_EIG,
+    EPS_ENTROPY,
+    EPS_RESET,
+    EPS_ROUTE,
+    EPS_THERMAL,
+    EPS_WORK,
     DensityMatrix,
     ErasureError,
     HardAssertionError,
     Operator,
     PureState,
+    _check_hermitian,
     _entries_of,
     _is_diagonal,
     _ptrace_nd,
@@ -55,8 +61,6 @@ __all__ = [
     "reservoir_assisted_bound",
 ]
 
-_TOL = 1e-9
-
 
 @dataclasses.dataclass(frozen=True)
 class ThermoContext:
@@ -80,6 +84,16 @@ class ThermoContext:
         return self.kb * self.temperature
 
 
+def _check_thermal(
+    state: object, h: object, ctx: ThermoContext, message: str
+) -> None:
+    """Raise ``ValueError(message)`` unless ``state`` is the Gibbs state of
+    ``h`` at the context temperature."""
+    tau = thermal_state(h, ctx.beta)
+    if operator_norm(tau.entries - _entries_of(state)) > EPS_THERMAL:
+        raise ValueError(message)
+
+
 def _energy(h: np.ndarray, m: np.ndarray) -> float:
     """``tr[H m]``; a diagonal ``H`` needs only the diagonal of ``m``."""
     if _is_diagonal(h):
@@ -91,8 +105,7 @@ def free_energy(rho: object, h: object, ctx: ThermoContext) -> float:
     """``tr[H rho] - K_B T S(rho)``."""
     m = _entries_of(rho)
     hm = _entries_of(h)
-    if operator_norm(hm - dagger(hm)) > EPS_ALG:
-        raise ValueError("free_energy requires a Hermitian Hamiltonian")
+    _check_hermitian(hm, "free_energy requires a Hermitian Hamiltonian")
     if m.shape != hm.shape:
         raise ValueError(f"dimension mismatch {m.shape} vs {hm.shape}")
     return _energy(hm, m) - ctx.kt * von_neumann_entropy(rho)
@@ -143,7 +156,7 @@ def feature2_test(
     s0 = von_neumann_entropy(rho_w)
     dim = _entries_of(rho_w).shape[0]
     if tol_s is None:
-        tol_s = 1e-9 * math.log(max(dim, 2))
+        tol_s = EPS_ENTROPY * math.log(max(dim, 2))
     rows = []
     ok = True
     for outcome, p, state in branch_weight_states:
@@ -159,7 +172,7 @@ def feature2_test(
 
 def work_threshold(omega: float, ctx: ThermoContext) -> float:
     """Floor above which a branch work counts as strictly positive."""
-    return 1e-9 * max(omega, ctx.temperature)
+    return EPS_WORK * max(omega, ctx.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +248,24 @@ def erase_demon(
         raise ValueError(
             f"reset operator dimension {res.u_r.dim} != demon*reservoir {dd * dr}"
         )
-    tau_ref = thermal_state(res.h_r.entries, ctx.beta)
-    if operator_norm(tau_ref.entries - res.reservoir_state.entries) > 1e-8:
-        raise ValueError(
-            "explicit reservoir state is not thermal for its Hamiltonian at "
-            "the context temperature"
-        )
+    _check_thermal(
+        res.reservoir_state,
+        res.h_r,
+        ctx,
+        "explicit reservoir state is not thermal for its Hamiltonian at "
+        "the context temperature",
+    )
     u = res.u_r.entries
     joint = u @ np.kron(rho_d_prime.entries, res.reservoir_state.entries) @ dagger(u)
     rho_d_after = _ptrace_nd(joint, [dd, dr], [0])
     fid = float(np.vdot(demon_initial.amplitudes, rho_d_after @ demon_initial.amplitudes).real)
-    if fid < 1.0 - 1e-6:
+    if fid < 1.0 - EPS_RESET:
         raise ErasureError(
             f"reset restores the blank state with fidelity {fid:.9f} < 1 - 1e-6"
         )
     tau_after = _ptrace_nd(joint, [dd, dr], [1])
     q = _energy(res.h_r.entries, tau_after - res.reservoir_state.entries)
-    if q < ctx.kt * s_record - _TOL:
+    if q < ctx.kt * s_record - EPS_ASSERT:
         raise HardAssertionError(
             f"explicit erasure heat {q} beats the Landauer cost "
             f"{ctx.kt * s_record}"
@@ -379,11 +393,11 @@ def work_ledger(
     concavity_gap = w_avg - w_coarse
     mixing_gap = t * (von_neumann_entropy(rho_w_after) - s_branch_avg)
     if certified:
-        if concavity_gap < -_TOL:
+        if concavity_gap < -EPS_ASSERT:
             raise HardAssertionError(
                 f"coarse work exceeds average work by {-concavity_gap}"
             )
-        if abs(concavity_gap - mixing_gap) > 1e-8:
+        if abs(concavity_gap - mixing_gap) > EPS_ROUTE:
             raise HardAssertionError(
                 "work concavity gap does not match the weight mixing entropy "
                 f"({concavity_gap} vs {mixing_gap}); marginals are inconsistent"
@@ -399,12 +413,12 @@ def work_ledger(
         - von_neumann_entropy(rho_s)
     )
     if certified and not reservoir_in_feedback:
-        if chain_slack < -_TOL:
+        if chain_slack < -EPS_ASSERT:
             raise HardAssertionError(
                 f"entropy chain violated by {-chain_slack}; the pipeline is "
                 "not unital"
             )
-        if erasure.landauer_optimal and w_net_coarse > bound + _TOL:
+        if erasure.landauer_optimal and w_net_coarse > bound + EPS_ASSERT:
             raise HardAssertionError(
                 f"net coarse work {w_net_coarse} exceeds the free-energy drop "
                 f"{bound}"
@@ -471,15 +485,18 @@ def reservoir_assisted_bound(
     hw = _entries_of(h_w)
     tau = _entries_of(tau_r)
     tau_after = _entries_of(tau_r_after)
-    if operator_norm(thermal_state(hr, ctx.beta).entries - tau) > 1e-8:
-        raise ValueError("reservoir input state is not thermal at the context "
-                         "temperature")
+    _check_thermal(
+        tau,
+        hr,
+        ctx,
+        "reservoir input state is not thermal at the context temperature",
+    )
     w_x = work_per_outcome(rho_w, rho_w_after, h_w, ctx)
     de_w = _energy(hw, _entries_of(rho_w_after) - _entries_of(rho_w))
     ds_w = von_neumann_entropy(rho_w_after) - von_neumann_entropy(rho_w)
     de_s_drop = _energy(hs, _entries_of(rho_s_branch) - _entries_of(rho_s_after))
     energy_form = _energy(hr, tau - tau_after) + de_s_drop
-    if abs(de_w - energy_form) > _TOL:
+    if abs(de_w - energy_form) > EPS_ASSERT:
         raise HardAssertionError(
             f"weight energy gain {de_w} does not match the released energy "
             f"{energy_form}; the branch is not energy conserving"
@@ -490,7 +507,7 @@ def reservoir_assisted_bound(
         - rel
         + de_s_drop
     )
-    if abs(energy_form - heat_identity_form) > 1e-8:
+    if abs(energy_form - heat_identity_form) > EPS_ROUTE:
         raise HardAssertionError(
             "heat identity failed: the reservoir energy change does not "
             "match its entropy rewriting"
@@ -505,11 +522,11 @@ def reservoir_assisted_bound(
         + von_neumann_entropy(tau_after)
         - von_neumann_entropy(tau)
     )
-    if subadd_gap < -_TOL:
+    if subadd_gap < -EPS_ASSERT:
         raise HardAssertionError(
             f"entropy subadditivity violated by {-subadd_gap}"
         )
-    if w_x > intermediate + _TOL or intermediate > final + _TOL:
+    if w_x > intermediate + EPS_ASSERT or intermediate > final + EPS_ASSERT:
         raise HardAssertionError(
             f"bound chain broken: W_x {w_x}, intermediate {intermediate}, "
             f"final {final}"

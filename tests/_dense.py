@@ -8,11 +8,16 @@ low-rank factor; it takes the same arguments as
 ``HardAssertionError``.  ``conditional_feedback_map`` is the dense branch
 map ``U rho U^dag`` that ``szilard.feedback.conditional_feedback_map``
 replaced with a factored one, and ``entropy`` / ``free_energy`` price its
-outputs from a fresh ``eigvalsh``.  The arithmetic is numpy only, with no
+outputs from a fresh ``eigvalsh``.  ``shift_stroke``, ``top_swap``,
+``reservoir_swap`` and ``harvest_plane`` are the element-by-element loops
+that built the feedback strokes before they went through
+``szilard.feedback._plane_stroke``.  The arithmetic is numpy only, with no
 package helpers, so each is an independent route for differential tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -134,3 +139,64 @@ def entropy(rho: np.ndarray) -> float:
 
 def free_energy(rho: np.ndarray, h: np.ndarray, kt: float) -> float:
     return float(np.trace(h @ rho).real) - kt * entropy(rho)
+
+
+# ---------------------------------------------------------------------------
+# feedback strokes, one plane at a time
+
+
+def shift_stroke(dw: int, post) -> np.ndarray:
+    """The ladder shift for a qubit post state: the 2x2 block taking the
+    post to the ground state (weight up one rung) in each plane
+    ``span{|k, e0>, |k+1, e1>}``, ``k = 1 .. dw-2``."""
+    vpost = np.asarray(post, dtype=complex)
+    vperp = np.array([-np.conj(vpost[1]), np.conj(vpost[0])])
+    for a in vperp:  # first amplitude above 1e-8 made real positive
+        if abs(a) > 1e-8:
+            vperp = vperp * (abs(a) / a)
+            break
+    g = np.outer([0.0, 1.0], np.conj(vpost)) + np.outer([1.0, 0.0], np.conj(vperp))
+    u = np.eye(2 * dw, dtype=complex)
+    for k in range(1, dw - 1):
+        i_stay = 2 * k  # |k, e0>
+        i_up = 2 * (k + 1) + 1  # |k+1, e1>
+        u[np.ix_([i_stay, i_up], [i_stay, i_up])] = g
+    return u
+
+
+def top_swap(dw: int, d: int, t: int) -> np.ndarray:
+    """Swap ``|n, top> <-> |n + top, ground>`` on a ladder times a d-level
+    system, the stroke of ``degenerate_circumvention``."""
+    u = np.eye(dw * d, dtype=complex)
+    if t > 0:
+        for n in range(dw - t):
+            a = n * d + t  # |n, top>
+            b = (n + t) * d + 0  # |n + top, ground>
+            u[a, a] = u[b, b] = 0.0
+            u[a, b] = u[b, a] = 1.0
+    return u
+
+
+def reservoir_swap(dw: int, dim_r: int, theta: float, s_in: int) -> np.ndarray:
+    """Partial swap of one reservoir quantum into one weight quantum while
+    the system flips from ``s_in``, the stroke of ``reservoir_circumvention``."""
+    u = np.eye(dw * 2 * dim_r, dtype=complex)
+    c, s = math.cos(theta), math.sin(theta)
+    for n in range(dw - 1):
+        for k in range(1, dim_r):
+            i = (n * 2 + s_in) * dim_r + k
+            j = ((n + 1) * 2 + (1 - s_in)) * dim_r + (k - 1)
+            u[i, i] = u[j, j] = c
+            u[i, j] = u[j, i] = -1j * s
+    return u
+
+
+def harvest_plane(dim_w: int, m: int) -> np.ndarray:
+    """Swap ``|m, excited> <-> |m+1, ground>``, the ``entropy_harvest``
+    stroke."""
+    u = np.eye(dim_w * 2, dtype=complex)
+    a = m * 2 + 0  # |m, excited>
+    b = (m + 1) * 2 + 1  # |m+1, ground>
+    u[a, a] = u[b, b] = 0.0
+    u[a, b] = u[b, a] = 1.0
+    return u

@@ -282,6 +282,17 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_hermitian_hamiltonian_exit_code(self, tmp_path, capsys, entry):
+        # 0.01i on the diagonal, or on one off-diagonal entry only; this used
+        # to exit 2 on a hard assertion inside the unitary completion
+        block = _explicit_block()
+        i, j = entry
+        block["h_d"][i][j] = [0.0, 0.01]
+        path = _write(tmp_path, {"name": "x", "config": block})
+        assert main(["run", path]) == 1
+        assert "Hermitian" in capsys.readouterr().err
+
     def test_hard_assertion_exit_code(self, tmp_path, capsys, monkeypatch):
         path = _write(tmp_path, _library_doc())
 

@@ -90,6 +90,21 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError, match="degenerate_target"):
             dataclasses.replace(cfg, degenerate_target=True)
 
+    def test_system_hamiltonian_must_be_hermitian(self):
+        # before the check this engine certified as conforming and failed
+        # only later, inside the ledger's free energy
+        cfg = scenario_library("example_I")
+        h_s = Operator(np.diag([0.5 + 0.01j, -0.5 + 0.01j]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            dataclasses.replace(cfg, h_s=h_s)
+
+    def test_demon_hamiltonian_must_be_hermitian(self):
+        # before the check the whole cycle ran, its energies silently
+        # dropping the imaginary part
+        cfg = scenario_library("example_I")
+        with pytest.raises(ValueError, match="Hermitian"):
+            dataclasses.replace(cfg, h_d=Operator(0.01j * np.eye(2)))
+
     def test_demon_hamiltonian_dimension(self):
         cfg = scenario_library("example_I")
         with pytest.raises(ValueError, match="demon Hamiltonian"):
@@ -631,6 +646,47 @@ class TestScenarioLibrary:
         assert works["x1"] == pytest.approx(4.0, abs=1e-9)
         report = evaluate_features(result, config)
         assert report.triple == (True, True, True)
+
+
+class TestPlaneStrokes:
+    """Every stroke built through ``feedback._plane_stroke`` equals, entry
+    for entry, the element-wise loop it replaced (``tests/_dense.py``)."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("example_I", {}), ("example_II", {"N": 5}), ("example_II", {"N": 120})],
+    )
+    def test_shift_strokes(self, name, params):
+        config = scenario_library(name, **params)
+        posts = config.measurement.post_states
+        for label, u in config.feedback.branch_unitaries:
+            want = _dense.shift_stroke(config.weight.dim, posts[label].amplitudes)
+            assert np.array_equal(u.entries, want)
+
+    @pytest.mark.parametrize("dim_r", [2, 4])
+    @pytest.mark.parametrize("theta", [math.pi / 2, 1.0])
+    def test_reservoir_swaps(self, dim_r, theta):
+        config = scenario_library(
+            "reservoir_circumvention", dim_R=dim_r, theta=theta
+        )
+        for s_in, label in enumerate(("+", "-")):
+            want = _dense.reservoir_swap(config.weight.dim, dim_r, theta, s_in)
+            assert np.array_equal(config.feedback.unitary_for(label).entries, want)
+
+    @pytest.mark.parametrize("ranks", [(2, 2), (3, 2)])
+    def test_degenerate_top_swaps(self, ranks):
+        params = {} if ranks == (2, 2) else {"d": sum(ranks), "ranks": ranks}
+        config = scenario_library("degenerate_circumvention", **params)
+        tops = np.cumsum(ranks) - 1
+        for (_, u), top in zip(config.feedback.branch_unitaries, tops):
+            want = _dense.top_swap(config.weight.dim, sum(ranks), int(top))
+            assert np.array_equal(u.entries, want)
+
+    def test_entropy_harvest_plane(self):
+        rng = np.random.default_rng(0)
+        config = SCAN_FAMILIES["entropy_harvest"](rng, False)
+        for _, u in config.feedback.branch_unitaries:
+            assert np.array_equal(u.entries, _dense.harvest_plane(8, 3))
 
 
 class TestHarvestFamily:

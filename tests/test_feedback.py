@@ -27,6 +27,7 @@ from szilard import (
     operator_norm,
     random_energy_conserving_unitary,
 )
+from szilard.feedback import _plane_stroke
 from szilard.qop import EPS_ALG, _ptrace_nd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -439,6 +440,17 @@ class TestShiftUnitary:
         weight = build_oscillator_weight(1.0, 4)
         with pytest.raises(ValueError):
             build_shift_unitary(weight, np.array([1.0, 0.0, 0.0], dtype=complex))
+
+
+class TestPlaneStroke:
+    def test_block_sits_on_each_plane(self):
+        block = np.array([[1.0, 2.0j], [3.0, 4.0]])
+        u = _plane_stroke(6, [0, 3], [5, 1], block)
+        want = np.eye(6, dtype=complex)
+        for i, j in ((0, 5), (3, 1)):
+            want[i, i], want[i, j] = block[0]
+            want[j, i], want[j, j] = block[1]
+        assert np.array_equal(u, want)
 
 
 class TestRandomConservingUnitary:

@@ -171,6 +171,15 @@ class TestBuildModels:
         assert operator_norm(u @ dagger(u) - np.eye(4)) < EPS_ALG
         assert abs(np.vdot(basis_state(4, 2), u @ basis_state(4, 0))) > 1 - 1e-12
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_complete_unitary_rejects_non_hermitian_hamiltonian(self, entry):
+        # eigh reads one triangle, so this H used to reach a hard assertion
+        h = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+        h[entry] += 0.01j
+        pairs = [(basis_state(4, 0), basis_state(4, 1))]
+        with pytest.raises(ValueError, match="Hermitian"):
+            complete_unitary(pairs, 4, h)
+
     def test_complete_unitary_respects_hamiltonian_blocks(self):
         h = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
         pairs = [(basis_state(4, 0), basis_state(4, 1))]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from szilard import (
     von_neumann_entropy,
 )
 import szilard.qop as qop_mod
-from szilard.qop import EPS_ALG, SizeError, _ptrace_nd
+from szilard.qop import EPS_ALG, EPS_SECTOR, SizeError, _energy_sectors, _ptrace_nd
 from szilard.thermo import ThermoContext, free_energy
 
 import _dense
@@ -320,6 +322,75 @@ class TestKeptSpectrum:
     def test_factor_constructor_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
             DensityMatrix._from_factor(np.array([[np.nan], [1.0]]))
+
+
+class TestHermiticity:
+    @pytest.mark.parametrize("im", [0.0, 0.4e-10, 0.6e-10, 1e-3])
+    def test_diagonal_verdict_matches_the_norm(self, im):
+        # ||H - H^dag|| = 2 max|Im h_ii| for a diagonal H, on both sides of
+        # EPS_ALG
+        m = np.diag([1.0 + 1j * im, -2.0, 0.5 - 0.5j * im])
+        assert Operator(m).is_hermitian == (
+            operator_norm(m - dagger(m)) <= EPS_ALG
+        )
+
+    def test_diagonal_hamiltonian_needs_no_dense_check(self, monkeypatch):
+        rho = DensityMatrix(np.eye(6) / 6)
+        h = Operator(np.diag(np.arange(6.0)))
+
+        def dense(a):
+            raise AssertionError("dense Hermiticity check on a diagonal H")
+
+        monkeypatch.setattr(qop_mod, "operator_norm", dense)
+        assert h.is_hermitian
+        assert free_energy(rho, h, ThermoContext(1.0)) == pytest.approx(
+            2.5 - math.log(6)
+        )
+
+    def test_non_hermitian_hamiltonians_rejected(self):
+        rho = DensityMatrix(np.eye(2) / 2)
+        for h in (np.diag([0.5 + 0.01j, -0.5]), np.array([[0, 0.01j], [0, 0]])):
+            assert not Operator(h).is_hermitian
+            with pytest.raises(ValueError, match="Hermitian"):
+                free_energy(rho, Operator(h), ThermoContext(1.0))
+            with pytest.raises(ValueError, match="Hermitian"):
+                thermal_state(h, 1.0)
+
+
+class TestEnergySectors:
+    def test_splits_only_gaps_beyond_the_tolerance(self):
+        tol = EPS_SECTOR * (1.0 + 3.0)  # max|ev| = 3
+        ev = np.array([0.0, 0.5 * tol, 2.5 * tol, 3.0, 3.0])
+        sectors = _energy_sectors(ev)
+        assert [s.tolist() for s in sectors] == [[0, 1], [2], [3, 4]]
+
+    def test_single_level(self):
+        assert [s.tolist() for s in _energy_sectors(np.array([-1.0]))] == [[0]]
+
+
+def test_tolerances_live_in_one_table():
+    """No float literal below 1e-5 appears in the package outside the named
+    tolerance table at the top of ``qop``."""
+    strays = []
+    for path in sorted(Path(qop_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = set()
+        if path.name == "qop.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and all(
+                    isinstance(t, ast.Name) and t.id.startswith("EPS_")
+                    for t in node.targets
+                ):
+                    table.add(id(node.value))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < 1e-5
+                and id(node) not in table
+            ):
+                strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not strays, "tolerance literals outside the table: " + ", ".join(strays)
 
 
 class TestThermalState:
