@@ -42,6 +42,7 @@ from .qop import (
     Operator,
     PureState,
     SzilardError,
+    _number,
 )
 from .thermo import ThermoContext, build_swap_erasure
 
@@ -54,6 +55,22 @@ __all__ = ["main", "parse_scenario", "run_records", "ScenarioRun"]
 
 def _fail(field: str, message: str) -> ValueError:
     return ValueError(f"field {field!r}: {message}")
+
+
+def _read(doc: Mapping[str, Any], key: str, kind: type, default: Any = None,
+          prefix: str = "") -> Any:
+    """``doc[key]`` as ``kind``: a ``Mapping``, a real number (``float``) or
+    an integral one (``int``, which takes ``5.0``).  An absent or null
+    entry gives ``default``; any other value fails naming the field."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    field = prefix + key
+    if kind is not Mapping:
+        return _number(value, kind, f"field {field!r}")
+    if not isinstance(value, Mapping):
+        raise _fail(field, f"expected a mapping, got {value!r}")
+    return value
 
 
 def _parse_complex(entry: Any, field: str) -> complex:
@@ -83,6 +100,13 @@ def _parse_matrix(obj: Any, field: str) -> np.ndarray:
     if len(width) != 1:
         raise _fail(field, "rows have inconsistent lengths")
     return np.array(rows, dtype=complex)
+
+
+def _parse_hamiltonian(obj: Any, field: str) -> Operator:
+    h = Operator(_parse_matrix(obj, field))
+    if not h.is_hermitian:
+        raise _fail(field, "expected a Hermitian matrix")
+    return h
 
 
 def _parse_observable(obj: Any, field: str) -> Observable:
@@ -122,13 +146,14 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
         if key not in doc:
             raise _fail(f"config.{key}", "missing")
     ctx = ThermoContext(
-        float(doc.get("temperature", 1.0)), float(doc.get("kb", 1.0))
+        _read(doc, "temperature", float, 1.0, "config."),
+        _read(doc, "kb", float, 1.0, "config."),
     )
-    omega = float(doc.get("omega", 1.0))
-    levels = int(doc.get("levels", 20))
-    dim = doc.get("dim")
-    h_s = Operator(_parse_matrix(doc["h_s"], "config.h_s"))
-    h_d = Operator(_parse_matrix(doc["h_d"], "config.h_d"))
+    omega = _read(doc, "omega", float, 1.0, "config.")
+    levels = _read(doc, "levels", int, 20, "config.")
+    dim = _read(doc, "dim", int, None, "config.")
+    h_s = _parse_hamiltonian(doc["h_s"], "config.h_s")
+    h_d = _parse_hamiltonian(doc["h_d"], "config.h_d")
     rho_s = DensityMatrix(_parse_matrix(doc["rho_s"], "config.rho_s"))
     demon_initial = PureState(
         _parse_vector(doc["demon_initial"], "config.demon_initial")
@@ -162,9 +187,7 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
         tuple(transitions),
         hamiltonians=(h_s, h_d),
     )
-    weight = build_oscillator_weight(
-        omega, levels, dim=int(dim) if dim is not None else None
-    )
+    weight = build_oscillator_weight(omega, levels, dim=dim)
     if "feedback" in doc and doc["feedback"] is not None:
         if not isinstance(doc["feedback"], (list, tuple)) or not doc["feedback"]:
             raise _fail("config.feedback", "expected a list of {label, unitary}")
@@ -217,7 +240,6 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
             "config.erasure",
             f"unknown mode {erasure_key!r}; use landauer_optimal or swap",
         )
-    tol_s = doc.get("tol_s")
     return EngineConfig(
         rho_s=rho_s,
         h_s=h_s,
@@ -229,7 +251,7 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
         erasure=erasure,
         degenerate_target=bool(doc.get("degenerate_target", False)),
         non_conforming=bool(doc.get("non_conforming", False)),
-        tol_s=float(tol_s) if tol_s is not None else None,
+        tol_s=_read(doc, "tol_s", float, None, "config."),
         label="explicit",
     )
 
@@ -271,9 +293,7 @@ def parse_scenario(
             "scenario document needs exactly one of 'scenario' (library "
             "reference) or 'config' (explicit matrices)"
         )
-    params = dict(doc.get("params", {}) or {})
-    if has_ref and not isinstance(doc.get("params", {}) or {}, Mapping):
-        raise _fail("params", "expected a mapping")
+    params = dict(_read(doc, "params", Mapping, {}))
 
     sweep = doc.get("sweep")
     points: list[tuple[str | None, Any]] = [(None, None)]
@@ -302,7 +322,7 @@ def parse_scenario(
                 config = config._as_non_conforming()
         else:
             scenario_name = "explicit"
-            block = dict(doc["config"] or {})
+            block = dict(_read(doc, "config", Mapping, {}))
             if parameter is not None:
                 block[parameter] = value
             for key in ("kb", "tol_s"):
@@ -509,8 +529,8 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     }
     seed = ns.seed if ns.seed is not None else _env_int("SZILARD_SEED")
     runs = parse_scenario(doc, overrides)
+    out_opts = _read(doc, "output", Mapping, {})
     records = run_records(runs)
-    out_opts = (doc.get("output") or {}) if isinstance(doc, Mapping) else {}
     fmt = ns.format or out_opts.get("format") or "json"
     path = ns.out or out_opts.get("path")
     if fmt == "json":

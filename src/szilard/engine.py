@@ -72,6 +72,7 @@ from .qop import (
     SizeError,
     _check_hermitian,
     _factor,
+    _number,
     _ptrace_nd,
     basis_state,
     dagger,
@@ -199,7 +200,6 @@ class EngineConfig:
     erasure: str | ExplicitReservoir = "landauer_optimal"
     reservoir: ReservoirSpec | None = None
     degenerate_target: bool = False
-    reservoir_in_feedback: bool = False
     non_conforming: bool = False
     tol_s: float | None = None
     label: str = "engine"
@@ -222,14 +222,6 @@ class EngineConfig:
                 raise ValueError("instrument dimension mismatch")
         if self.h_d is not None and self.h_d.dim != self.demon_dim:
             raise ValueError("demon Hamiltonian dimension mismatch")
-        if self.reservoir_in_feedback != self.feedback.includes_reservoir:
-            raise ValueError(
-                "reservoir_in_feedback flag contradicts the feedback scheme"
-            )
-        if self.feedback.includes_reservoir and self.reservoir is None:
-            raise ValueError("feedback draws a reservoir but none is configured")
-        if self.reservoir is not None and not self.feedback.includes_reservoir:
-            raise ValueError("configured reservoir is unused by the feedback")
         h_w, rho_w = _weight_parts(self.weight)
         object.__setattr__(self, "_h_w", h_w)
         object.__setattr__(self, "_rho_w", rho_w)
@@ -256,17 +248,13 @@ class EngineConfig:
             raise SizeError(
                 f"joint dimension {self.total_dim} exceeds limit {MAX_DIM}"
             )
-        if isinstance(self.measurement, Instrument):
-            dd = self.demon_dim
-            for i, label in enumerate(self.outcome_labels):
-                want = np.zeros((dd, dd), dtype=complex)
-                want[i, i] = 1.0
-                got = self.feedback.projector_for(label).entries
-                if operator_norm(got - want) > EPS_ALG:
-                    raise ConstructionError(
-                        "instrument-based configs need basis-aligned demon "
-                        "projectors in outcome order"
-                    )
+        for label, record in zip(self.outcome_labels, self.record_projectors):
+            got = self.feedback.projector_for(label).entries
+            if operator_norm(got - record) > EPS_ALG:
+                raise ConstructionError(
+                    f"feedback control for {label!r} is not its record projector "
+                    "(the pointer's, or basis-aligned for an instrument)"
+                )
         if self.reservoir is not None:
             _check_thermal(
                 self.reservoir.state,
@@ -274,10 +262,7 @@ class EngineConfig:
                 self.thermo,
                 "reservoir state is not thermal at the context temperature",
             )
-        # composed once: certification and the cycle's joint check share it
-        v = compose_feedback_unitary(self.feedback)
-        object.__setattr__(self, "_feedback_unitary", v)
-        cert = self._certify(v)
+        cert = self._certify()
         object.__setattr__(self, "_certification", cert)
         if not self.non_conforming:
             failures = []
@@ -294,13 +279,14 @@ class EngineConfig:
             if failures:
                 raise ConstructionError("; ".join(failures))
 
-    def _certify(self, v: Operator) -> Certification:
+    def _certify(self) -> Certification:
         h_r = self.reservoir.hamiltonian if self.reservoir is not None else None
         fb_energy = check_feedback_energy(
             self.feedback, self._h_w, self.h_s, self._h_d, h_r
         )
         fb_form = check_feedback_form(
-            v, self.feedback.demon_projectors, self.feedback.branch_dim
+            compose_feedback_unitary(self.feedback),
+            self.feedback.demon_projectors, self.feedback.branch_dim,
         )
         if isinstance(self.measurement, MeasurementModel):
             me = check_energy_conserving_measurement(
@@ -341,6 +327,18 @@ class EngineConfig:
         if isinstance(self.measurement, MeasurementModel):
             return self.measurement.pointer.labels
         return self.measurement.labels
+
+    @property
+    def record_projectors(self) -> tuple[np.ndarray, ...]:
+        """Each outcome's demon record, in outcome order: the pointer's
+        projectors for a model, ``|i><i|`` for an instrument."""
+        if isinstance(self.measurement, MeasurementModel):
+            return tuple(p.entries for _, _, p in self.measurement.pointer.outcomes)
+        return tuple(np.diag(row) for row in np.eye(self.demon_dim))
+
+    @property
+    def reservoir_in_feedback(self) -> bool:
+        return self.reservoir is not None
 
     @property
     def demon_dim(self) -> int:
@@ -436,13 +434,8 @@ def _measure(config: EngineConfig) -> tuple[DensityMatrix | None, Gemenge, dict]
         gem = Gemenge(tuple(sys_branches))
         return sigma, gem, demon_records
     gem = apply_instrument(config.measurement, config.rho_s)
-    dd = config.demon_dim
-    demon_records = {}
-    for i, label in enumerate(config.outcome_labels):
-        demon_records[label] = DensityMatrix(
-            np.diag([1.0 if j == i else 0.0 for j in range(dd)])
-        )
-    return None, gem, demon_records
+    records = zip(config.outcome_labels, config.record_projectors)
+    return None, gem, {x: DensityMatrix(p) for x, p in records}
 
 
 def run_cycle(config: EngineConfig) -> CycleResult:
@@ -456,7 +449,7 @@ def run_cycle(config: EngineConfig) -> CycleResult:
 
     Every marginal is cross-checked against the joint evolution of the
     weight-system-demon(-reservoir) state, carried as a low-rank factor
-    through the composed feedback unitary, and the order-of-objectification
+    through the controlled feedback, and the order-of-objectification
     gap is evaluated on the same joint; both are upper bounds of their dense
     values.  A marginal deviation above tolerance fails hard on every
     engine.
@@ -470,7 +463,7 @@ def run_cycle(config: EngineConfig) -> CycleResult:
 
     cross_check = (
         config.conforming
-        and not config.feedback.includes_reservoir
+        and config.reservoir is None
         and isinstance(config.measurement, MeasurementModel)
     )
     branches = []
@@ -612,9 +605,9 @@ def _joint_consistency(
     deviation of any mixture-built marginal from the joint marginal.
 
     The joint state has rank at most a few columns, so ``X`` goes through
-    the composed feedback unitary instead of the dense state, and the gap
-    is taken on the small QR core of the two pinched factors; apart from
-    the config's composed unitary, no n x n array exists.  Populations the
+    the controlled feedback, each ``U_x`` acting on its record's slice
+    ``(1 (x) P_x) X``, and the gap is taken on the small QR core of the
+    two pinched factors; no n x n array exists.  Populations the
     factorization drops are added back in trace norm, once to the
     deviation and twice to the gap; pinching, unitary conjugation and the
     partial trace do not increase the trace norm, so both stay upper
@@ -656,18 +649,19 @@ def _joint_consistency(
         dims = [dw, ds, dr, dd]
     dropped = sum(p * _dropped_mass([*parts, part]) for p, _, part in terms)
     n = x.shape[0]
-    v = config._feedback_unitary.entries
-    projs = [p.entries for _, p in config.feedback.demon_projectors]
+    nb = n // dd
+    fb = config.feedback
+    units = [fb.unitary_for(label).entries for label, _ in fb.demon_projectors]
+    projs = [p.entries for _, p in fb.demon_projectors]
 
-    def pinch(y: np.ndarray) -> np.ndarray:
-        # factor of sum_x (1 (x) P_x) y y^dag (1 (x) P_x), demon last
-        t = y.reshape(n // dd, dd, -1)
-        return np.hstack(
-            [np.einsum("ab,ibk->iak", p, t).reshape(n, -1) for p in projs]
-        )
+    def pinch(y: np.ndarray) -> list[np.ndarray]:
+        # (1 (x) P_x) y for each x, rows (branch, demon)
+        return [np.einsum("ab,ibk->iak", p, y.reshape(nb, dd, -1)) for p in projs]
 
-    first = v @ pinch(x)
-    last = pinch(v @ x)
+    # V = sum_x U_x (x) P_x: each U_x acts on its own record's slice only
+    moved = [u @ s.reshape(nb, -1) for u, s in zip(units, pinch(x))]
+    first = np.hstack([m.reshape(n, -1) for m in moved])
+    last = np.hstack([s.reshape(n, -1) for s in pinch(sum(moved))])
     gap = _outer_difference_norm(first, last) + 2.0 * dropped
 
     # pinch-first is the state the branch pipeline actually realises;
@@ -826,7 +820,6 @@ def _record_write_engine(
     scheme = FeedbackScheme(
         branch_unitaries=tuple(zip(basis.labels, strokes)),
         demon_projectors=tuple((x, p) for x, _, p in basis.outcomes),
-        includes_reservoir=reservoir is not None,
     )
     return EngineConfig(
         rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
@@ -838,7 +831,6 @@ def _record_write_engine(
         h_d=h_d,
         erasure=erasure,
         reservoir=reservoir,
-        reservoir_in_feedback=reservoir is not None,
         tol_s=tol_s,
         label=label,
     )
@@ -1108,25 +1100,39 @@ _SCENARIOS: dict[str, Callable[..., EngineConfig]] = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
+def _typed_param(name: str, value: object, annotation: str) -> object:
+    """``value`` read as its scenario parameter's annotation says: ``int``
+    or ``float``, either optionally ``| None``; other annotations pass
+    through."""
+    kind = {"int": int, "float": float}.get(annotation.removesuffix(" | None"))
+    if kind is None or (value is None and annotation.endswith(" | None")):
+        return value
+    return _number(value, kind, f"parameter {name!r}")
+
+
 def scenario_library(name: str, **params) -> EngineConfig:
     """Build one of the named reference engines.
 
-    Unknown names or parameters raise ``ValueError`` naming the offender, so
-    front ends can surface precise diagnostics.
+    Unknown names or parameters, and parameters of the wrong type, raise
+    ``ValueError`` naming the offender, so front ends can surface precise
+    diagnostics.
     """
     if name not in _SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
     fn = _SCENARIOS[name]
-    allowed = set(inspect.signature(fn).parameters)
+    allowed = inspect.signature(fn).parameters
     for key in params:
         if key not in allowed:
             raise ValueError(
                 f"unknown parameter {key!r} for scenario {name!r}; "
                 f"allowed: {', '.join(sorted(allowed))}"
             )
-    return fn(**params)
+    return fn(**{
+        key: _typed_param(key, value, allowed[key].annotation)
+        for key, value in params.items()
+    })
 
 
 # ---------------------------------------------------------------------------

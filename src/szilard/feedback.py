@@ -60,13 +60,12 @@ class FeedbackScheme:
     """Controlled feedback ``sum_x U_x (x) P_x^D``.
 
     ``branch_unitaries`` maps each outcome to a unitary on weight+system
-    (+reservoir when ``includes_reservoir``).  ``demon_projectors`` is the
-    complete orthogonal family of the pointer observable.
+    (+reservoir when one takes part).  ``demon_projectors`` is the complete
+    orthogonal family of the pointer observable.
     """
 
     branch_unitaries: tuple[tuple[object, Operator], ...]
     demon_projectors: tuple[tuple[object, Operator], ...]
-    includes_reservoir: bool = False
 
     def __post_init__(self) -> None:
         bu = tuple(
@@ -240,19 +239,18 @@ def check_feedback_energy(
     """Energy conservation of the composed feedback operation, itemised.
 
     Each branch unitary must commute with the additive Hamiltonian of the
-    factors it acts on, and for every maximal group of outcomes sharing the
-    same branch unitary the summed demon projector must commute with the
-    memory Hamiltonian.  Together these certify that the composed controlled
-    operation conserves total energy.
+    factors it acts on (a reservoir exactly when ``h_r`` is given), and for
+    every maximal group of outcomes sharing the same branch unitary the
+    summed demon projector must commute with the memory Hamiltonian.
+    Together these certify that the composed controlled operation conserves
+    total energy.
     """
     hw = _entries_of(h_w)
     hs = _entries_of(h_s)
     hd = _entries_of(h_d)
     dw, ds = hw.shape[0], hs.shape[0]
     hadd = np.kron(hw, np.eye(ds)) + np.kron(np.eye(dw), hs)
-    if scheme.includes_reservoir:
-        if h_r is None:
-            raise ValueError("scheme includes a reservoir but h_r is missing")
+    if h_r is not None:
         hr = _entries_of(h_r)
         hadd = np.kron(hadd, np.eye(hr.shape[0])) + np.kron(
             np.eye(dw * ds), hr
@@ -305,7 +303,8 @@ def conditional_feedback_map(
     rho_system: DensityMatrix,
     rho_reservoir: DensityMatrix | None = None,
 ) -> BranchOutput:
-    """Apply one branch unitary to ``weight (x) system [(x) reservoir]``.
+    """Apply one branch unitary to ``weight (x) system [(x) reservoir]``;
+    the reservoir takes part exactly when ``rho_reservoir`` is given.
 
     The branch state is carried as a factor ``X`` with ``rho = X X^dag``:
     each input contributes its carried factor, or an ``eigh`` factor that
@@ -316,9 +315,7 @@ def conditional_feedback_map(
     """
     u = scheme.unitary_for(outcome).entries
     states = [rho_weight, rho_system]
-    if scheme.includes_reservoir:
-        if rho_reservoir is None:
-            raise ValueError("scheme includes a reservoir but none was supplied")
+    if rho_reservoir is not None:
         states.append(rho_reservoir)
     dims = [r.dim for r in states]
     if u.shape[0] != math.prod(dims):
@@ -334,7 +331,7 @@ def conditional_feedback_map(
     return BranchOutput(
         rho_system=out[1],
         rho_weight=out[0],
-        rho_reservoir=out[2] if scheme.includes_reservoir else None,
+        rho_reservoir=out[2] if len(out) > 2 else None,
     )
 
 

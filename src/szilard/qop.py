@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -219,6 +220,17 @@ def _entries_of(x: object) -> np.ndarray:
     """Accept wrapper types or bare arrays where a matrix is expected."""
     e = getattr(x, "entries", x)
     return np.asarray(e, dtype=complex)
+
+
+def _number(value: object, kind: type, where: str) -> int | float:
+    """``value`` as a ``kind`` number read from outside input: ``int`` takes
+    integral values (``5.0`` gives ``5``), ``float`` any real.  Anything else
+    raises ``ValueError`` citing ``where``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -119,12 +119,12 @@ def conditional_feedback_map(
     u = scheme.unitary_for(outcome).entries
     joint = np.kron(rho_weight.entries, rho_system.entries)
     dims = [rho_weight.dim, rho_system.dim]
-    if scheme.includes_reservoir:
+    if rho_reservoir is not None:
         joint = np.kron(joint, rho_reservoir.entries)
         dims.append(rho_reservoir.dim)
     out = u @ joint @ u.conj().T
     marginals = [_ptrace(out, dims, ax) for ax in range(len(dims))]
-    if not scheme.includes_reservoir:
+    if rho_reservoir is None:
         marginals.append(None)
     return tuple(marginals)
 

@@ -293,6 +293,42 @@ class TestRunCommand:
         assert main(["run", path]) == 1
         assert "Hermitian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["h_s", "h_d"])
+    def test_non_hermitian_hamiltonian_names_its_field(
+        self, tmp_path, capsys, field
+    ):
+        block = _explicit_block()
+        block[field][0][0] = [0.5, 0.01]
+        path = _write(tmp_path, {"name": "x", "config": block})
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert f"field 'config.{field}'" in err and "Hermitian" in err
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"scenario": "example_I", "params": [1, 2]}, "field 'params'"),
+            ({"scenario": "example_I", "params": "abc"}, "field 'params'"),
+            ({"scenario": "example_I", "output": "json"}, "field 'output'"),
+            ({"config": _explicit_block(temperature=[1, 2])},
+             "field 'config.temperature'"),
+            ({"config": _explicit_block(kb="warm")}, "field 'config.kb'"),
+            ({"config": _explicit_block(omega=[1])}, "field 'config.omega'"),
+            ({"config": _explicit_block(levels=5.5)}, "field 'config.levels'"),
+            ({"config": _explicit_block(dim="big")}, "field 'config.dim'"),
+            ({"config": _explicit_block(tol_s=[0.1])}, "field 'config.tol_s'"),
+            ({"config": "abc"}, "field 'config'"),
+            ({"scenario": "example_I", "params": {"q": "abc"}}, "parameter 'q'"),
+            ({"scenario": "example_I", "params": {"q": [1]}}, "parameter 'q'"),
+        ],
+    )
+    def test_malformed_field_exit_code(self, tmp_path, capsys, doc, named):
+        # each of these used to end in a traceback or in a message that
+        # named no field
+        path = _write(tmp_path, doc)
+        assert main(["run", path]) == 1
+        assert named in capsys.readouterr().err
+
     def test_hard_assertion_exit_code(self, tmp_path, capsys, monkeypatch):
         path = _write(tmp_path, _library_doc())
 

@@ -46,6 +46,8 @@ from szilard import (
 import szilard.engine as engine_mod
 import _dense
 from _oracles import harvest_works
+from szilard.cli import parse_scenario
+from test_cli import _explicit_block
 
 
 def _swapped_post_model(h_s_gap: float = 1.0):
@@ -110,21 +112,16 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError, match="demon Hamiltonian"):
             dataclasses.replace(cfg, h_d=Operator(np.zeros((3, 3))))
 
-    def test_reservoir_flag_must_match_scheme(self):
-        cfg = scenario_library("example_I")
-        with pytest.raises(ValueError, match="reservoir_in_feedback"):
-            dataclasses.replace(cfg, reservoir_in_feedback=True)
-
     def test_reservoir_scheme_requires_reservoir(self):
         cfg = scenario_library("reservoir_circumvention", dim_R=4, N=4)
-        with pytest.raises(ValueError, match="none is configured"):
+        with pytest.raises(ValueError, match="branch dimension"):
             dataclasses.replace(cfg, reservoir=None)
 
     def test_unused_reservoir_rejected(self):
         cfg = scenario_library("example_I")
         h_r = Operator(np.diag([0.0, 1.0]))
         tau = thermal_state(h_r.entries, cfg.thermo.beta)
-        with pytest.raises(ValueError, match="unused"):
+        with pytest.raises(ValueError, match="branch dimension"):
             dataclasses.replace(
                 cfg, reservoir=ReservoirSpec(hamiltonian=h_r, state=tau)
             )
@@ -201,6 +198,33 @@ class TestEngineConfigValidation:
         )
         with pytest.raises(ConstructionError, match="basis-aligned"):
             dataclasses.replace(cfg, feedback=swapped)
+
+    @pytest.mark.parametrize("turn", ["swapped", "rotated"])
+    def test_model_feedback_must_be_controlled_by_the_pointer(self, turn):
+        # such an engine used to certify as conforming and fail only in
+        # run_cycle, whose marginals deviated from the joint evolution
+        cfg = scenario_library("example_I")
+        if turn == "swapped":
+            controls = (("+", cfg.feedback.projector_for("-")),
+                        ("-", cfg.feedback.projector_for("+")))
+        else:
+            s = 1.0 / math.sqrt(2.0)
+            controls = (("+", Operator(projector_onto(np.array([s, s])))),
+                        ("-", Operator(projector_onto(np.array([s, -s])))))
+        scheme = FeedbackScheme(
+            branch_unitaries=cfg.feedback.branch_unitaries,
+            demon_projectors=controls,
+        )
+        with pytest.raises(ConstructionError, match="record"):
+            dataclasses.replace(cfg, feedback=scheme)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_no_joint_dimension_operator_is_kept(self, name):
+        config = scenario_library(name)
+        for key, value in vars(config).items():
+            assert not (
+                isinstance(value, Operator) and value.dim == config.total_dim
+            ), key
 
     def test_reservoir_state_must_be_thermal(self):
         cfg = scenario_library("reservoir_circumvention", dim_R=4, N=4)
@@ -375,6 +399,22 @@ def _shifted(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def _pm_record_engine() -> EngineConfig:
+    """The explicit engine of ``test_cli._explicit_block`` with |+>/|->
+    records: the pointer is rotated off the demon basis and the demon starts
+    in |+>, with ``h_d = 0``.  Its control projectors are not exactly
+    orthogonal in floating point, unlike every library and scan engine's."""
+    s = 1.0 / math.sqrt(2.0)
+    plus, minus = [[s, 0.0], [s, 0.0]], [[s, 0.0], [-s, 0.0]]
+    block = _explicit_block(demon_initial=plus)
+    for i, rec in enumerate((plus, minus)):
+        block["pointer"][i]["projector"] = [
+            [[a[0] * b[0], 0.0] for b in rec] for a in rec
+        ]
+        block["transitions"][i]["pointer_out"] = rec
+    return parse_scenario({"config": block})[0].config
+
+
 # small engines of every shape: pure and mixed weights, a reservoir, an
 # instrument, a degenerate target and a single-outcome null engine
 LIBRARY_CASES = [
@@ -410,6 +450,15 @@ class TestJointConsistency:
         rng = np.random.default_rng(11)
         for _ in range(3):
             self._assert_routes_agree(SCAN_FAMILIES[family](rng, thermal))
+
+    def test_rotated_records_match_dense_oracle(self):
+        config = _pm_record_engine()
+        projs = [p.entries for _, p in config.feedback.demon_projectors]
+        assert np.abs(projs[0] @ projs[1]).max() > 0.0
+        assert config.conforming
+        _, (factored, dense) = _consistency_routes(config)
+        assert factored[0] == pytest.approx(dense[0], abs=1e-15)
+        assert factored[1] == pytest.approx(dense[1], abs=1e-15)
 
     @pytest.mark.parametrize(
         "marginal", ["rho_w_after", "rho_s_after", "rho_r_after", "rho_d_after"]
@@ -629,11 +678,23 @@ class TestScenarioLibrary:
             ("degenerate_circumvention", {"ranks": (2, 3)}),
             ("degenerate_circumvention", {"ranks": (1, 3)}),
             ("degenerate_circumvention", {"ranks": (4,)}),
+            # wrong types, checked once for every scenario
+            ("example_I", {"N": 3.5}),
+            ("example_I", {"q": "abc"}),
+            ("example_I", {"q": True}),
+            ("example_II", {"tol_s": "tight"}),
+            ("reservoir_circumvention", {"dim_R": 2.5}),
         ],
     )
     def test_out_of_range_parameters(self, name, params):
         with pytest.raises(ValueError, match=next(iter(params))):
             scenario_library(name, **params)
+
+    def test_integral_floats_are_integers(self):
+        config = scenario_library("example_I", N=5.0)
+        assert config.weight.levels == 5
+        config = scenario_library("reservoir_circumvention", dim_R=3.0, N=4.0)
+        assert config.reservoir.state.dim == 3
 
     def test_degenerate_ranks_set_branch_works(self):
         config = scenario_library(

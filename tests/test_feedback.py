@@ -254,18 +254,6 @@ class TestEnergyCheck:
         assert not rep.passed
         assert rep.branch_commutators[0][1] > 0.5
 
-    def test_reservoir_requires_hamiltonian(self):
-        u = Operator(np.eye(4, dtype=complex))
-        scheme = FeedbackScheme(
-            branch_unitaries=(("0", u),),
-            demon_projectors=(("0", Operator(np.eye(1, dtype=complex))),),
-            includes_reservoir=True,
-        )
-        with pytest.raises(ValueError):
-            check_feedback_energy(
-                scheme, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((1, 1))
-            )
-
 
 # ---------------------------------------------------------------------------
 # conditional application and objectification order
@@ -309,7 +297,6 @@ class TestConditionalMap:
         scheme = FeedbackScheme(
             branch_unitaries=(("0", Operator(np.eye(8, dtype=complex))),),
             demon_projectors=(("0", Operator(np.eye(1, dtype=complex))),),
-            includes_reservoir=True,
         )
         w = DensityMatrix(np.eye(2, dtype=complex) / 2)
         s = DensityMatrix(np.eye(2, dtype=complex) / 2)
