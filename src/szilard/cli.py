@@ -59,17 +59,19 @@ def _fail(field: str, message: str) -> ValueError:
 
 def _read(doc: Mapping[str, Any], key: str, kind: type, default: Any = None,
           prefix: str = "") -> Any:
-    """``doc[key]`` as ``kind``: a ``Mapping``, a real number (``float``) or
-    an integral one (``int``, which takes ``5.0``).  An absent or null
-    entry gives ``default``; any other value fails naming the field."""
+    """``doc[key]`` as ``kind``: a ``Mapping``, a ``str``, a ``bool``, a
+    real number (``float``) or an integral one (``int``, which takes
+    ``5.0``).  An absent or null entry gives ``default``; any other value
+    fails naming the field."""
     value = doc.get(key)
     if value is None:
         return default
     field = prefix + key
-    if kind is not Mapping:
+    if kind in (int, float):
         return _number(value, kind, f"field {field!r}")
-    if not isinstance(value, Mapping):
-        raise _fail(field, f"expected a mapping, got {value!r}")
+    if not isinstance(value, kind):
+        expected = {Mapping: "a mapping", str: "a string", bool: "true or false"}
+        raise _fail(field, f"expected {expected[kind]}, got {value!r}")
     return value
 
 
@@ -249,8 +251,8 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
         thermo=ctx,
         h_d=h_d,
         erasure=erasure,
-        degenerate_target=bool(doc.get("degenerate_target", False)),
-        non_conforming=bool(doc.get("non_conforming", False)),
+        degenerate_target=_read(doc, "degenerate_target", bool, False, "config."),
+        non_conforming=_read(doc, "non_conforming", bool, False, "config."),
         tol_s=_read(doc, "tol_s", float, None, "config."),
         label="explicit",
     )
@@ -293,7 +295,10 @@ def parse_scenario(
             "scenario document needs exactly one of 'scenario' (library "
             "reference) or 'config' (explicit matrices)"
         )
+    if has_explicit and doc.get("params") is not None:
+        raise _fail("params", "not allowed with an explicit 'config'")
     params = dict(_read(doc, "params", Mapping, {}))
+    non_conforming = _read(doc, "non_conforming", bool, False)
 
     sweep = doc.get("sweep")
     points: list[tuple[str | None, Any]] = [(None, None)]
@@ -318,7 +323,7 @@ def parse_scenario(
                 if overrides.get(key) is not None:
                     p[key] = overrides[key]
             config = scenario_library(scenario_name, **p)
-            if doc.get("non_conforming"):
+            if non_conforming:
                 config = config._as_non_conforming()
         else:
             scenario_name = "explicit"
@@ -328,7 +333,7 @@ def parse_scenario(
             for key in ("kb", "tol_s"):
                 if overrides.get(key) is not None:
                     block[key] = overrides[key]
-            if doc.get("non_conforming"):
+            if non_conforming:
                 block["non_conforming"] = True
             config = _parse_explicit_config(block)
         runs.append(
@@ -530,9 +535,11 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     seed = ns.seed if ns.seed is not None else _env_int("SZILARD_SEED")
     runs = parse_scenario(doc, overrides)
     out_opts = _read(doc, "output", Mapping, {})
+    file_format = _read(out_opts, "format", str, None, "output.")
+    file_path = _read(out_opts, "path", str, None, "output.")
     records = run_records(runs)
-    fmt = ns.format or out_opts.get("format") or "json"
-    path = ns.out or out_opts.get("path")
+    fmt = ns.format or file_format or "json"
+    path = ns.out or file_path
     if fmt == "json":
         payload = {"name": runs[0].name if runs else "scenario", "records": records}
         if seed is not None:

@@ -72,6 +72,7 @@ from .qop import (
     SizeError,
     _check_hermitian,
     _factor,
+    _kron,
     _number,
     _ptrace_nd,
     basis_state,
@@ -91,10 +92,10 @@ from .thermo import (
     _check_thermal,
     erase_demon,
     feature2_test,
+    free_energy,
     reservoir_assisted_bound,
     work_energy_entropy_form,
     work_ledger,
-    work_per_outcome,
     work_threshold,
 )
 
@@ -479,13 +480,14 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         else None
     )
     s_w0 = von_neumann_entropy(rho_w)
+    f_w0 = free_energy(rho_w, h_w, ctx)
     for b in gem.branches:
         if b.probability <= EPS_EIG or b.state is None:
             continue
         out = conditional_feedback_map(
             config.feedback, b.outcome, rho_w, b.state, tau_r
         )
-        w_x = work_per_outcome(rho_w, out.rho_weight, h_w, ctx)
+        w_x = free_energy(out.rho_weight, h_w, ctx) - f_w0
         if cross_check:
             alt = work_energy_entropy_form(
                 b.state, out.rho_system, h_s, rho_w, out.rho_weight, ctx
@@ -623,7 +625,7 @@ def _joint_consistency(
     if sigma_sd is not None:
         model = config.measurement
         x_s, s_part = _factor(config.rho_s)
-        x_sd = model.premeasurement.entries @ np.kron(
+        x_sd = model.premeasurement.entries @ _kron(
             x_s, model.demon_initial.amplitudes[:, None]
         )
         terms.append((1.0, x_sd, s_part))
@@ -635,16 +637,16 @@ def _joint_consistency(
             x_b, b_part = _factor(b.state)
             idx = list(config.outcome_labels).index(b.outcome)
             rec = basis_state(dd, idx)[:, None]
-            terms.append((b.probability, np.kron(x_b, rec), b_part))
+            terms.append((b.probability, _kron(x_b, rec), b_part))
     x = np.hstack(
-        [math.sqrt(p) * np.kron(x_w, x_sd) for p, x_sd, _ in terms]
+        [math.sqrt(p) * _kron(x_w, x_sd) for p, x_sd, _ in terms]
     )  # rows (W, S, D)
     dims = [dw, ds, dd]
     if config.reservoir is not None:
         dr = config.reservoir.state.dim
         x_r, r_part = _factor(config.reservoir.state)
         parts.append(r_part)
-        x = np.kron(x, x_r).reshape(dw, ds, dd, dr, -1)
+        x = _kron(x, x_r).reshape(dw, ds, dd, dr, -1)
         x = x.transpose(0, 1, 3, 2, 4).reshape(dw * ds * dr * dd, -1)
         dims = [dw, ds, dr, dd]
     dropped = sum(p * _dropped_mass([*parts, part]) for p, _, part in terms)

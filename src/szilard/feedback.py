@@ -30,6 +30,7 @@ from .qop import (
     _entries_of,
     _factor,
     _fix_phase,
+    _kron,
     commutator_norm,
     dagger,
     operator_norm,
@@ -140,12 +141,19 @@ def compose_feedback_unitary(scheme: FeedbackScheme) -> Operator:
     d = scheme.branch_dim * scheme.demon_dim
     v = np.zeros((d, d), dtype=complex)
     for label, u in scheme.branch_unitaries:
-        v += np.kron(u.entries, scheme.projector_for(label).entries)
+        v += _kron(u.entries, scheme.projector_for(label).entries)
     return Operator(v)
 
 
 # ---------------------------------------------------------------------------
 # form certification
+
+
+# The contraction order ``np.einsum(..., optimize=True)`` picks for the block
+# average below whenever the branch dimension exceeds one: the two demon
+# projectors first, then the operator.  Passing it skips the path search on
+# each call.
+_BLOCK_PATH = ["einsum_path", (0, 2), (0, 1)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,8 +199,8 @@ def check_feedback_form(
         rank = p.rank_estimate()
         # averaging the demon factor away recovers B_x when the block is a
         # product, and exposes any within-subspace structure otherwise
-        b = np.einsum("ab,ibjc,ca->ij", pe, t, pe, optimize=True) / rank
-        recon += np.kron(b, pe)
+        b = np.einsum("ab,ibjc,ca->ij", pe, t, pe, optimize=_BLOCK_PATH) / rank
+        recon += _kron(b, pe)
         if operator_norm(b @ dagger(b) - np.eye(branch_dim)) > EPS_ALG:
             blocks_unitary = False
         left = np.einsum("ibjc,cd->ibjd", t, pe).reshape(m.shape)
@@ -249,10 +257,10 @@ def check_feedback_energy(
     hs = _entries_of(h_s)
     hd = _entries_of(h_d)
     dw, ds = hw.shape[0], hs.shape[0]
-    hadd = np.kron(hw, np.eye(ds)) + np.kron(np.eye(dw), hs)
+    hadd = _kron(hw, np.eye(ds)) + _kron(np.eye(dw), hs)
     if h_r is not None:
         hr = _entries_of(h_r)
-        hadd = np.kron(hadd, np.eye(hr.shape[0])) + np.kron(
+        hadd = _kron(hadd, np.eye(hr.shape[0])) + _kron(
             np.eye(dw * ds), hr
         )
     branch = []
@@ -322,7 +330,7 @@ def conditional_feedback_map(
         raise ValueError(
             f"branch unitary dimension {u.shape[0]} != joint {math.prod(dims)}"
         )
-    x = functools.reduce(np.kron, (_factor(r, floor=0.0)[0] for r in states))
+    x = functools.reduce(_kron, (_factor(r, floor=0.0)[0] for r in states))
     t = (u @ x).reshape(*dims, -1)
     out = [
         DensityMatrix._from_factor(np.moveaxis(t, ax, 0).reshape(d, -1))
@@ -353,7 +361,7 @@ def objectification_order_gap(
     """
     m = _entries_of(v)
     rho = _entries_of(rho_joint)
-    projs = [np.kron(np.eye(branch_dim), _entries_of(p)) for _, p in demon_projectors]
+    projs = [_kron(np.eye(branch_dim), _entries_of(p)) for _, p in demon_projectors]
     objectified = sum(p @ rho @ p for p in projs)
     before = m @ objectified @ dagger(m)
     evolved = m @ rho @ dagger(m)

@@ -37,6 +37,7 @@ from .qop import (
     _energy_sectors,
     _entries_of,
     _fix_phase,
+    _kron,
     commutator_norm,
     dagger,
     operator_norm,
@@ -165,8 +166,8 @@ class MeasurementModel:
         for t in self.transitions:
             if t.outcome not in self.pointer.labels:
                 raise ValueError(f"transition outcome {t.outcome!r} not a pointer label")
-            src = np.kron(t.sys_in.amplitudes, psi)
-            dst = np.kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
+            src = _kron(t.sys_in.amplitudes, psi)
+            dst = _kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
             got = u.entries @ src
             fid = abs(np.vdot(dst, got)) ** 2
             if fid < 1.0 - EPS_FID:
@@ -420,14 +421,14 @@ def build_transition_model(
     psi = demon_initial.amplitudes
     pairs = []
     for t in transitions:
-        src = np.kron(t.sys_in.amplitudes, psi)
-        dst = np.kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
+        src = _kron(t.sys_in.amplitudes, psi)
+        dst = _kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
         pairs.append((src, dst))
     h = None
     if hamiltonians is not None:
         hs = _entries_of(hamiltonians[0])
         hd = _entries_of(hamiltonians[1])
-        h = np.kron(hs, np.eye(dd)) + np.kron(np.eye(ds), hd)
+        h = _kron(hs, np.eye(dd)) + _kron(np.eye(ds), hd)
     u = complete_unitary(pairs, ds * dd, h)
     return MeasurementModel(
         demon_initial=demon_initial,
@@ -495,11 +496,11 @@ def premeasure_and_objectify(
         )
     dd = model.demon_dim
     u = model.premeasurement.entries
-    joint = np.kron(rho_s.entries, projector_onto(model.demon_initial))
+    joint = _kron(rho_s.entries, projector_onto(model.demon_initial))
     sigma = u @ joint @ dagger(u)
     branches = []
     for label in model.pointer.labels:
-        proj = np.kron(np.eye(model.system_dim), model.pointer.projector_for(label).entries)
+        proj = _kron(np.eye(model.system_dim), model.pointer.projector_for(label).entries)
         block = proj @ sigma @ proj
         p = float(np.trace(block).real)
         if p > EPS_EIG:
@@ -536,7 +537,7 @@ def check_energy_conserving_measurement(
     observable commutes with ``H_D``."""
     hs = _entries_of(h_s)
     hd = _entries_of(h_d)
-    htot = np.kron(hs, np.eye(model.demon_dim)) + np.kron(
+    htot = _kron(hs, np.eye(model.demon_dim)) + _kron(
         np.eye(model.system_dim), hd
     )
     c1 = commutator_norm(model.premeasurement.entries, htot)

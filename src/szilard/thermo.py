@@ -33,6 +33,7 @@ from .qop import (
     _check_hermitian,
     _entries_of,
     _is_diagonal,
+    _kron,
     _ptrace_nd,
     dagger,
     operator_norm,
@@ -256,7 +257,7 @@ def erase_demon(
         "the context temperature",
     )
     u = res.u_r.entries
-    joint = u @ np.kron(rho_d_prime.entries, res.reservoir_state.entries) @ dagger(u)
+    joint = u @ _kron(rho_d_prime.entries, res.reservoir_state.entries) @ dagger(u)
     rho_d_after = _ptrace_nd(joint, [dd, dr], [0])
     fid = float(np.vdot(demon_initial.amplitudes, rho_d_after @ demon_initial.amplitudes).real)
     if fid < 1.0 - EPS_RESET:
@@ -297,7 +298,7 @@ def build_swap_erasure(
     dd = demon_initial.dim
     gap = gap_factor * ctx.kt
     h_slot = np.diag([0.0] + [gap] * (dd - 1))
-    h_r = np.kron(h_slot, np.eye(spectator_levels))
+    h_r = _kron(h_slot, np.eye(spectator_levels))
     tau = thermal_state(h_r, ctx.beta)
     # basis change on the demon: first column is the blank state
     b = _orthonormal_extension(
@@ -307,8 +308,8 @@ def build_swap_erasure(
     for i in range(dd):
         for j in range(dd):
             swap[j * dd + i, i * dd + j] = 1.0
-    core = np.kron(swap, np.eye(spectator_levels))
-    rot = np.kron(b, np.eye(dd * spectator_levels))
+    core = _kron(swap, np.eye(spectator_levels))
+    rot = _kron(b, np.eye(dd * spectator_levels))
     u_r = rot @ core @ dagger(rot)
     return ExplicitReservoir(
         reservoir_state=tau, h_r=Operator(h_r), u_r=Operator(u_r)
@@ -369,13 +370,14 @@ def work_ledger(
     rows = []
     w_avg = 0.0
     s_w0 = von_neumann_entropy(rho_w)
+    f_w0 = free_energy(rho_w, h_w, ctx)
     hw = _entries_of(h_w)
     e_w0 = _energy(hw, _entries_of(rho_w))
     s_branch_avg = 0.0
     for outcome, p, state in branches:
         if p <= EPS_EIG or state is None:
             continue
-        w_x = work_per_outcome(rho_w, state, h_w, ctx)
+        w_x = free_energy(state, h_w, ctx) - f_w0
         s_x = von_neumann_entropy(state)
         e_x = _energy(hw, _entries_of(state))
         rows.append(
@@ -389,7 +391,7 @@ def work_ledger(
         )
         w_avg += p * w_x
         s_branch_avg += p * s_x
-    w_coarse = work_per_outcome(rho_w, rho_w_after, h_w, ctx)
+    w_coarse = free_energy(rho_w_after, h_w, ctx) - f_w0
     concavity_gap = w_avg - w_coarse
     mixing_gap = t * (von_neumann_entropy(rho_w_after) - s_branch_avg)
     if certified:

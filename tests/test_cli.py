@@ -320,11 +320,29 @@ class TestRunCommand:
             ({"config": "abc"}, "field 'config'"),
             ({"scenario": "example_I", "params": {"q": "abc"}}, "parameter 'q'"),
             ({"scenario": "example_I", "params": {"q": [1]}}, "parameter 'q'"),
+            # an integer path is a file descriptor to open(); this one can
+            # never be open, so the old behaviour fails without writing
+            ({"scenario": "example_I", "output": {"path": 2**31 - 1}},
+             "field 'output.path'"),
+            ({"scenario": "example_I", "output": {"format": ["csv"]}},
+             "field 'output.format'"),
+            ({"scenario": "example_I", "non_conforming": "false"},
+             "field 'non_conforming'"),
+            ({"config": _explicit_block(), "non_conforming": "false"},
+             "field 'non_conforming'"),
+            ({"config": _explicit_block(non_conforming="false")},
+             "field 'config.non_conforming'"),
+            ({"config": _explicit_block(degenerate_target="false")},
+             "field 'config.degenerate_target'"),
+            ({"config": _explicit_block(), "params": {"q": 0.9, "bogus": 1}},
+             "field 'params'"),
         ],
     )
     def test_malformed_field_exit_code(self, tmp_path, capsys, doc, named):
-        # each of these used to end in a traceback or in a message that
-        # named no field
+        # each of these used to end in a traceback, in a message that named
+        # no field, or in a run that read the value some other way (an
+        # integer path as a file descriptor, the string "false" as true,
+        # params beside an explicit config ignored)
         path = _write(tmp_path, doc)
         assert main(["run", path]) == 1
         assert named in capsys.readouterr().err

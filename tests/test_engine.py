@@ -44,6 +44,7 @@ from szilard import (
 )
 
 import szilard.engine as engine_mod
+import szilard.thermo as thermo_mod
 import _dense
 from _oracles import harvest_works
 from szilard.cli import parse_scenario
@@ -344,6 +345,25 @@ class TestRunCycle:
         )
         assert gap == pytest.approx(result.objectification_order_gap, abs=1e-12)
         assert gap <= 1e-10
+
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_weight_free_energy_is_taken_once(self, family, monkeypatch):
+        # F(rho_W) once, F of each branch weight twice (work and ledger
+        # rows), F of the averaged weight, and F of the system before and
+        # after: 1 + 2*2 + 1 + 2 on a two-branch cycle
+        config = SCAN_FAMILIES[family](np.random.default_rng(4), False)
+        calls = []
+        original = thermo_mod.free_energy
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(engine_mod, "free_energy", counted, raising=False)
+        monkeypatch.setattr(thermo_mod, "free_energy", counted)
+        result = run_cycle(config)
+        assert len(result.branches) == 2
+        assert len(calls) == 9
 
     def test_null_engine_moves_nothing(self, null_cycle):
         config, result, report = null_cycle

@@ -27,7 +27,7 @@ from szilard import (
     operator_norm,
     random_energy_conserving_unitary,
 )
-from szilard.feedback import _plane_stroke
+from szilard.feedback import _BLOCK_PATH, _plane_stroke
 from szilard.qop import EPS_ALG, _ptrace_nd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -156,6 +156,15 @@ class TestFormCheck:
         )
         assert rep.passed
         assert rep.block_residual <= EPS_ALG
+
+    @pytest.mark.parametrize("branch_dim", [8, 248])  # a scan draw, the window
+    def test_block_path_is_the_optimized_one(self, branch_dim):
+        # the fixed path reproduces what optimize=True plans, so the blocks
+        # are contracted in the same order and come out bit for bit the same
+        pe = np.zeros((2, 2), dtype=complex)
+        t = np.zeros((branch_dim, 2, branch_dim, 2), dtype=complex)
+        planned = np.einsum_path("ab,ibjc,ca->ij", pe, t, pe, optimize=True)[0]
+        assert _BLOCK_PATH == planned
 
 
 class TestEnergyCheck:

@@ -118,6 +118,42 @@ class TestTypes:
             tensor_product(big, big)
 
 
+class TestKron:
+    """``qop._kron`` forms the same products as ``np.kron``, so its results
+    are equal entry for entry, not merely close."""
+
+    def test_equals_np_kron(self):
+        rng = np.random.default_rng(11)
+        c = lambda *s: rng.normal(size=s) + 1j * rng.normal(size=s)
+        operands = [
+            (c(3), c(4)),  # vector (x) vector
+            (rng.normal(size=2), c(3)),  # real (x) complex vector
+            (c(1, 1), c(1, 1)),
+            (c(1, 1), c(3, 2)),
+            (c(2, 3), c(1, 1)),
+            (c(2, 3), c(4, 5)),  # rectangular factors, as in the cycle
+            (rng.normal(size=(3, 3)), c(2, 2)),  # real (x) complex
+            (np.eye(3), rng.normal(size=(2, 2))),
+            (dagger(c(4, 3)), c(2, 2)),  # non-contiguous views
+            (c(2, 2), dagger(c(3, 2))),
+            (c(5, 4)[::2, 1:], c(3, 1)),
+        ]
+        for a, b in operands:
+            got = qop_mod._kron(a, b)
+            want = np.kron(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_no_np_kron_outside_the_primitive(self):
+        """Every Kronecker product in the package goes through ``_kron``."""
+        strays = []
+        for path in sorted(Path(qop_mod.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "kron":
+                    strays.append(f"{path.name}:{node.lineno}")
+        assert not strays, "np.kron outside qop._kron: " + ", ".join(strays)
+
+
 # ---------------------------------------------------------------------------
 # partial traces
 
