@@ -535,6 +535,9 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     seed = ns.seed if ns.seed is not None else _env_int("SZILARD_SEED")
     runs = parse_scenario(doc, overrides)
     out_opts = _read(doc, "output", Mapping, {})
+    for key in out_opts:
+        if key not in ("format", "path"):
+            raise _fail(f"output.{key}", "unknown key")
     file_format = _read(out_opts, "format", str, None, "output.")
     file_path = _read(out_opts, "path", str, None, "output.")
     records = run_records(runs)

@@ -90,12 +90,12 @@ from .thermo import (
     ThermoContext,
     WorkLedger,
     _check_thermal,
+    _reservoir_chain,
+    _work_ledger,
     erase_demon,
     feature2_test,
     free_energy,
-    reservoir_assisted_bound,
     work_energy_entropy_form,
-    work_ledger,
     work_threshold,
 )
 
@@ -226,6 +226,8 @@ class EngineConfig:
         h_w, rho_w = _weight_parts(self.weight)
         object.__setattr__(self, "_h_w", h_w)
         object.__setattr__(self, "_rho_w", rho_w)
+        floor = work_threshold(_weight_scale(self.weight), self.thermo)
+        object.__setattr__(self, "_work_floor", floor)
         h_d = self.h_d
         if h_d is None:
             h_d = Operator(np.zeros((self.demon_dim, self.demon_dim)))
@@ -367,7 +369,7 @@ class EngineConfig:
 
     @property
     def work_floor(self) -> float:
-        return work_threshold(_weight_scale(self.weight), self.thermo)
+        return self._work_floor
 
     @property
     def total_dim(self) -> int:
@@ -426,17 +428,17 @@ def _measure(config: EngineConfig) -> tuple[DensityMatrix | None, Gemenge, dict]
                 Branch(
                     b.outcome,
                     b.probability,
-                    DensityMatrix(_ptrace_nd(joint, [ds, dd], [0])),
+                    DensityMatrix._derived(_ptrace_nd(joint, [ds, dd], [0])),
                 )
             )
-            demon_records[b.outcome] = DensityMatrix(
+            demon_records[b.outcome] = DensityMatrix._derived(
                 _ptrace_nd(joint, [ds, dd], [1])
             )
         gem = Gemenge(tuple(sys_branches))
         return sigma, gem, demon_records
     gem = apply_instrument(config.measurement, config.rho_s)
     records = zip(config.outcome_labels, config.record_projectors)
-    return None, gem, {x: DensityMatrix(p) for x, p in records}
+    return None, gem, {x: DensityMatrix._derived(p) for x, p in records}
 
 
 def run_cycle(config: EngineConfig) -> CycleResult:
@@ -479,6 +481,8 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         if tau_r is not None
         else None
     )
+    # F(rho_W) and each branch work are taken once, here, and handed to
+    # the ledger and the reservoir chain
     s_w0 = von_neumann_entropy(rho_w)
     f_w0 = free_energy(rho_w, h_w, ctx)
     for b in gem.branches:
@@ -498,17 +502,10 @@ def run_cycle(config: EngineConfig) -> CycleResult:
                     f"with the energy+entropy form {alt}"
                 )
         if config.reservoir is not None:
-            chain = reservoir_assisted_bound(
-                rho_w,
-                out.rho_weight,
-                b.state,
-                out.rho_system,
-                tau_r,
-                out.rho_reservoir,
-                h_s,
-                config.reservoir.hamiltonian,
-                h_w,
-                ctx,
+            # the build certified tau_R thermal for its Hamiltonian
+            chain = _reservoir_chain(
+                w_x, rho_w, out.rho_weight, b.state, out.rho_system, tau_r,
+                out.rho_reservoir, h_s, config.reservoir.hamiltonian, h_w, ctx,
             )
             chains.append((b.outcome, chain))
         branches.append(
@@ -529,10 +526,10 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         if rho_r_after is not None:
             rho_r_after += b.probability * out.rho_reservoir.entries
 
-    rho_s_after = DensityMatrix(rho_s_after)
+    rho_s_after = DensityMatrix._derived(rho_s_after)
     rho_w_after = DensityMatrix._from_factor(np.hstack(w_after_factor))
-    rho_d_after = DensityMatrix(rho_d_after)
-    rho_r_after = DensityMatrix(rho_r_after) if rho_r_after is not None else None
+    rho_d_after = DensityMatrix._derived(rho_d_after)
+    rho_r_after = DensityMatrix._derived(rho_r_after) if rho_r_after is not None else None
 
     gap, marginal_dev = _joint_consistency(
         config, sigma_sd, gem, rho_w, rho_s_after, rho_w_after, rho_d_after,
@@ -546,19 +543,10 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         ctx,
         config.erasure,
     )
-    ledger = work_ledger(
-        [(br.outcome, br.probability, br.post_weight) for br in branches],
-        rho_w,
-        rho_w_after,
-        config.rho_s,
-        rho_s_after,
-        rho_d_after,
-        h_w,
-        h_s,
-        erasure,
-        ctx,
-        certified=config.conforming,
-        reservoir_in_feedback=config.reservoir_in_feedback,
+    ledger = _work_ledger(
+        [(br.outcome, br.probability, br.post_weight, br.work) for br in branches],
+        f_w0, rho_w, rho_w_after, config.rho_s, rho_s_after, rho_d_after, h_w,
+        h_s, erasure, ctx, config.conforming, config.reservoir_in_feedback,
     )
     return CycleResult(
         branches=tuple(branches),

@@ -504,7 +504,7 @@ def premeasure_and_objectify(
         block = proj @ sigma @ proj
         p = float(np.trace(block).real)
         if p > EPS_EIG:
-            branches.append(Branch(label, p, DensityMatrix(block / p)))
+            branches.append(Branch(label, p, DensityMatrix._derived(block / p)))
         else:
             branches.append(Branch(label, max(p, 0.0), None))
     gem = Gemenge(tuple(branches))
@@ -516,7 +516,7 @@ def premeasure_and_objectify(
                     f"branch probability for {label!r} deviates from the "
                     f"projection rule by more than 1e-9"
                 )
-    return DensityMatrix(sigma), gem
+    return DensityMatrix._derived(sigma), gem
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +695,7 @@ def apply_instrument(instr: Instrument, rho_s: DensityMatrix) -> Gemenge:
             block += k.entries @ rho_s.entries @ dagger(k.entries)
         p = float(np.trace(block).real)
         if p > EPS_EIG:
-            branches.append(Branch(label, p, DensityMatrix(block / p)))
+            branches.append(Branch(label, p, DensityMatrix._derived(block / p)))
         else:
             branches.append(Branch(label, max(p, 0.0), None))
     return Gemenge(tuple(branches))

@@ -21,6 +21,7 @@ functions, so concurrent use from scenario sweeps is safe.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from typing import Iterable, Sequence
@@ -187,17 +188,26 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return not off.any()
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    """``operator_norm(m - m^dag) <= EPS_ALG``.  For a diagonal ``m`` that
-    norm is exactly ``2 max |Im m_ii|``, so no n x n temporary is formed."""
-    if _is_diagonal(m):
-        return 2.0 * float(np.abs(np.diagonal(m).imag).max()) <= EPS_ALG
+def _diagonal_of(h: object) -> np.ndarray | None:
+    """The diagonal of ``h`` when ``h`` is diagonal, else ``None``."""
+    if isinstance(h, Operator):
+        return h._diagonal
+    m = _entries_of(h)
+    return np.diagonal(m) if _is_diagonal(m) else None
+
+
+def _is_hermitian(h: object) -> bool:
+    """``operator_norm(h - h^dag) <= EPS_ALG``.  For a diagonal ``h`` that
+    norm is exactly ``2 max |Im h_ii|``, so no n x n temporary is formed."""
+    if (d := _diagonal_of(h)) is not None:
+        return 2.0 * float(np.abs(d.imag).max()) <= EPS_ALG
+    m = _entries_of(h)
     return operator_norm(m - dagger(m)) <= EPS_ALG
 
 
 def _check_hermitian(h: object, message: str) -> None:
     """Raise ``ValueError(message)`` unless ``h`` is Hermitian."""
-    if not _is_hermitian(_entries_of(h)):
+    if not (h.is_hermitian if isinstance(h, Operator) else _is_hermitian(h)):
         raise ValueError(message)
 
 
@@ -210,19 +220,17 @@ def _energy_sectors(ev: np.ndarray) -> list[np.ndarray]:
 
 def commutator_norm(a: object, b: object) -> float:
     """Operator norm of ``AB - BA``; values within EPS_ALG count as commuting."""
-    ma = np.asarray(_entries_of(a), dtype=complex)
-    mb = np.asarray(_entries_of(b), dtype=complex)
+    ma = _entries_of(a)
+    mb = _entries_of(b)
     if ma.shape != mb.shape:
         raise ValueError(
             f"commutator requires equal dimensions, got {ma.shape} and {mb.shape}"
         )
     # (AB - BA)[i, j] = A[i, j] (b_j - b_i) when B is diagonal; this avoids
     # two full matrix products for the common diagonal-Hamiltonian case
-    if _is_diagonal(mb):
-        d = np.diagonal(mb)
+    if (d := _diagonal_of(b)) is not None:
         c = ma * (d[None, :] - d[:, None])
-    elif _is_diagonal(ma):
-        d = np.diagonal(ma)
+    elif (d := _diagonal_of(a)) is not None:
         c = mb * (d[:, None] - d[None, :])
     else:
         c = ma @ mb - mb @ ma
@@ -260,7 +268,10 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Operator:
-    """Square complex matrix with tolerance-based structural predicates."""
+    """Square complex matrix with tolerance-based structural predicates.
+
+    The entries are frozen, so the diagonal (``None`` unless diagonal) and
+    the Hermiticity verdict are computed on first use and kept."""
 
     entries: np.ndarray
 
@@ -272,9 +283,13 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
+    @functools.cached_property
+    def _diagonal(self) -> np.ndarray | None:
+        return _diagonal_of(self.entries)
+
+    @functools.cached_property
     def is_hermitian(self) -> bool:
-        return _is_hermitian(self.entries)
+        return _is_hermitian(self)
 
     @property
     def is_unitary(self) -> bool:
@@ -298,11 +313,13 @@ class Operator:
 class DensityMatrix:
     """Positive unit-trace Hermitian matrix.
 
-    Validation computes the spectrum once and the state keeps it, so
-    :func:`von_neumann_entropy` never diagonalises the same state twice.  A
-    state built from a factor ``X`` with ``rho = X X^dag`` (a pure state's
-    amplitude column, or a branch marginal inside the cycle) also carries
-    ``X``, and takes its spectrum from the singular values of ``X``.
+    The public constructor validates its input in full.  States the package
+    derives from validated states by a CPTP map are built privately with
+    fewer checks (:meth:`_derived`, :meth:`_from_factor`).  Every state
+    keeps its spectrum and entropy, and its ``eigh`` once one is needed, so
+    nothing diagonalises the same state twice.  A state built from a factor
+    ``X`` with ``rho = X X^dag`` also carries ``X``, and takes its spectrum
+    from the singular values of ``X``.
     """
 
     entries: np.ndarray
@@ -311,44 +328,69 @@ class DensityMatrix:
         m = _as_complex_matrix(self.entries)
         ev = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
         _validate(m, ev)
-        object.__setattr__(self, "entries", _freeze(m))
-        object.__setattr__(self, "_spectrum", _freeze(ev))
-        object.__setattr__(self, "_carried_factor", None)
+        _keep(self, m, ev, None)
+
+    @classmethod
+    def _derived(cls, m: np.ndarray) -> DensityMatrix:
+        """A state derived from validated states by a CPTP map: Hermitian
+        up to rounding and held by no one else.  Its spectrum is computed
+        as the public constructor computes it, so it is bit-identical; the
+        trace, smallest-eigenvalue and non-finite checks stay, while the
+        copy, the entrywise finite scan and the Hermiticity residual go."""
+        m = np.asarray(m, dtype=complex)
+        ev = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
+        _validate(m, ev, residual=False)
+        return _keep(object.__new__(cls), m, ev, None)
 
     @classmethod
     def _from_factor(cls, x: np.ndarray) -> DensityMatrix:
-        """``X X^dag``, validated like any state, with its spectrum taken
-        from ``X``: the nonzero eigenvalues of ``X X^dag`` are the squared
-        singular values of ``X``, so no eigendecomposition of the (possibly
-        large) product is needed."""
-        x = np.array(x, dtype=complex)
-        if x.ndim != 2 or x.shape[0] < 1 or not np.isfinite(x).all():
-            raise ValueError(f"factor must be a finite 2-d array, shape {x.shape}")
+        """``X X^dag``, with its spectrum taken from ``X``: the nonzero
+        eigenvalues of ``X X^dag`` are the squared singular values of ``X``,
+        so no eigendecomposition of the (possibly large) product is needed.
+        Checked as a derived state is, plus the Hermiticity residual."""
+        x = np.asarray(x, dtype=complex)
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ValueError(f"factor must be a 2-d array, shape {x.shape}")
         m = x @ dagger(x)
         sv = np.linalg.svd(x, compute_uv=False)
         ev = np.zeros(m.shape[0])
         ev[m.shape[0] - sv.size :] = np.sort(sv * sv)
         _validate(m, ev)
-        out = object.__new__(cls)
-        object.__setattr__(out, "entries", _freeze(m))
-        object.__setattr__(out, "_spectrum", _freeze(ev))
-        object.__setattr__(out, "_carried_factor", _freeze(x))
-        return out
+        return _keep(object.__new__(cls), m, ev, x)
+
+    @functools.cached_property
+    def _entropy(self) -> float:
+        return _entropy_of(self._spectrum)
+
+    @functools.cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_freeze(a) for a in np.linalg.eigh(self.entries))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
-def _validate(m: np.ndarray, spectrum: np.ndarray) -> None:
-    herm = operator_norm(m - dagger(m))
-    if herm > EPS_ALG:
+def _keep(
+    rho: DensityMatrix, m: np.ndarray, ev: np.ndarray, x: np.ndarray | None
+) -> DensityMatrix:
+    object.__setattr__(rho, "entries", _freeze(m))
+    object.__setattr__(rho, "_spectrum", _freeze(ev))
+    object.__setattr__(rho, "_carried_factor", None if x is None else _freeze(x))
+    return rho
+
+
+def _validate(m: np.ndarray, spectrum: np.ndarray, residual: bool = True) -> None:
+    """Hermiticity residual (unless ``residual`` is false), trace and
+    smallest eigenvalue, failing on non-finite input too.  The trace is
+    read off the diagonal: ``eigvalsh`` may skip a diagonal NaN."""
+    if residual and (herm := operator_norm(m - dagger(m))) > EPS_ALG:
         raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > EPS_ALG:
+    if not abs(tr - 1.0) <= EPS_ALG:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     mn = float(spectrum.min())
-    if mn < -EPS_ALG:
+    if not mn >= -EPS_ALG:
         raise ValueError(f"density matrix has negative eigenvalue {mn:.3e}")
 
 
@@ -362,7 +404,7 @@ def _factor(
     ``floor``; ``floor=0`` keeps every positive population."""
     if rho._carried_factor is not None:
         return rho._carried_factor, (float(rho._spectrum.sum()), 0.0)
-    ev, vec = np.linalg.eigh(rho.entries)
+    ev, vec = rho._eigh
     keep = ev > floor
     norms = (float(ev[keep].sum()), float(np.abs(ev[~keep]).sum()))
     return vec[:, keep] * np.sqrt(ev[keep]), norms
@@ -522,12 +564,14 @@ def partial_trace(
 def von_neumann_entropy(rho: object) -> float:
     """``-tr[rho ln rho]`` in nats; populations below EPS_EIG contribute 0.
 
-    A :class:`DensityMatrix` supplies the spectrum it kept when it was
-    built; a bare matrix is diagonalised here."""
+    A :class:`DensityMatrix` answers from the entropy it keeps; a bare
+    matrix is diagonalised here."""
     if isinstance(rho, DensityMatrix):
-        ev = rho._spectrum
-    else:
-        ev = np.linalg.eigvalsh(_entries_of(rho))
+        return rho._entropy
+    return _entropy_of(np.linalg.eigvalsh(_entries_of(rho)))
+
+
+def _entropy_of(ev: np.ndarray) -> float:
     ev = ev[ev > EPS_EIG]
     if ev.size == 0:
         return 0.0
@@ -540,7 +584,7 @@ def relative_entropy(rho: object, sigma: object) -> float:
     b = _entries_of(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    eb, vb = np.linalg.eigh(b)
+    eb, vb = sigma._eigh if isinstance(sigma, DensityMatrix) else np.linalg.eigh(b)
     null = eb <= EPS_EIG
     if np.any(null):
         vn = vb[:, null]

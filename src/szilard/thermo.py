@@ -31,8 +31,8 @@ from .qop import (
     Operator,
     PureState,
     _check_hermitian,
+    _diagonal_of,
     _entries_of,
-    _is_diagonal,
     _kron,
     _ptrace_nd,
     dagger,
@@ -95,21 +95,21 @@ def _check_thermal(
         raise ValueError(message)
 
 
-def _energy(h: np.ndarray, m: np.ndarray) -> float:
+def _energy(h: object, m: np.ndarray) -> float:
     """``tr[H m]``; a diagonal ``H`` needs only the diagonal of ``m``."""
-    if _is_diagonal(h):
-        return float(np.sum(np.diagonal(h) * np.diagonal(m)).real)
-    return float(np.trace(h @ m).real)
+    if (d := _diagonal_of(h)) is not None:
+        return float(np.sum(d * np.diagonal(m)).real)
+    return float(np.trace(_entries_of(h) @ m).real)
 
 
 def free_energy(rho: object, h: object, ctx: ThermoContext) -> float:
     """``tr[H rho] - K_B T S(rho)``."""
     m = _entries_of(rho)
     hm = _entries_of(h)
-    _check_hermitian(hm, "free_energy requires a Hermitian Hamiltonian")
+    _check_hermitian(h, "free_energy requires a Hermitian Hamiltonian")
     if m.shape != hm.shape:
         raise ValueError(f"dimension mismatch {m.shape} vs {hm.shape}")
-    return _energy(hm, m) - ctx.kt * von_neumann_entropy(rho)
+    return _energy(h, m) - ctx.kt * von_neumann_entropy(rho)
 
 
 def work_per_outcome(
@@ -130,8 +130,7 @@ def work_energy_entropy_form(
     """Branch work recomputed from the system's energy loss plus the weight's
     entropy change.  Agrees with :func:`work_per_outcome` whenever the branch
     dynamics conserve the summed weight+system energy."""
-    hs = _entries_of(h_s)
-    de_s = _energy(hs, _entries_of(rho_s_before) - _entries_of(rho_s_after))
+    de_s = _energy(h_s, _entries_of(rho_s_before) - _entries_of(rho_s_after))
     ds_w = von_neumann_entropy(rho_w_before) - von_neumann_entropy(rho_w_after)
     return de_s + ctx.kt * ds_w
 
@@ -229,7 +228,7 @@ def erase_demon(
         raise ValueError("demon dimensions inconsistent")
     s_record = von_neumann_entropy(rho_d_prime)
     blank = projector_onto(demon_initial)
-    e_term = _energy(hd, blank - rho_d_prime.entries)
+    e_term = _energy(h_d, blank - rho_d_prime.entries)
 
     if mode == "landauer_optimal":
         q = ctx.kt * s_record
@@ -265,7 +264,7 @@ def erase_demon(
             f"reset restores the blank state with fidelity {fid:.9f} < 1 - 1e-6"
         )
     tau_after = _ptrace_nd(joint, [dd, dr], [1])
-    q = _energy(res.h_r.entries, tau_after - res.reservoir_state.entries)
+    q = _energy(res.h_r, tau_after - res.reservoir_state.entries)
     if q < ctx.kt * s_record - EPS_ASSERT:
         raise HardAssertionError(
             f"explicit erasure heat {q} beats the Landauer cost "
@@ -274,7 +273,7 @@ def erase_demon(
     return ErasureResult(
         q=q,
         w_r=e_term + q,
-        rho_r_after=DensityMatrix(tau_after),
+        rho_r_after=DensityMatrix._derived(tau_after),
         landauer_optimal=False,
         reset_fidelity=fid,
     )
@@ -366,21 +365,37 @@ def work_ledger(
     for certified engines whose feedback draws no reservoir; on such engines
     a violation can only be an implementation bug.
     """
+    f_w0 = free_energy(rho_w, h_w, ctx)
+    rows = [
+        (x, p, state, free_energy(state, h_w, ctx) - f_w0)
+        for x, p, state in branches
+        if p > EPS_EIG and state is not None
+    ]
+    return _work_ledger(
+        rows, f_w0, rho_w, rho_w_after, rho_s, rho_s_after, rho_d_after, h_w,
+        h_s, erasure, ctx, certified, reservoir_in_feedback,
+    )
+
+
+def _work_ledger(
+    rows: Sequence[tuple[object, float, DensityMatrix, float]],
+    f_w0: float, rho_w: object, rho_w_after: object, rho_s: object,
+    rho_s_after: object, rho_d_after: object, h_w: object, h_s: object,
+    erasure: ErasureResult, ctx: ThermoContext, certified: bool,
+    reservoir_in_feedback: bool,
+) -> WorkLedger:
+    """:func:`work_ledger` on the realised branches' ``(outcome,
+    probability, weight state, work)`` rows, given ``F(rho_W)``."""
     t = ctx.kt
-    rows = []
+    out = []
     w_avg = 0.0
     s_w0 = von_neumann_entropy(rho_w)
-    f_w0 = free_energy(rho_w, h_w, ctx)
-    hw = _entries_of(h_w)
-    e_w0 = _energy(hw, _entries_of(rho_w))
+    e_w0 = _energy(h_w, _entries_of(rho_w))
     s_branch_avg = 0.0
-    for outcome, p, state in branches:
-        if p <= EPS_EIG or state is None:
-            continue
-        w_x = free_energy(state, h_w, ctx) - f_w0
+    for outcome, p, state, w_x in rows:
         s_x = von_neumann_entropy(state)
-        e_x = _energy(hw, _entries_of(state))
-        rows.append(
+        e_x = _energy(h_w, _entries_of(state))
+        out.append(
             OutcomeWork(
                 outcome=outcome,
                 probability=float(p),
@@ -426,7 +441,7 @@ def work_ledger(
                 f"{bound}"
             )
     return WorkLedger(
-        outcomes=tuple(rows),
+        outcomes=tuple(out),
         w_coarse=w_coarse,
         w_avg=w_avg,
         q=erasure.q,
@@ -481,34 +496,36 @@ def reservoir_assisted_bound(
     relative-entropy term.  Each link is asserted; a broken link means the
     inputs did not come from a conforming branch.
     """
-    t = ctx.kt
-    hs = _entries_of(h_s)
-    hr = _entries_of(h_r)
-    hw = _entries_of(h_w)
-    tau = _entries_of(tau_r)
-    tau_after = _entries_of(tau_r_after)
-    _check_thermal(
-        tau,
-        hr,
-        ctx,
-        "reservoir input state is not thermal at the context temperature",
-    )
+    message = "reservoir input state is not thermal at the context temperature"
+    _check_thermal(tau_r, h_r, ctx, message)
     w_x = work_per_outcome(rho_w, rho_w_after, h_w, ctx)
-    de_w = _energy(hw, _entries_of(rho_w_after) - _entries_of(rho_w))
+    return _reservoir_chain(
+        w_x, rho_w, rho_w_after, rho_s_branch, rho_s_after, tau_r, tau_r_after,
+        h_s, h_r, h_w, ctx,
+    )
+
+
+def _reservoir_chain(
+    w_x: float, rho_w: object, rho_w_after: object, rho_s_branch: object,
+    rho_s_after: object, tau_r: object, tau_r_after: object, h_s: object,
+    h_r: object, h_w: object, ctx: ThermoContext,
+) -> ChainReport:
+    """:func:`reservoir_assisted_bound` given the branch work ``w_x``, for
+    a ``tau_r`` already known to be thermal."""
+    t = ctx.kt
+    tau_after = _entries_of(tau_r_after)
     ds_w = von_neumann_entropy(rho_w_after) - von_neumann_entropy(rho_w)
-    de_s_drop = _energy(hs, _entries_of(rho_s_branch) - _entries_of(rho_s_after))
-    energy_form = _energy(hr, tau - tau_after) + de_s_drop
+    de_w = _energy(h_w, _entries_of(rho_w_after) - _entries_of(rho_w))
+    de_s_drop = _energy(h_s, _entries_of(rho_s_branch) - _entries_of(rho_s_after))
+    energy_form = _energy(h_r, _entries_of(tau_r) - tau_after) + de_s_drop
     if abs(de_w - energy_form) > EPS_ASSERT:
         raise HardAssertionError(
             f"weight energy gain {de_w} does not match the released energy "
             f"{energy_form}; the branch is not energy conserving"
         )
-    rel = t * relative_entropy(tau_after, tau)
-    heat_identity_form = (
-        t * (von_neumann_entropy(tau) - von_neumann_entropy(tau_after))
-        - rel
-        + de_s_drop
-    )
+    rel = t * relative_entropy(tau_after, tau_r)
+    s_tau, s_tau_after = von_neumann_entropy(tau_r), von_neumann_entropy(tau_after)
+    heat_identity_form = t * (s_tau - s_tau_after) - rel + de_s_drop
     if abs(energy_form - heat_identity_form) > EPS_ROUTE:
         raise HardAssertionError(
             "heat identity failed: the reservoir energy change does not "
@@ -518,11 +535,7 @@ def reservoir_assisted_bound(
     intermediate = t * s_after - rel + de_s_drop
     final = t * s_after + de_s_drop
     subadd_gap = (
-        ds_w
-        + s_after
-        - von_neumann_entropy(rho_s_branch)
-        + von_neumann_entropy(tau_after)
-        - von_neumann_entropy(tau)
+        ds_w + s_after - von_neumann_entropy(rho_s_branch) + s_tau_after - s_tau
     )
     if subadd_gap < -EPS_ASSERT:
         raise HardAssertionError(

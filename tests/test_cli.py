@@ -336,6 +336,14 @@ class TestRunCommand:
              "field 'config.degenerate_target'"),
             ({"config": _explicit_block(), "params": {"q": 0.9, "bogus": 1}},
              "field 'params'"),
+            # misspelt output keys used to be ignored, and the JSON went
+            # to stdout
+            ({"scenario": "example_I",
+              "output": {"pth": "out.json", "fromat": "csv"}},
+             "field 'output.fromat'"),
+            ({"scenario": "example_I",
+              "output": {"format": "json", "file": "out.json"}},
+             "field 'output.file'"),
         ],
     )
     def test_malformed_field_exit_code(self, tmp_path, capsys, doc, named):

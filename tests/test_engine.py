@@ -348,9 +348,9 @@ class TestRunCycle:
 
     @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
     def test_weight_free_energy_is_taken_once(self, family, monkeypatch):
-        # F(rho_W) once, F of each branch weight twice (work and ledger
-        # rows), F of the averaged weight, and F of the system before and
-        # after: 1 + 2*2 + 1 + 2 on a two-branch cycle
+        # F(rho_W) once, F of each branch weight once (the ledger takes the
+        # cycle's works), F of the averaged weight, and F of the system
+        # before and after: 1 + 2 + 1 + 2 on a two-branch cycle
         config = SCAN_FAMILIES[family](np.random.default_rng(4), False)
         calls = []
         original = thermo_mod.free_energy
@@ -363,7 +363,7 @@ class TestRunCycle:
         monkeypatch.setattr(thermo_mod, "free_energy", counted)
         result = run_cycle(config)
         assert len(result.branches) == 2
-        assert len(calls) == 9
+        assert len(calls) == 6
 
     def test_null_engine_moves_nothing(self, null_cycle):
         config, result, report = null_cycle
@@ -612,6 +612,116 @@ class TestFactoredBranchMap:
             monkeypatch.setattr(np.linalg, name, counted)
         evaluate_features(run_cycle(config), config)
         assert all(n < dw for n in sizes), sizes
+
+
+class TestValidatedAtTheBoundary:
+    """The cycle builds its states privately and re-proves nothing the
+    engine's build certified; what it builds still passes the public
+    checks, bit for bit."""
+
+    @staticmethod
+    def _assert_private_states_are_public(configs, monkeypatch):
+        built = {"_derived": [], "_from_factor": []}
+        for name, states in built.items():
+            real = getattr(DensityMatrix, name)
+
+            def recording(m, _real=real, _states=states):
+                out = _real(m)
+                _states.append(out)
+                return out
+
+            monkeypatch.setattr(DensityMatrix, name, staticmethod(recording))
+        for config in configs:
+            evaluate_features(run_cycle(config), config)
+        assert built["_derived"] and built["_from_factor"]
+        for state in built["_derived"]:
+            public = DensityMatrix(state.entries)
+            assert np.array_equal(public._spectrum, state._spectrum)
+        # a factor's spectrum comes from its singular values instead
+        for state in built["_from_factor"]:
+            public = DensityMatrix(state.entries)
+            assert np.abs(public._spectrum - state._spectrum).max() < 1e-12
+
+    @pytest.mark.parametrize("name, params", LIBRARY_CASES)
+    def test_library_states_pass_the_public_constructor(
+        self, name, params, monkeypatch
+    ):
+        config = scenario_library(name, **params)
+        self._assert_private_states_are_public([config], monkeypatch)
+
+    @pytest.mark.parametrize("thermal", [False, True])
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_scan_states_pass_the_public_constructor(
+        self, family, thermal, monkeypatch
+    ):
+        rng = np.random.default_rng(23)
+        configs = [SCAN_FAMILIES[family](rng, thermal) for _ in range(3)]
+        self._assert_private_states_are_public(configs, monkeypatch)
+
+    @staticmethod
+    def _count_public_states(monkeypatch):
+        calls = []
+        real = DensityMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_scan_cycle_builds_no_public_state(self, family, monkeypatch):
+        config = SCAN_FAMILIES[family](np.random.default_rng(4), False)
+        calls = self._count_public_states(monkeypatch)
+        evaluate_features(run_cycle(config), config)
+        assert calls == []
+
+    def test_reservoir_cycle_reuses_the_build_certificate(self, monkeypatch):
+        config = scenario_library("reservoir_circumvention", dim_R=3)
+        tau = config.reservoir.state.entries
+        thermal, weight_f, tau_diag = [], [], []
+
+        def counted_thermal(*args):
+            thermal.append(1)
+            return thermal_state(*args)
+
+        def counted_f(rho, *args, _real=thermo_mod.free_energy):
+            weight_f.append(rho is config.weight_initial)
+            return _real(rho, *args)
+
+        for mod in (engine_mod, thermo_mod):
+            monkeypatch.setattr(mod, "thermal_state", counted_thermal)
+            monkeypatch.setattr(mod, "free_energy", counted_f)
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def spied(a, *args, _real=real, **kwargs):
+                if np.shape(a) == tau.shape and np.abs(a - tau).max() < 1e-15:
+                    tau_diag.append(1)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spied)
+        for _ in range(2):
+            result = run_cycle(config)
+            assert len(result.reservoir_chains) == 2
+        # tau_R's eigh is kept by the state: one diagonalisation per config
+        assert thermal == []
+        assert len(tau_diag) <= 1
+        assert sum(weight_f) == 2  # F(rho_W) once per cycle
+
+    def test_work_floor_is_kept_from_the_build(self, monkeypatch):
+        config = SCAN_FAMILIES["entropy_harvest"](np.random.default_rng(1), False)
+        scale = np.ptp(np.linalg.eigvalsh(config.weight_hamiltonian.entries))
+        want = work_threshold(float(scale), config.thermo)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        assert config.work_floor == want and type(config.work_floor) is float
+        assert config.work_floor == want
+        assert calls == []
 
 
 class TestFeatureReports:

@@ -90,6 +90,11 @@ class TestTypes:
             DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex))
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.diag([0.5, 0.5 + 1e-6]))
+        for bad in (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityMatrix(bad)
 
     def test_pure_state_normalization(self):
         with pytest.raises(ValueError):
@@ -358,6 +363,53 @@ class TestKeptSpectrum:
     def test_factor_constructor_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
             DensityMatrix._from_factor(np.array([[np.nan], [1.0]]))
+
+
+class TestDerivedStates:
+    """The private constructor for states derived inside the package keeps
+    the trace, smallest-eigenvalue and non-finite checks."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([np.nan, 0.5, 0.5]),  # eigvalsh skips it: [0, 0.5, 0.5]
+            np.diag([0.5, 0.5, complex(0.0, np.nan)]),
+            np.array([[0.5, np.nan], [np.nan, 0.5]]),
+            np.array([[0.5, 0.0], [np.inf, 0.5]]),
+            np.diag([np.inf, 0.5]),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_derived_constructor_rejects_non_finite_input(self, m):
+        with pytest.raises(ValueError):
+            DensityMatrix._derived(m)
+
+    def test_derived_constructor_keeps_trace_and_positivity(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix._derived(np.diag([0.5, 0.5 + 1e-6]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix._derived(np.diag([1.5, -0.5]))
+
+    def test_derived_state_equals_the_public_one(self):
+        rho = random_density(np.random.default_rng(8), 6)
+        m = rho.entries.copy()
+        derived = DensityMatrix._derived(m)
+        assert np.array_equal(derived._spectrum, rho._spectrum)
+        assert von_neumann_entropy(derived) == von_neumann_entropy(rho)
+        assert derived.entries.flags.writeable is False
+
+    def test_operator_keeps_its_verdict_and_diagonal(self, monkeypatch):
+        h = Operator(np.diag(np.arange(5.0)))
+        assert h.is_hermitian and h._diagonal is not None
+        calls = []
+        real = qop_mod._is_diagonal
+        monkeypatch.setattr(
+            qop_mod, "_is_diagonal", lambda a: calls.append(1) or real(a)
+        )
+        for _ in range(3):
+            assert h.is_hermitian
+            free_energy(DensityMatrix(np.eye(5) / 5), h, ThermoContext(1.0))
+        assert calls == []
 
 
 class TestHermiticity:

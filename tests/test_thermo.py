@@ -406,6 +406,20 @@ class TestReservoirChain:
         assert rep.w_x < 0.0
         assert rep.weight_entropy_change > 0.0
 
+    def test_boundary_rejects_a_non_thermal_reservoir(self):
+        # the cycle skips this check, since the engine's build certified
+        # its reservoir; the public function still makes it
+        ctx = ThermoContext(1.0)
+        h1 = np.zeros((1, 1), dtype=complex)
+        h2 = np.diag([0.0, 1.0]).astype(complex)
+        one = DensityMatrix(np.eye(1, dtype=complex))
+        rho_w = DensityMatrix(np.diag([1.0, 0j]))
+        hot = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="not thermal"):
+            reservoir_assisted_bound(
+                rho_w, rho_w, one, one, hot, hot, h1, h2, h2, ctx
+            )
+
     def test_bogus_accounting_trips_assertions(self):
         ctx = ThermoContext(1.0)
         h1 = np.zeros((1, 1), dtype=complex)
