@@ -204,12 +204,7 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
                     Operator(_parse_matrix(item["unitary"], f"{here}.unitary")),
                 )
             )
-        scheme = FeedbackScheme(
-            branch_unitaries=tuple(unitaries),
-            demon_projectors=tuple(
-                (label, pointer.projector_for(label)) for label in pointer.labels
-            ),
-        )
+        scheme = FeedbackScheme(tuple(unitaries))
     else:
         posts = model.post_states
         if posts is None:
@@ -224,13 +219,10 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
                 "are built automatically",
             )
         scheme = FeedbackScheme(
-            branch_unitaries=tuple(
+            tuple(
                 (label, build_shift_unitary(weight, posts[label]))
                 for label in pointer.labels
-            ),
-            demon_projectors=tuple(
-                (label, pointer.projector_for(label)) for label in pointer.labels
-            ),
+            )
         )
     erasure_key = doc.get("erasure", "landauer_optimal")
     if erasure_key == "landauer_optimal":

@@ -58,7 +58,6 @@ from .measurement import (
     premeasure_and_objectify,
 )
 from .qop import (
-    EPS_ALG,
     EPS_ASSERT,
     EPS_EIG,
     EPS_FID,
@@ -89,10 +88,9 @@ from .thermo import (
     Feature2Report,
     ThermoContext,
     WorkLedger,
-    _check_thermal,
+    _erase_demon,
     _reservoir_chain,
     _work_ledger,
-    erase_demon,
     feature2_test,
     free_energy,
     work_energy_entropy_form,
@@ -101,7 +99,6 @@ from .thermo import (
 
 __all__ = [
     "GenericWeight",
-    "ReservoirSpec",
     "EngineConfig",
     "BranchResult",
     "CycleResult",
@@ -139,14 +136,6 @@ class GenericWeight:
             raise ValueError("weight Hamiltonian and state dimensions differ")
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ReservoirSpec:
-    """Thermal reservoir participating in the feedback stroke."""
-
-    hamiltonian: Operator
-    state: DensityMatrix
-
-
 def _weight_parts(weight: OscillatorWeight | GenericWeight) -> tuple[Operator, DensityMatrix]:
     if isinstance(weight, OscillatorWeight):
         return weight.hamiltonian, weight.initial_density()
@@ -180,6 +169,18 @@ class Certification:
         )
 
 
+def _basis_records(labels: Sequence[object]) -> Observable:
+    """The register an instrument's outcomes are written to: ``|i><i|``
+    with value ``i`` for the ``i``-th label."""
+    rows = np.eye(len(labels))
+    return Observable(
+        tuple(
+            (x, float(i), Operator(np.diag(rows[i])))
+            for i, x in enumerate(labels)
+        )
+    )
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class EngineConfig:
     """One complete engine: state preparation through erasure accounting.
@@ -189,6 +190,12 @@ class EngineConfig:
     certification but does not raise ``ConstructionError`` when it fails;
     it also disables the hard assertions that are theorems only for
     certified engines.
+
+    What the engine can derive is not an input.  The feedback is controlled
+    by the measurement's own record register (:attr:`records`), and a
+    reservoir is given by its Hamiltonian: a reservoir taking part in the
+    feedback (``h_r``) and an explicit erasure reservoir both start in
+    their Gibbs state at the context temperature, derived once here.
     """
 
     rho_s: DensityMatrix
@@ -198,83 +205,83 @@ class EngineConfig:
     weight: OscillatorWeight | GenericWeight
     thermo: ThermoContext
     h_d: Operator | None = None
+    h_r: Operator | None = None
     erasure: str | ExplicitReservoir = "landauer_optimal"
-    reservoir: ReservoirSpec | None = None
     degenerate_target: bool = False
     non_conforming: bool = False
     tol_s: float | None = None
     label: str = "engine"
 
     def __post_init__(self) -> None:
+        if self.tol_s is not None and not (
+            math.isfinite(self.tol_s) and self.tol_s >= 0.0
+        ):
+            raise ValueError(
+                f"tol_s must be finite and non-negative, got {self.tol_s}"
+            )
         if self.rho_s.dim != self.h_s.dim:
             raise ValueError("system state and Hamiltonian dimensions differ")
         _check_hermitian(self.h_s, "system Hamiltonian h_s must be Hermitian")
-        if isinstance(self.measurement, MeasurementModel):
-            if self.measurement.system_dim != self.rho_s.dim:
+        m = self.measurement
+        model = isinstance(m, MeasurementModel)
+        if model:
+            if m.system_dim != self.rho_s.dim:
                 raise ValueError("measurement system dimension mismatch")
-            if self.degenerate_target != (
-                not self.measurement.target.is_nondegenerate
-            ):
+            if self.degenerate_target != (not m.target.is_nondegenerate):
                 raise ValueError(
                     "degenerate_target flag contradicts the target observable"
                 )
-        else:
-            if self.measurement.dim != self.rho_s.dim:
-                raise ValueError("instrument dimension mismatch")
-        if self.h_d is not None and self.h_d.dim != self.demon_dim:
-            raise ValueError("demon Hamiltonian dimension mismatch")
+        elif m.dim != self.rho_s.dim:
+            raise ValueError("instrument dimension mismatch")
         h_w, rho_w = _weight_parts(self.weight)
         object.__setattr__(self, "_h_w", h_w)
         object.__setattr__(self, "_rho_w", rho_w)
         floor = work_threshold(_weight_scale(self.weight), self.thermo)
         object.__setattr__(self, "_work_floor", floor)
-        h_d = self.h_d
-        if h_d is None:
-            h_d = Operator(np.zeros((self.demon_dim, self.demon_dim)))
-        _check_hermitian(h_d, "demon Hamiltonian h_d must be Hermitian")
-        object.__setattr__(self, "_h_d", h_d)
         branch_dim = h_w.dim * self.rho_s.dim
-        if self.reservoir is not None:
-            if self.reservoir.hamiltonian.dim != self.reservoir.state.dim:
-                raise ValueError("reservoir Hamiltonian and state dimensions differ")
-            branch_dim *= self.reservoir.state.dim
+        if self.h_r is not None:
+            branch_dim *= self.h_r.dim
         if self.feedback.branch_dim != branch_dim:
             raise ValueError(
                 f"feedback branch dimension {self.feedback.branch_dim} != "
                 f"weight*system(*reservoir) {branch_dim}"
             )
-        if self.feedback.demon_dim != self.demon_dim:
-            raise ValueError("feedback demon dimension mismatch")
-        if set(self.feedback.labels) != set(self.outcome_labels):
-            raise ValueError("feedback outcome labels differ from measurement")
-        if self.total_dim > MAX_DIM:
+        total_dim = branch_dim * (m.demon_dim if model else len(m.labels))
+        if total_dim > MAX_DIM:
             raise SizeError(
-                f"joint dimension {self.total_dim} exceeds limit {MAX_DIM}"
+                f"joint dimension {total_dim} exceeds limit {MAX_DIM}"
             )
-        for label, record in zip(self.outcome_labels, self.record_projectors):
-            got = self.feedback.projector_for(label).entries
-            if operator_norm(got - record) > EPS_ALG:
-                raise ConstructionError(
-                    f"feedback control for {label!r} is not its record projector "
-                    "(the pointer's, or basis-aligned for an instrument)"
-                )
-        if self.reservoir is not None:
-            _check_thermal(
-                self.reservoir.state,
-                self.reservoir.hamiltonian,
-                self.thermo,
-                "reservoir state is not thermal at the context temperature",
+        records = m.pointer if model else _basis_records(m.labels)
+        object.__setattr__(self, "_records", records)
+        if set(self.feedback.labels) != set(records.labels):
+            raise ValueError("feedback outcome labels differ from measurement")
+        h_d = self.h_d
+        if h_d is None:
+            h_d = Operator(np.zeros((records.dim, records.dim)))
+        elif h_d.dim != records.dim:
+            raise ValueError("demon Hamiltonian dimension mismatch")
+        _check_hermitian(h_d, "demon Hamiltonian h_d must be Hermitian")
+        object.__setattr__(self, "_h_d", h_d)
+        tau_r = None
+        if self.h_r is not None:
+            _check_hermitian(
+                self.h_r, "reservoir Hamiltonian h_r must be Hermitian"
             )
+            tau_r = thermal_state(self.h_r, self.thermo.beta)
+        object.__setattr__(self, "_tau_r", tau_r)
+        tau_e = None
+        if isinstance(self.erasure, ExplicitReservoir):
+            tau_e = thermal_state(self.erasure.h_r, self.thermo.beta)
+        object.__setattr__(self, "_tau_e", tau_e)
         cert = self._certify()
         object.__setattr__(self, "_certification", cert)
         if not self.non_conforming:
             failures = []
-            if isinstance(self.measurement, MeasurementModel):
-                if not cert.measurement_energy.passed:
-                    failures.append(
-                        "measurement violates energy conservation "
-                        f"(norms {cert.measurement_energy})"
-                    )
+            if model and not cert.measurement_energy.passed:
+                failures.append(
+                    "measurement violates energy conservation "
+                    f"(norms {cert.measurement_energy})"
+                )
             if not cert.feedback_energy.passed:
                 failures.append("feedback violates energy conservation")
             if not cert.feedback_form.passed:
@@ -283,13 +290,13 @@ class EngineConfig:
                 raise ConstructionError("; ".join(failures))
 
     def _certify(self) -> Certification:
-        h_r = self.reservoir.hamiltonian if self.reservoir is not None else None
+        records = self._records
         fb_energy = check_feedback_energy(
-            self.feedback, self._h_w, self.h_s, self._h_d, h_r
+            self.feedback, records, self._h_w, self.h_s, self._h_d, self.h_r
         )
         fb_form = check_feedback_form(
-            compose_feedback_unitary(self.feedback),
-            self.feedback.demon_projectors, self.feedback.branch_dim,
+            compose_feedback_unitary(self.feedback, records),
+            [(x, p) for x, _, p in records.outcomes], self.feedback.branch_dim,
         )
         if isinstance(self.measurement, MeasurementModel):
             me = check_energy_conserving_measurement(
@@ -326,28 +333,33 @@ class EngineConfig:
         return (not self.non_conforming) and self.certification.passed
 
     @property
+    def records(self) -> Observable:
+        """The demon's record register, which controls the feedback: a
+        model's pointer, or ``|i><i|`` with value ``i`` for an instrument's
+        ``i``-th outcome."""
+        return self._records
+
+    @property
     def outcome_labels(self) -> tuple[object, ...]:
-        if isinstance(self.measurement, MeasurementModel):
-            return self.measurement.pointer.labels
-        return self.measurement.labels
+        return self._records.labels
 
     @property
     def record_projectors(self) -> tuple[np.ndarray, ...]:
-        """Each outcome's demon record, in outcome order: the pointer's
-        projectors for a model, ``|i><i|`` for an instrument."""
-        if isinstance(self.measurement, MeasurementModel):
-            return tuple(p.entries for _, _, p in self.measurement.pointer.outcomes)
-        return tuple(np.diag(row) for row in np.eye(self.demon_dim))
+        """Each outcome's record projector, in outcome order."""
+        return tuple(p.entries for _, _, p in self._records.outcomes)
+
+    @property
+    def tau_r(self) -> DensityMatrix | None:
+        """The feedback reservoir's Gibbs state, or ``None`` without one."""
+        return self._tau_r
 
     @property
     def reservoir_in_feedback(self) -> bool:
-        return self.reservoir is not None
+        return self.h_r is not None
 
     @property
     def demon_dim(self) -> int:
-        if isinstance(self.measurement, MeasurementModel):
-            return self.measurement.demon_dim
-        return len(self.measurement.labels)
+        return self._records.dim
 
     @property
     def demon_hamiltonian(self) -> Operator:
@@ -373,10 +385,7 @@ class EngineConfig:
 
     @property
     def total_dim(self) -> int:
-        d = self._h_w.dim * self.rho_s.dim * self.demon_dim
-        if self.reservoir is not None:
-            d *= self.reservoir.state.dim
-        return d
+        return self.feedback.branch_dim * self.demon_dim
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +469,13 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     ctx = config.thermo
     h_w, rho_w = config.weight_hamiltonian, config.weight_initial
     h_s = config.h_s
-    tau_r = config.reservoir.state if config.reservoir is not None else None
+    tau_r = config.tau_r
 
     sigma_sd, gem, demon_records = _measure(config)
 
     cross_check = (
         config.conforming
-        and config.reservoir is None
+        and tau_r is None
         and isinstance(config.measurement, MeasurementModel)
     )
     branches = []
@@ -501,11 +510,11 @@ def run_cycle(config: EngineConfig) -> CycleResult:
                     f"branch {b.outcome!r}: free-energy work {w_x} disagrees "
                     f"with the energy+entropy form {alt}"
                 )
-        if config.reservoir is not None:
-            # the build certified tau_R thermal for its Hamiltonian
+        if tau_r is not None:
+            # the build derived tau_R as the Gibbs state of h_r
             chain = _reservoir_chain(
                 w_x, rho_w, out.rho_weight, b.state, out.rho_system, tau_r,
-                out.rho_reservoir, h_s, config.reservoir.hamiltonian, h_w, ctx,
+                out.rho_reservoir, h_s, config.h_r, h_w, ctx,
             )
             chains.append((b.outcome, chain))
         branches.append(
@@ -536,12 +545,13 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         rho_r_after,
     )
 
-    erasure = erase_demon(
+    erasure = _erase_demon(
         rho_d_after,
         config.demon_hamiltonian,
         config.demon_initial,
         ctx,
         config.erasure,
+        config._tau_e,
     )
     ledger = _work_ledger(
         [(br.outcome, br.probability, br.post_weight, br.work) for br in branches],
@@ -630,9 +640,9 @@ def _joint_consistency(
         [math.sqrt(p) * _kron(x_w, x_sd) for p, x_sd, _ in terms]
     )  # rows (W, S, D)
     dims = [dw, ds, dd]
-    if config.reservoir is not None:
-        dr = config.reservoir.state.dim
-        x_r, r_part = _factor(config.reservoir.state)
+    if config.tau_r is not None:
+        dr = config.tau_r.dim
+        x_r, r_part = _factor(config.tau_r)
         parts.append(r_part)
         x = _kron(x, x_r).reshape(dw, ds, dd, dr, -1)
         x = x.transpose(0, 1, 3, 2, 4).reshape(dw * ds * dr * dd, -1)
@@ -640,9 +650,9 @@ def _joint_consistency(
     dropped = sum(p * _dropped_mass([*parts, part]) for p, _, part in terms)
     n = x.shape[0]
     nb = n // dd
-    fb = config.feedback
-    units = [fb.unitary_for(label).entries for label, _ in fb.demon_projectors]
-    projs = [p.entries for _, p in fb.demon_projectors]
+    records = config.records.outcomes
+    units = [config.feedback.unitary_for(l).entries for l, _, _ in records]
+    projs = [p.entries for _, _, p in records]
 
     def pinch(y: np.ndarray) -> list[np.ndarray]:
         # (1 (x) P_x) y for each x, rows (branch, demon)
@@ -659,7 +669,7 @@ def _joint_consistency(
     dev = 0.0
     marginals = [rho_w_after, rho_s_after]
     axes = [0, 1]
-    if config.reservoir is not None:
+    if config.tau_r is not None:
         marginals.append(rho_r_after)
         axes.append(2)
     marginals.append(rho_d_after)
@@ -784,16 +794,17 @@ def _record_write_engine(
     strokes: Sequence[Operator],
     erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
-    reservoir: ReservoirSpec | None = None,
+    h_r: Operator | None = None,
 ) -> EngineConfig:
     """The two-outcome engine behind every model-based scenario and scan
     family.  The qubit system starts in ``diag(q, 1 - q)`` and is measured
     in its energy basis: outcome ``"+"`` (``"-"``) takes basis state 0 (1)
     to its post state and writes demon basis state 0 (1), and that record
     selects the outcome's stroke.  ``posts`` and ``strokes`` are in outcome
-    order; a given reservoir takes part in the strokes."""
+    order; a reservoir given by ``h_r`` takes part in the strokes."""
     records = [PureState(basis_state(2, i)) for i in range(2)]
-    # the target, the pointer and the feedback control share one basis
+    # the target and the pointer, which controls the feedback, share one
+    # basis
     basis = Observable(
         (
             ("+", 1.0, Operator(projector_onto(records[0]))),
@@ -807,20 +818,16 @@ def _record_write_engine(
     model = build_transition_model(
         basis, basis, PureState(demon_initial), transitions, (h_s, h_d)
     )
-    scheme = FeedbackScheme(
-        branch_unitaries=tuple(zip(basis.labels, strokes)),
-        demon_projectors=tuple((x, p) for x, _, p in basis.outcomes),
-    )
     return EngineConfig(
         rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
         h_s=h_s,
         measurement=model,
-        feedback=scheme,
+        feedback=FeedbackScheme(tuple(zip(basis.labels, strokes))),
         weight=weight,
         thermo=ctx,
         h_d=h_d,
+        h_r=h_r,
         erasure=erasure,
-        reservoir=reservoir,
         tol_s=tol_s,
         label=label,
     )
@@ -932,7 +939,6 @@ def _degenerate_circumvention(
     a finer level readout is merged per subspace, every branch collapses to
     the top state of its subspace, and feedback feeds that full excitation
     into the weight, so all three features hold together."""
-    ranks = tuple(int(r) for r in ranks)
     if d < 3:
         raise ValueError(f"parameter 'd' = {d} must be at least 3")
     if len(ranks) < 2 or any(r < 1 for r in ranks) or sum(ranks) != d:
@@ -966,7 +972,6 @@ def _degenerate_circumvention(
     instr = build_degenerate_instrument("coarse_grained", target, data)
     weight = build_oscillator_weight(omega, N, dim=N + d + 2)
     dw = weight.dim
-    k = len(ranks)
     swap = [[0.0, 1.0], [1.0, 0.0]]
     unitaries = []
     for label, t in zip(labels, tops):
@@ -974,19 +979,12 @@ def _degenerate_circumvention(
         n = np.arange(dw - t)
         u = _plane_stroke(dw * d, n * d + t, (n + t) * d, swap)
         unitaries.append((label, Operator(u)))
-    scheme = FeedbackScheme(
-        branch_unitaries=tuple(unitaries),
-        demon_projectors=tuple(
-            (labels[i], projector_onto(PureState(basis_state(k, i))))
-            for i in range(k)
-        ),
-    )
     rho_s = thermal_state(h_s.entries, ctx.beta)
     return EngineConfig(
         rho_s=rho_s,
         h_s=h_s,
         measurement=instr,
-        feedback=scheme,
+        feedback=FeedbackScheme(tuple(unitaries)),
         weight=weight,
         thermo=ctx,
         erasure=erasure,
@@ -1020,7 +1018,6 @@ def _reservoir_circumvention(
     weight = build_oscillator_weight(omega, N)
     dw = weight.dim
     h_r = Operator(np.diag([omega * k for k in range(dim_R)]))
-    tau_r = thermal_state(h_r.entries, ctx.beta)
     c, s = math.cos(theta), math.sin(theta)
     block = [[c, -1j * s], [-1j * s, c]]
     # each plane trades one reservoir quantum for one weight quantum while
@@ -1045,7 +1042,7 @@ def _reservoir_circumvention(
         strokes,
         erasure,
         tol_s,
-        ReservoirSpec(hamiltonian=h_r, state=tau_r),
+        h_r,
     )
 
 
@@ -1061,16 +1058,12 @@ def _null_engine(
     h_s = Operator(np.diag([omega / 2, -omega / 2]))
     instr = Instrument((("0", (Operator(np.eye(2)),)),))
     weight = build_oscillator_weight(omega, 4)
-    scheme = FeedbackScheme(
-        branch_unitaries=(("0", Operator(np.eye(weight.dim * 2))),),
-        demon_projectors=(("0", Operator(np.eye(1))),),
-    )
     rho_s = thermal_state(h_s.entries, ctx.beta)
     return EngineConfig(
         rho_s=rho_s,
         h_s=h_s,
         measurement=instr,
-        feedback=scheme,
+        feedback=FeedbackScheme((("0", Operator(np.eye(weight.dim * 2))),)),
         weight=weight,
         thermo=ctx,
         erasure=erasure,
@@ -1092,12 +1085,18 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 
 def _typed_param(name: str, value: object, annotation: str) -> object:
     """``value`` read as its scenario parameter's annotation says: ``int``
-    or ``float``, either optionally ``| None``; other annotations pass
-    through."""
+    or ``float``, either optionally ``| None``, or ``Sequence[int]``, a list
+    or tuple of integral numbers read as a tuple of ``int``; other
+    annotations pass through."""
+    where = f"parameter {name!r}"
+    if annotation == "Sequence[int]":
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where}: expected a list of integers, got {value!r}")
+        return tuple(_number(v, int, where) for v in value)
     kind = {"int": int, "float": float}.get(annotation.removesuffix(" | None"))
     if kind is None or (value is None and annotation.endswith(" | None")):
         return value
-    return _number(value, kind, f"parameter {name!r}")
+    return _number(value, kind, where)
 
 
 def scenario_library(name: str, **params) -> EngineConfig:

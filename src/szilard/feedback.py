@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .measurement import Observable
 from .qop import (
     EPS_ALG,
-    ConstructionError,
     DensityMatrix,
     Operator,
     PureState,
@@ -58,54 +58,33 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FeedbackScheme:
-    """Controlled feedback ``sum_x U_x (x) P_x^D``.
+    """The branch unitaries ``U_x`` of a controlled feedback
+    ``sum_x U_x (x) P_x^D``.
 
     ``branch_unitaries`` maps each outcome to a unitary on weight+system
-    (+reservoir when one takes part).  ``demon_projectors`` is the complete
-    orthogonal family of the pointer observable.
+    (+reservoir when one takes part).  The controls ``P_x^D`` are not part
+    of the scheme: they are the record projectors the measurement writes.
     """
 
     branch_unitaries: tuple[tuple[object, Operator], ...]
-    demon_projectors: tuple[tuple[object, Operator], ...]
 
     def __post_init__(self) -> None:
         bu = tuple(
             (l, u if isinstance(u, Operator) else Operator(u))
             for l, u in self.branch_unitaries
         )
-        dp = tuple(
-            (l, p if isinstance(p, Operator) else Operator(p))
-            for l, p in self.demon_projectors
-        )
-        if not bu or not dp:
-            raise ValueError("scheme needs branch unitaries and demon projectors")
-        blabels = [l for l, _ in bu]
-        plabels = [l for l, _ in dp]
-        if len(set(blabels)) != len(blabels) or len(set(plabels)) != len(plabels):
+        if not bu:
+            raise ValueError("scheme needs branch unitaries")
+        labels = [l for l, _ in bu]
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate outcome labels")
-        if set(blabels) != set(plabels):
-            raise ValueError(
-                f"branch labels {sorted(map(str, blabels))} do not match "
-                f"projector labels {sorted(map(str, plabels))}"
-            )
         d = bu[0][1].dim
         for l, u in bu:
             if u.dim != d:
                 raise ValueError("branch unitary dimensions inconsistent")
             if not u.is_unitary:
                 raise ValueError(f"branch operator for {l!r} is not unitary")
-        dd = dp[0][1].dim
-        total = np.zeros((dd, dd), dtype=complex)
-        for l, p in dp:
-            if p.dim != dd:
-                raise ValueError("projector dimensions inconsistent")
-            if not p.is_projector:
-                raise ValueError(f"demon operator for {l!r} is not a projector")
-            total += p.entries
-        if operator_norm(total - np.eye(dd)) > EPS_ALG:
-            raise ConstructionError("demon projectors do not resolve the identity")
         object.__setattr__(self, "branch_unitaries", bu)
-        object.__setattr__(self, "demon_projectors", dp)
 
     @property
     def labels(self) -> tuple[object, ...]:
@@ -115,33 +94,36 @@ class FeedbackScheme:
     def branch_dim(self) -> int:
         return self.branch_unitaries[0][1].dim
 
-    @property
-    def demon_dim(self) -> int:
-        return self.demon_projectors[0][1].dim
-
     def unitary_for(self, label: object) -> Operator:
         for l, u in self.branch_unitaries:
             if l == label:
                 return u
         raise ValueError(f"unknown outcome label {label!r}")
 
-    def projector_for(self, label: object) -> Operator:
-        for l, p in self.demon_projectors:
-            if l == label:
-                return p
-        raise ValueError(f"unknown outcome label {label!r}")
+
+def _check_labels(scheme: FeedbackScheme, records: Observable) -> None:
+    if set(scheme.labels) != set(records.labels):
+        raise ValueError(
+            f"branch labels {sorted(map(str, scheme.labels))} do not match "
+            f"record labels {sorted(map(str, records.labels))}"
+        )
 
 
-def compose_feedback_unitary(scheme: FeedbackScheme) -> Operator:
-    """The full controlled unitary, demon as the last tensor factor.
+def compose_feedback_unitary(
+    scheme: FeedbackScheme, records: Observable
+) -> Operator:
+    """The full controlled unitary ``sum_x U_x (x) P_x``, each ``U_x``
+    controlled by its outcome's projector in the record register, demon as
+    the last tensor factor.
 
-    Unitarity needs no runtime product here: the scheme already validated
-    each branch unitary and the orthogonal completeness of the projectors,
-    which force ``sum_x U_x (x) P_x`` to be unitary."""
-    d = scheme.branch_dim * scheme.demon_dim
+    Unitarity needs no runtime product here: the scheme validated each
+    branch unitary and the register the orthogonal completeness of its
+    projectors, which force the sum to be unitary."""
+    _check_labels(scheme, records)
+    d = scheme.branch_dim * records.dim
     v = np.zeros((d, d), dtype=complex)
     for label, u in scheme.branch_unitaries:
-        v += _kron(u.entries, scheme.projector_for(label).entries)
+        v += _kron(u.entries, records.projector_for(label).entries)
     return Operator(v)
 
 
@@ -239,6 +221,7 @@ def _within_eps(d: np.ndarray) -> bool:
 
 def check_feedback_energy(
     scheme: FeedbackScheme,
+    records: Observable,
     h_w: object,
     h_s: object,
     h_d: object,
@@ -249,10 +232,11 @@ def check_feedback_energy(
     Each branch unitary must commute with the additive Hamiltonian of the
     factors it acts on (a reservoir exactly when ``h_r`` is given), and for
     every maximal group of outcomes sharing the same branch unitary the
-    summed demon projector must commute with the memory Hamiltonian.
+    summed record projector must commute with the memory Hamiltonian.
     Together these certify that the composed controlled operation conserves
     total energy.
     """
+    _check_labels(scheme, records)
     hw = _entries_of(h_w)
     hs = _entries_of(h_s)
     hd = _entries_of(h_d)
@@ -281,7 +265,7 @@ def check_feedback_energy(
             groups.append([label])
     gsum = []
     for g in groups:
-        p = sum(scheme.projector_for(l).entries for l in g)
+        p = sum(records.projector_for(l).entries for l in g)
         c = commutator_norm(p, hd)
         gsum.append((tuple(g), c))
         if c > EPS_ALG:

@@ -85,16 +85,6 @@ class ThermoContext:
         return self.kb * self.temperature
 
 
-def _check_thermal(
-    state: object, h: object, ctx: ThermoContext, message: str
-) -> None:
-    """Raise ``ValueError(message)`` unless ``state`` is the Gibbs state of
-    ``h`` at the context temperature."""
-    tau = thermal_state(h, ctx.beta)
-    if operator_norm(tau.entries - _entries_of(state)) > EPS_THERMAL:
-        raise ValueError(message)
-
-
 def _energy(h: object, m: np.ndarray) -> float:
     """``tr[H m]``; a diagonal ``H`` needs only the diagonal of ``m``."""
     if (d := _diagonal_of(h)) is not None:
@@ -181,16 +171,17 @@ def work_threshold(omega: float, ctx: ThermoContext) -> float:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExplicitReservoir:
-    """Finite thermal reservoir plus a reset unitary on demon (x) reservoir."""
+    """Finite reservoir, given by its Hamiltonian ``h_r``, plus a reset
+    unitary on demon (x) reservoir.  The reservoir starts in its Gibbs
+    state at the temperature of the erasure's context."""
 
-    reservoir_state: DensityMatrix
     h_r: Operator
     u_r: Operator
 
     def __post_init__(self) -> None:
         if not self.u_r.is_unitary:
             raise ValueError("reset operator is not unitary")
-        if self.u_r.dim % self.reservoir_state.dim != 0:
+        if self.u_r.dim % self.h_r.dim != 0:
             raise ValueError("reset operator does not factor over the reservoir")
 
 
@@ -214,7 +205,8 @@ def erase_demon(
 
     Landauer-optimal mode is an accounting rule: exact reset with heat
     ``Q = K_B T S(rho_D')``.  Explicit mode applies the supplied reset
-    unitary to ``rho_D' (x) tau_R`` and charges ``Q = tr[H_R (tau_R' -
+    unitary to ``rho_D' (x) tau_R``, with ``tau_R`` the Gibbs state of
+    ``H_R`` at the context temperature, and charges ``Q = tr[H_R (tau_R' -
     tau_R)]``; it must restore the blank state within fidelity 1 - 1e-6 and
     always obeys ``Q >= K_B T S(rho_D')`` up to tolerance, anything less
     being an implementation bug.
@@ -222,6 +214,22 @@ def erase_demon(
     Both modes price the demon's own energy change as
     ``W_R = tr[H_D(|psi><psi| - rho_D')] + Q``.
     """
+    tau = None
+    if isinstance(mode, ExplicitReservoir):
+        tau = thermal_state(mode.h_r, ctx.beta)
+    return _erase_demon(rho_d_prime, h_d, demon_initial, ctx, mode, tau)
+
+
+def _erase_demon(
+    rho_d_prime: DensityMatrix,
+    h_d: object,
+    demon_initial: PureState,
+    ctx: ThermoContext,
+    mode: str | ExplicitReservoir,
+    tau: DensityMatrix | None,
+) -> ErasureResult:
+    """:func:`erase_demon` given an explicit reservoir's Gibbs state
+    ``tau`` (``None`` in Landauer-optimal mode)."""
     hd = _entries_of(h_d)
     dd = rho_d_prime.dim
     if hd.shape[0] != dd or demon_initial.dim != dd:
@@ -242,21 +250,13 @@ def erase_demon(
     if not isinstance(mode, ExplicitReservoir):
         raise ValueError(f"unknown erasure mode {mode!r}")
 
-    res = mode
-    dr = res.reservoir_state.dim
-    if res.u_r.dim != dd * dr:
+    dr = tau.dim
+    if mode.u_r.dim != dd * dr:
         raise ValueError(
-            f"reset operator dimension {res.u_r.dim} != demon*reservoir {dd * dr}"
+            f"reset operator dimension {mode.u_r.dim} != demon*reservoir {dd * dr}"
         )
-    _check_thermal(
-        res.reservoir_state,
-        res.h_r,
-        ctx,
-        "explicit reservoir state is not thermal for its Hamiltonian at "
-        "the context temperature",
-    )
-    u = res.u_r.entries
-    joint = u @ _kron(rho_d_prime.entries, res.reservoir_state.entries) @ dagger(u)
+    u = mode.u_r.entries
+    joint = u @ _kron(rho_d_prime.entries, tau.entries) @ dagger(u)
     rho_d_after = _ptrace_nd(joint, [dd, dr], [0])
     fid = float(np.vdot(demon_initial.amplitudes, rho_d_after @ demon_initial.amplitudes).real)
     if fid < 1.0 - EPS_RESET:
@@ -264,7 +264,7 @@ def erase_demon(
             f"reset restores the blank state with fidelity {fid:.9f} < 1 - 1e-6"
         )
     tau_after = _ptrace_nd(joint, [dd, dr], [1])
-    q = _energy(res.h_r, tau_after - res.reservoir_state.entries)
+    q = _energy(mode.h_r, tau_after - tau.entries)
     if q < ctx.kt * s_record - EPS_ASSERT:
         raise HardAssertionError(
             f"explicit erasure heat {q} beats the Landauer cost "
@@ -279,26 +279,29 @@ def erase_demon(
     )
 
 
+# The swap reservoir of :func:`build_swap_erasure`: the gap of its cold
+# slot in units of K_B T, and the levels of its degenerate spectator.
+SWAP_GAP_FACTOR = 15.0
+SWAP_SPECTATOR_LEVELS = 4
+
+
 def build_swap_erasure(
-    demon_initial: PureState,
-    ctx: ThermoContext,
-    gap_factor: float = 15.0,
-    spectator_levels: int = 4,
+    demon_initial: PureState, ctx: ThermoContext
 ) -> ExplicitReservoir:
     """A concrete reset: swap the demon with a cold slot of a small reservoir.
 
     The reservoir is a slot of the demon's dimension (all excited levels at
-    ``gap_factor * K_B T``, so its thermal state is almost pure) tensored
-    with an energy-degenerate spectator that pads it to a larger Hilbert
+    ``SWAP_GAP_FACTOR * K_B T``, so its thermal state is almost pure)
+    tensored with an energy-degenerate spectator of
+    ``SWAP_SPECTATOR_LEVELS`` levels that pads it to a larger Hilbert
     space.  The reset conjugates a demon-slot swap by the basis change that
     sends the blank state to the slot ground level.  Strictly dissipative:
     the heat exceeds the Landauer cost by a finite margin.
     """
     dd = demon_initial.dim
-    gap = gap_factor * ctx.kt
+    gap = SWAP_GAP_FACTOR * ctx.kt
     h_slot = np.diag([0.0] + [gap] * (dd - 1))
-    h_r = _kron(h_slot, np.eye(spectator_levels))
-    tau = thermal_state(h_r, ctx.beta)
+    h_r = _kron(h_slot, np.eye(SWAP_SPECTATOR_LEVELS))
     # basis change on the demon: first column is the blank state
     b = _orthonormal_extension(
         demon_initial.amplitudes.reshape(-1, 1), dd
@@ -307,12 +310,10 @@ def build_swap_erasure(
     for i in range(dd):
         for j in range(dd):
             swap[j * dd + i, i * dd + j] = 1.0
-    core = _kron(swap, np.eye(spectator_levels))
-    rot = _kron(b, np.eye(dd * spectator_levels))
+    core = _kron(swap, np.eye(SWAP_SPECTATOR_LEVELS))
+    rot = _kron(b, np.eye(dd * SWAP_SPECTATOR_LEVELS))
     u_r = rot @ core @ dagger(rot)
-    return ExplicitReservoir(
-        reservoir_state=tau, h_r=Operator(h_r), u_r=Operator(u_r)
-    )
+    return ExplicitReservoir(h_r=Operator(h_r), u_r=Operator(u_r))
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +497,11 @@ def reservoir_assisted_bound(
     relative-entropy term.  Each link is asserted; a broken link means the
     inputs did not come from a conforming branch.
     """
-    message = "reservoir input state is not thermal at the context temperature"
-    _check_thermal(tau_r, h_r, ctx, message)
+    gibbs = thermal_state(h_r, ctx.beta)
+    if operator_norm(gibbs.entries - _entries_of(tau_r)) > EPS_THERMAL:
+        raise ValueError(
+            "reservoir input state is not thermal at the context temperature"
+        )
     w_x = work_per_outcome(rho_w, rho_w_after, h_w, ctx)
     return _reservoir_chain(
         w_x, rho_w, rho_w_after, rho_s_branch, rho_s_after, tau_r, tau_r_after,

@@ -75,9 +75,9 @@ def joint_consistency(
                 np.kron(rho_w.entries, b.state.entries), rec
             )
     dims = [dw, ds, dd]
-    if config.reservoir is not None:
-        dr = config.reservoir.state.dim
-        joint = np.kron(joint, config.reservoir.state.entries)  # (W,S,D,R)
+    if config.tau_r is not None:
+        dr = config.tau_r.dim
+        joint = np.kron(joint, config.tau_r.entries)  # (W,S,D,R)
         t = joint.reshape([dw, ds, dd, dr] * 2)
         t = t.transpose([0, 1, 3, 2, 4, 5, 7, 6])
         joint = t.reshape(dw * ds * dr * dd, -1)
@@ -85,17 +85,17 @@ def joint_consistency(
     branch_dim = int(np.prod(dims[:-1]))
     v = sum(
         np.kron(config.feedback.unitary_for(l).entries, p.entries)
-        for l, p in config.feedback.demon_projectors
+        for l, _, p in config.records.outcomes
     )
     vh = v.conj().T
-    projs = [p.entries for _, p in config.feedback.demon_projectors]
+    projs = [p.entries for _, _, p in config.records.outcomes]
     pinch_last = _pinch_demon(v @ joint @ vh, branch_dim, projs)
     pinch_first = v @ _pinch_demon(joint, branch_dim, projs) @ vh
     gap = _norm(pinch_first - pinch_last)
 
     marginals = [rho_w_after, rho_s_after]
     axes = [0, 1]
-    if config.reservoir is not None:
+    if config.tau_r is not None:
         marginals.append(rho_r_after)
         axes.append(2)
     marginals.append(rho_d_after)

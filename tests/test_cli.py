@@ -267,6 +267,26 @@ class TestRunCommand:
         assert main(["run", path]) == 1
         assert "SZILARD_KB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc", [_library_doc(), {"config": _explicit_block()}],
+        ids=["library", "explicit"],
+    )
+    @pytest.mark.parametrize(
+        "source, value", [("flag", "-1"), ("flag", "inf"), ("env", "nan")]
+    )
+    def test_bad_tol_s_exit_code(self, tmp_path, capsys, monkeypatch, doc,
+                                 source, value):
+        # these used to exit 0, scoring the weight entropy against the bad
+        # tolerance
+        path = _write(tmp_path, doc)
+        argv = ["run", path]
+        if source == "flag":
+            argv.append(f"--tol-s={value}")
+        else:
+            monkeypatch.setenv("SZILARD_TOL_S", value)
+        assert main(argv) == 1
+        assert "tol_s" in capsys.readouterr().err
+
     def test_unknown_scenario_exit_code(self, tmp_path, capsys):
         path = _write(tmp_path, {"scenario": "bogus"})
         assert main(["run", path]) == 1
@@ -320,6 +340,15 @@ class TestRunCommand:
             ({"config": "abc"}, "field 'config'"),
             ({"scenario": "example_I", "params": {"q": "abc"}}, "parameter 'q'"),
             ({"scenario": "example_I", "params": {"q": [1]}}, "parameter 'q'"),
+            # ranks used to be read by int(), or to end in a TypeError
+            ({"scenario": "degenerate_circumvention",
+              "params": {"d": 3, "ranks": [2.7, 1.3]}}, "parameter 'ranks'"),
+            ({"scenario": "degenerate_circumvention", "params": {"ranks": "22"}},
+             "parameter 'ranks'"),
+            ({"scenario": "degenerate_circumvention", "params": {"ranks": True}},
+             "parameter 'ranks'"),
+            ({"scenario": "degenerate_circumvention",
+              "params": {"ranks": [2, None]}}, "parameter 'ranks'"),
             # an integer path is a file descriptor to open(); this one can
             # never be open, so the old behaviour fails without writing
             ({"scenario": "example_I", "output": {"path": 2**31 - 1}},

@@ -23,15 +23,16 @@ from szilard import (
     Observable,
     Operator,
     PureState,
-    ReservoirSpec,
     SizeError,
     ThermoContext,
     Transition,
     basis_state,
     build_oscillator_weight,
     build_shift_unitary,
+    build_swap_erasure,
     build_transition_model,
     compose_feedback_unitary,
+    erase_demon,
     evaluate_features,
     impossibility_scan,
     objectification_order_gap,
@@ -116,43 +117,23 @@ class TestEngineConfigValidation:
     def test_reservoir_scheme_requires_reservoir(self):
         cfg = scenario_library("reservoir_circumvention", dim_R=4, N=4)
         with pytest.raises(ValueError, match="branch dimension"):
-            dataclasses.replace(cfg, reservoir=None)
+            dataclasses.replace(cfg, h_r=None)
 
     def test_unused_reservoir_rejected(self):
         cfg = scenario_library("example_I")
         h_r = Operator(np.diag([0.0, 1.0]))
-        tau = thermal_state(h_r.entries, cfg.thermo.beta)
         with pytest.raises(ValueError, match="branch dimension"):
-            dataclasses.replace(
-                cfg, reservoir=ReservoirSpec(hamiltonian=h_r, state=tau)
-            )
+            dataclasses.replace(cfg, h_r=h_r)
 
     def test_feedback_branch_dimension_mismatch(self):
         cfg = scenario_library("example_I")
         with pytest.raises(ValueError, match="branch dimension"):
             dataclasses.replace(cfg, weight=build_oscillator_weight(1.0, 4))
 
-    def test_feedback_demon_dimension_mismatch(self):
-        cfg = scenario_library("example_I")
-        scheme = FeedbackScheme(
-            branch_unitaries=cfg.feedback.branch_unitaries,
-            demon_projectors=(
-                ("+", Operator(projector_onto(basis_state(3, 0)))),
-                ("-", Operator(np.diag([0.0, 1.0, 1.0]))),
-            ),
-        )
-        with pytest.raises(ValueError, match="demon dimension"):
-            dataclasses.replace(cfg, feedback=scheme)
-
     def test_feedback_label_mismatch(self):
         cfg = scenario_library("example_I")
         relabeled = FeedbackScheme(
-            branch_unitaries=tuple(
-                (l + "x", u) for l, u in cfg.feedback.branch_unitaries
-            ),
-            demon_projectors=tuple(
-                (l + "x", p) for l, p in cfg.feedback.demon_projectors
-            ),
+            tuple((l + "x", u) for l, u in cfg.feedback.branch_unitaries)
         )
         with pytest.raises(ValueError, match="labels"):
             dataclasses.replace(cfg, feedback=relabeled)
@@ -171,11 +152,7 @@ class TestEngineConfigValidation:
         weight = build_oscillator_weight(1.0, 17, dim=21)
         eye_branch = Operator(np.eye(21 * 2))
         scheme = FeedbackScheme(
-            branch_unitaries=tuple((f"o{i}", eye_branch) for i in range(k)),
-            demon_projectors=tuple(
-                (f"o{i}", Operator(projector_onto(basis_state(k, i))))
-                for i in range(k)
-            ),
+            tuple((f"o{i}", eye_branch) for i in range(k))
         )
         with pytest.raises(SizeError, match="exceeds"):
             EngineConfig(
@@ -187,38 +164,6 @@ class TestEngineConfigValidation:
                 thermo=ThermoContext(1.0),
             )
 
-    def test_instrument_projectors_must_align_with_outcomes(self):
-        cfg = scenario_library("degenerate_circumvention")
-        labels = [l for l, _ in cfg.feedback.demon_projectors]
-        swapped = FeedbackScheme(
-            branch_unitaries=cfg.feedback.branch_unitaries,
-            demon_projectors=(
-                (labels[0], cfg.feedback.projector_for(labels[1])),
-                (labels[1], cfg.feedback.projector_for(labels[0])),
-            ),
-        )
-        with pytest.raises(ConstructionError, match="basis-aligned"):
-            dataclasses.replace(cfg, feedback=swapped)
-
-    @pytest.mark.parametrize("turn", ["swapped", "rotated"])
-    def test_model_feedback_must_be_controlled_by_the_pointer(self, turn):
-        # such an engine used to certify as conforming and fail only in
-        # run_cycle, whose marginals deviated from the joint evolution
-        cfg = scenario_library("example_I")
-        if turn == "swapped":
-            controls = (("+", cfg.feedback.projector_for("-")),
-                        ("-", cfg.feedback.projector_for("+")))
-        else:
-            s = 1.0 / math.sqrt(2.0)
-            controls = (("+", Operator(projector_onto(np.array([s, s])))),
-                        ("-", Operator(projector_onto(np.array([s, -s])))))
-        scheme = FeedbackScheme(
-            branch_unitaries=cfg.feedback.branch_unitaries,
-            demon_projectors=controls,
-        )
-        with pytest.raises(ConstructionError, match="record"):
-            dataclasses.replace(cfg, feedback=scheme)
-
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_no_joint_dimension_operator_is_kept(self, name):
         config = scenario_library(name)
@@ -227,27 +172,12 @@ class TestEngineConfigValidation:
                 isinstance(value, Operator) and value.dim == config.total_dim
             ), key
 
-    def test_reservoir_state_must_be_thermal(self):
-        cfg = scenario_library("reservoir_circumvention", dim_R=4, N=4)
-        dim_r = cfg.reservoir.state.dim
-        with pytest.raises(ValueError, match="not thermal"):
-            dataclasses.replace(
-                cfg,
-                reservoir=ReservoirSpec(
-                    hamiltonian=cfg.reservoir.hamiltonian,
-                    state=DensityMatrix(np.eye(dim_r) / dim_r),
-                ),
-            )
-
     def test_nonconserving_feedback_refused(self):
         cfg = scenario_library("example_I")
         dw = cfg.weight_hamiltonian.dim
         # cyclic weight raise with no compensating system drop
         lift = Operator(np.roll(np.eye(2 * dw), 2, axis=0))
-        scheme = FeedbackScheme(
-            branch_unitaries=(("+", lift), ("-", lift)),
-            demon_projectors=cfg.feedback.demon_projectors,
-        )
+        scheme = FeedbackScheme((("+", lift), ("-", lift)))
         with pytest.raises(ConstructionError, match="feedback violates"):
             dataclasses.replace(cfg, feedback=scheme)
 
@@ -333,14 +263,14 @@ class TestRunCycle:
 
     def test_order_gap_matches_public_route(self, example_i_cycles):
         config, result, _ = example_i_cycles[0.3]
-        v = compose_feedback_unitary(config.feedback)
+        v = compose_feedback_unitary(config.feedback, config.records)
         joint = np.kron(
             config.weight_initial.entries, result.premeasured.entries
         )
         gap = objectification_order_gap(
             v,
             joint,
-            config.feedback.demon_projectors,
+            [(x, p) for x, _, p in config.records.outcomes],
             config.feedback.branch_dim,
         )
         assert gap == pytest.approx(result.objectification_order_gap, abs=1e-12)
@@ -473,7 +403,7 @@ class TestJointConsistency:
 
     def test_rotated_records_match_dense_oracle(self):
         config = _pm_record_engine()
-        projs = [p.entries for _, p in config.feedback.demon_projectors]
+        projs = config.record_projectors
         assert np.abs(projs[0] @ projs[1]).max() > 0.0
         assert config.conforming
         _, (factored, dense) = _consistency_routes(config)
@@ -549,7 +479,7 @@ class TestFactoredBranchMap:
         rho_w = config.weight_initial.entries
         h_w = config.weight_hamiltonian.entries
         kt = config.thermo.kt
-        tau_r = config.reservoir.state if config.reservoir is not None else None
+        tau_r = config.tau_r
         assert result.branches
         for br in result.branches:
             w, s, r = _dense.conditional_feedback_map(
@@ -679,7 +609,7 @@ class TestValidatedAtTheBoundary:
 
     def test_reservoir_cycle_reuses_the_build_certificate(self, monkeypatch):
         config = scenario_library("reservoir_circumvention", dim_R=3)
-        tau = config.reservoir.state.entries
+        tau = config.tau_r.entries
         thermal, weight_f, tau_diag = [], [], []
 
         def counted_thermal(*args):
@@ -814,6 +744,16 @@ class TestScenarioLibrary:
             ("example_I", {"q": True}),
             ("example_II", {"tol_s": "tight"}),
             ("reservoir_circumvention", {"dim_R": 2.5}),
+            # ranks: a list or tuple of integral numbers, nothing else
+            ("degenerate_circumvention", {"ranks": [2.7, 1.3], "d": 3}),
+            ("degenerate_circumvention", {"ranks": "22"}),
+            ("degenerate_circumvention", {"ranks": True}),
+            ("degenerate_circumvention", {"ranks": [2, None]}),
+            ("degenerate_circumvention", {"ranks": [3, True]}),
+            # the feature tolerance must be a finite non-negative number
+            ("example_I", {"tol_s": -1.0}),
+            ("example_I", {"tol_s": float("nan")}),
+            ("example_II", {"tol_s": float("inf")}),
         ],
     )
     def test_out_of_range_parameters(self, name, params):
@@ -824,7 +764,19 @@ class TestScenarioLibrary:
         config = scenario_library("example_I", N=5.0)
         assert config.weight.levels == 5
         config = scenario_library("reservoir_circumvention", dim_R=3.0, N=4.0)
-        assert config.reservoir.state.dim == 3
+        assert config.tau_r.dim == 3
+
+    def test_ranks_list_is_read_as_integers(self):
+        config = scenario_library("degenerate_circumvention", d=5, ranks=[3.0, 2])
+        want = scenario_library("degenerate_circumvention", d=5, ranks=(3, 2))
+        assert config.outcome_labels == want.outcome_labels == ("x0", "x1")
+        for (_, u), (_, v) in zip(
+            config.feedback.branch_unitaries, want.feedback.branch_unitaries
+        ):
+            assert np.array_equal(u.entries, v.entries)
+
+    def test_zero_tol_s_is_accepted(self):
+        assert scenario_library("example_I", tol_s=0.0).tol_s == 0.0
 
     def test_degenerate_ranks_set_branch_works(self):
         config = scenario_library(
@@ -837,6 +789,74 @@ class TestScenarioLibrary:
         assert works["x1"] == pytest.approx(4.0, abs=1e-9)
         report = evaluate_features(result, config)
         assert report.triple == (True, True, True)
+
+
+def _swap_erasure():
+    return build_swap_erasure(PureState(basis_state(2, 0)), ThermoContext(1.0))
+
+
+class TestDerivedInputs:
+    """What the engine can derive is not an input: the feedback controls
+    are the measurement's record register, and each reservoir state is the
+    Gibbs state of its Hamiltonian, derived once at build."""
+
+    def test_model_records_are_its_pointer(self):
+        config = scenario_library("example_I")
+        assert config.records is config.measurement.pointer
+        assert config.outcome_labels == ("+", "-")
+
+    def test_instrument_records_are_basis_projectors(self):
+        config = scenario_library("degenerate_circumvention", d=5, ranks=(3, 2))
+        assert config.records.labels == config.measurement.labels
+        for i, (_, value, p) in enumerate(config.records.outcomes):
+            assert value == float(i)
+            assert np.array_equal(p.entries, projector_onto(basis_state(2, i)))
+
+    def test_non_basis_pointer_certifies_through_the_derived_controls(self):
+        # the |+>/|-> pointer controls the feedback without being restated
+        config = _pm_record_engine()
+        assert config.records is config.measurement.pointer
+        assert abs(config.record_projectors[0][0, 1]) == pytest.approx(0.5)
+        assert config.conforming
+        assert config.certification.feedback_form.passed
+        assert config.certification.feedback_energy.passed
+        result = run_cycle(config)
+        assert result.marginal_deviation < 1e-10
+        assert result.objectification_order_gap < 1e-10
+
+    def test_reservoir_states_are_gibbs_states(self):
+        config = scenario_library(
+            "reservoir_circumvention", dim_R=3, erasure=_swap_erasure()
+        )
+        beta = config.thermo.beta
+        assert np.array_equal(
+            config.tau_r.entries, thermal_state(config.h_r, beta).entries
+        )
+        assert np.array_equal(
+            config._tau_e.entries, thermal_state(config.erasure.h_r, beta).entries
+        )
+
+    def test_explicit_erasure_cycle_derives_no_thermal_state(self, monkeypatch):
+        config = scenario_library("example_I", erasure=_swap_erasure())
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return thermal_state(*args)
+
+        for mod in (engine_mod, thermo_mod):
+            monkeypatch.setattr(mod, "thermal_state", counted)
+        for _ in range(2):
+            result = run_cycle(config)
+            assert not result.erasure.landauer_optimal
+        assert calls == []
+        # the public function derives the reservoir state from its context
+        again = erase_demon(
+            result.rho_d_after, config.demon_hamiltonian, config.demon_initial,
+            config.thermo, config.erasure,
+        )
+        assert calls == [1]
+        assert again.q == result.erasure.q
 
 
 class TestPlaneStrokes:

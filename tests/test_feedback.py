@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szilard import (
-    ConstructionError,
     DensityMatrix,
     FeedbackScheme,
+    Observable,
     Operator,
     PureState,
     basis_state,
@@ -43,6 +43,12 @@ def basis_projectors(dim: int, labels=None):
     return tuple(out)
 
 
+def basis_records(dim: int, labels=None) -> Observable:
+    """A record register of basis projectors, value ``i`` for the ``i``-th."""
+    pairs = basis_projectors(dim, labels)
+    return Observable(tuple((l, float(i), p) for i, (l, p) in enumerate(pairs)))
+
+
 def random_unitary(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -60,30 +66,11 @@ def random_density(rng, dim):
 
 
 class TestScheme:
-    def test_label_mismatch_rejected(self):
-        u = Operator(np.eye(2, dtype=complex))
-        with pytest.raises(ValueError):
-            FeedbackScheme(
-                branch_unitaries=(("a", u), ("b", u)),
-                demon_projectors=basis_projectors(2, ["a", "c"]),
-            )
-
     def test_nonunitary_branch_rejected(self):
         bad = Operator(np.diag([1.0, 0.5]).astype(complex))
         with pytest.raises(ValueError):
             FeedbackScheme(
                 branch_unitaries=(("a", bad), ("b", Operator(np.eye(2, dtype=complex)))),
-                demon_projectors=basis_projectors(2, ["a", "b"]),
-            )
-
-    def test_incomplete_projectors_rejected(self):
-        u = Operator(np.eye(2, dtype=complex))
-        p = np.zeros((2, 2), dtype=complex)
-        p[0, 0] = 1.0
-        with pytest.raises(ConstructionError):
-            FeedbackScheme(
-                branch_unitaries=(("a", u), ("b", u)),
-                demon_projectors=(("a", Operator(p)), ("b", Operator(p))),
             )
 
     @given(seeds)
@@ -93,15 +80,46 @@ class TestScheme:
         us = [Operator(random_unitary(rng, 3)) for _ in range(2)]
         scheme = FeedbackScheme(
             branch_unitaries=(("0", us[0]), ("1", us[1])),
-            demon_projectors=basis_projectors(2),
         )
-        v = compose_feedback_unitary(scheme)
+        records = basis_records(2)
+        v = compose_feedback_unitary(scheme, records)
         want = sum(
-            np.kron(u.entries, scheme.projector_for(l).entries)
+            np.kron(u.entries, records.projector_for(l).entries)
             for l, u in scheme.branch_unitaries
         )
         assert operator_norm(v.entries - want) < 1e-12
         assert v.is_unitary
+
+    def test_composed_takes_its_controls_from_the_register(self):
+        # a register rotated off the demon basis: each U_x is controlled by
+        # that register's P_x, exactly sum_x U_x (x) P_x
+        rng = np.random.default_rng(17)
+        s = 1.0 / math.sqrt(2.0)
+        plus = Operator(np.outer([s, s], [s, s]).astype(complex))
+        minus = Operator(np.outer([s, -s], [s, -s]).astype(complex))
+        records = Observable((("a", 1.0, plus), ("b", -1.0, minus)))
+        us = [Operator(random_unitary(rng, 3)) for _ in range(2)]
+        scheme = FeedbackScheme((("b", us[1]), ("a", us[0])))
+        v = compose_feedback_unitary(scheme, records)
+        want = np.kron(us[1].entries, minus.entries) + np.kron(
+            us[0].entries, plus.entries
+        )
+        assert np.array_equal(v.entries, want)
+
+    def test_labels_must_match_the_register(self):
+        u = Operator(np.eye(2, dtype=complex))
+        scheme = FeedbackScheme((("a", u), ("b", u)))
+        records = basis_records(2, ["a", "c"])
+        with pytest.raises(ValueError, match="record labels"):
+            compose_feedback_unitary(scheme, records)
+        zero = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="record labels"):
+            check_feedback_energy(scheme, records, zero, np.zeros((1, 1)), zero)
+
+    def test_duplicate_labels_rejected(self):
+        u = Operator(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="duplicate"):
+            FeedbackScheme((("a", u), ("a", u)))
 
 
 class TestFormCheck:
@@ -112,10 +130,9 @@ class TestFormCheck:
                 ("0", Operator(random_unitary(rng, 4))),
                 ("1", Operator(random_unitary(rng, 4))),
             ),
-            demon_projectors=basis_projectors(2),
         )
-        v = compose_feedback_unitary(scheme)
-        rep = check_feedback_form(v, scheme.demon_projectors, branch_dim=4)
+        v = compose_feedback_unitary(scheme, basis_records(2))
+        rep = check_feedback_form(v, basis_projectors(2), branch_dim=4)
         assert rep.passed
         assert rep.block_residual <= EPS_ALG
         assert rep.probe_residual <= EPS_ALG
@@ -184,11 +201,10 @@ class TestEnergyCheck:
         u = Operator(np.eye(3, dtype=complex))
         scheme = FeedbackScheme(
             branch_unitaries=(("0", u), ("1", u)),
-            demon_projectors=basis_projectors(2),
         )
         h_d = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         rep = check_feedback_energy(
-            scheme, np.zeros((3, 3)), np.zeros((1, 1)), h_d
+            scheme, basis_records(2), np.zeros((3, 3)), np.zeros((1, 1)), h_d
         )
         assert rep.passed
         assert all(c <= EPS_ALG for _, c in rep.branch_commutators)
@@ -201,11 +217,10 @@ class TestEnergyCheck:
         u1 = Operator(np.diag([1.0, 1.0, -1.0]).astype(complex))
         scheme = FeedbackScheme(
             branch_unitaries=(("0", u0), ("1", u1)),
-            demon_projectors=basis_projectors(2),
         )
         h_d = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         rep = check_feedback_energy(
-            scheme, np.zeros((3, 3)), np.zeros((1, 1)), h_d
+            scheme, basis_records(2), np.zeros((3, 3)), np.zeros((1, 1)), h_d
         )
         assert not rep.passed
         assert any(c > 0.5 for _, c in rep.pointer_group_commutators)
@@ -218,10 +233,9 @@ class TestEnergyCheck:
                 ("0", Operator(np.eye(4, dtype=complex))),
                 ("1", Operator(u1)),
             ),
-            demon_projectors=basis_projectors(2),
         )
         zero = np.zeros((2, 2))
-        rep = check_feedback_energy(scheme, zero, zero, zero)
+        rep = check_feedback_energy(scheme, basis_records(2), zero, zero, zero)
         return [set(g) for g, _ in rep.pointer_group_commutators]
 
     def test_strokes_1e9_apart_are_not_grouped(self):
@@ -254,11 +268,10 @@ class TestEnergyCheck:
         raise_w[1, 0] = raise_w[2, 1] = raise_w[0, 2] = 1.0
         scheme = FeedbackScheme(
             branch_unitaries=(("0", Operator(raise_w)),),
-            demon_projectors=(("0", Operator(np.eye(1, dtype=complex))),),
         )
         h_w = np.diag([0.0, 1.0, 2.0]).astype(complex)
         rep = check_feedback_energy(
-            scheme, h_w, np.zeros((1, 1)), np.zeros((1, 1))
+            scheme, basis_records(1), h_w, np.zeros((1, 1)), np.zeros((1, 1))
         )
         assert not rep.passed
         assert rep.branch_commutators[0][1] > 0.5
@@ -276,7 +289,6 @@ class TestConditionalMap:
         swap_plane[1, 2] = swap_plane[2, 1] = 1.0  # |0W,1S> <-> |1W,0S>
         scheme = FeedbackScheme(
             branch_unitaries=(("0", Operator(swap_plane)),),
-            demon_projectors=(("0", Operator(np.eye(1, dtype=complex))),),
         )
         w0 = DensityMatrix(np.diag([1.0, 0j]))
         s1 = DensityMatrix(np.diag([0j, 1.0]))
@@ -288,7 +300,6 @@ class TestConditionalMap:
         rng = np.random.default_rng(13)
         scheme = FeedbackScheme(
             branch_unitaries=(("0", Operator(random_unitary(rng, 6))),),
-            demon_projectors=(("0", Operator(np.eye(1, dtype=complex))),),
         )
         w = random_density(rng, 2)
         s = random_density(rng, 3)
@@ -305,7 +316,6 @@ class TestConditionalMap:
     def test_missing_reservoir_state_rejected(self):
         scheme = FeedbackScheme(
             branch_unitaries=(("0", Operator(np.eye(8, dtype=complex))),),
-            demon_projectors=(("0", Operator(np.eye(1, dtype=complex))),),
         )
         w = DensityMatrix(np.eye(2, dtype=complex) / 2)
         s = DensityMatrix(np.eye(2, dtype=complex) / 2)
@@ -323,12 +333,11 @@ class TestObjectificationOrder:
                 ("0", Operator(random_unitary(rng, 3))),
                 ("1", Operator(random_unitary(rng, 3))),
             ),
-            demon_projectors=basis_projectors(2),
         )
-        v = compose_feedback_unitary(scheme)
+        v = compose_feedback_unitary(scheme, basis_records(2))
         rho = random_density(rng, 6)
         gap = objectification_order_gap(
-            v, rho, scheme.demon_projectors, branch_dim=3
+            v, rho, basis_projectors(2), branch_dim=3
         )
         assert gap <= 1e-10
 
@@ -350,10 +359,9 @@ class TestObjectificationOrder:
                 ("0", Operator(random_unitary(rng, 3))),
                 ("1", Operator(random_unitary(rng, 3))),
             ),
-            demon_projectors=basis_projectors(2),
         )
-        v = compose_feedback_unitary(scheme)
-        assert check_feedback_form(v, scheme.demon_projectors, 3).passed
+        v = compose_feedback_unitary(scheme, basis_records(2))
+        assert check_feedback_form(v, basis_projectors(2), 3).passed
         for i, (label, u) in enumerate(scheme.branch_unitaries):
             for k in range(3):
                 probe = np.kron(basis_state(3, k), basis_state(2, i))

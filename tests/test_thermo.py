@@ -214,27 +214,12 @@ class TestErasure:
         blank = PureState(basis_state(2, 0))
         template = build_swap_erasure(blank, ctx)
         lazy = ExplicitReservoir(
-            reservoir_state=template.reservoir_state,
             h_r=template.h_r,
             u_r=Operator(np.eye(template.u_r.dim, dtype=complex)),
         )
         rho_d = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ErasureError):
             erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, mode=lazy)
-
-    def test_nonthermal_reservoir_rejected(self):
-        ctx = ThermoContext(1.0)
-        blank = PureState(basis_state(2, 0))
-        template = build_swap_erasure(blank, ctx)
-        dim_r = template.reservoir_state.dim
-        skewed = ExplicitReservoir(
-            reservoir_state=DensityMatrix(np.eye(dim_r, dtype=complex) / dim_r),
-            h_r=template.h_r,
-            u_r=template.u_r,
-        )
-        rho_d = DensityMatrix(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(ValueError):
-            erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, mode=skewed)
 
     def test_pure_record_erases_for_free(self):
         ctx = ThermoContext(1.0)
