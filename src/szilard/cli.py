@@ -76,13 +76,10 @@ def _read(doc: Mapping[str, Any], key: str, kind: type, default: Any = None,
 
 
 def _parse_complex(entry: Any, field: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(v, (int, float)) for v in entry)
-    ):
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise _fail(field, f"expected an [re, im] pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+    re, im = (_number(v, float, f"field {field!r}") for v in entry)
+    return complex(re, im)
 
 
 def _parse_vector(obj: Any, field: str) -> np.ndarray:
@@ -125,7 +122,7 @@ def _parse_observable(obj: Any, field: str) -> Observable:
         rows.append(
             (
                 str(item["label"]),
-                float(item["value"]),
+                _number(item["value"], float, f"field {here + '.value'!r}"),
                 Operator(_parse_matrix(item["projector"], f"{here}.projector")),
             )
         )
@@ -226,7 +223,7 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
         )
     erasure_key = doc.get("erasure", "landauer_optimal")
     if erasure_key == "landauer_optimal":
-        erasure = "landauer_optimal"
+        erasure = None
     elif erasure_key == "swap":
         erasure = build_swap_erasure(demon_initial, ctx)
     else:
@@ -539,7 +536,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         payload = {"name": runs[0].name if runs else "scenario", "records": records}
         if seed is not None:
             payload["seed"] = seed
-        _emit(json.dumps(payload, indent=2), path)
+        _emit(json.dumps(payload, indent=2, allow_nan=False), path)
     elif fmt == "csv":
         _emit(_records_to_csv(records, ns.plot_data), path)
     else:
@@ -573,7 +570,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         _emit(buf.getvalue(), ns.out)
         return 0
     payload = _scan_payload(report, ns.thermal)
-    _emit(json.dumps(payload, indent=2), ns.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), ns.out)
     return 0
 
 

@@ -196,6 +196,7 @@ class EngineConfig:
     reservoir is given by its Hamiltonian: a reservoir taking part in the
     feedback (``h_r``) and an explicit erasure reservoir both start in
     their Gibbs state at the context temperature, derived once here.
+    Without an erasure reservoir the record is erased Landauer-optimally.
     """
 
     rho_s: DensityMatrix
@@ -206,7 +207,7 @@ class EngineConfig:
     thermo: ThermoContext
     h_d: Operator | None = None
     h_r: Operator | None = None
-    erasure: str | ExplicitReservoir = "landauer_optimal"
+    erasure: ExplicitReservoir | None = None
     degenerate_target: bool = False
     non_conforming: bool = False
     tol_s: float | None = None
@@ -270,7 +271,12 @@ class EngineConfig:
             tau_r = thermal_state(self.h_r, self.thermo.beta)
         object.__setattr__(self, "_tau_r", tau_r)
         tau_e = None
-        if isinstance(self.erasure, ExplicitReservoir):
+        if self.erasure is not None:
+            if not isinstance(self.erasure, ExplicitReservoir):
+                raise TypeError(
+                    "erasure must be an ExplicitReservoir or None, got "
+                    f"{self.erasure!r}"
+                )
             tau_e = thermal_state(self.erasure.h_r, self.thermo.beta)
         object.__setattr__(self, "_tau_e", tau_e)
         cert = self._certify()
@@ -792,7 +798,6 @@ def _record_write_engine(
     demon_initial: np.ndarray,
     weight: OscillatorWeight | GenericWeight,
     strokes: Sequence[Operator],
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
     h_r: Operator | None = None,
 ) -> EngineConfig:
@@ -827,7 +832,6 @@ def _record_write_engine(
         thermo=ctx,
         h_d=h_d,
         h_r=h_r,
-        erasure=erasure,
         tol_s=tol_s,
         label=label,
     )
@@ -842,7 +846,6 @@ def _ladder_engine(
     h_d: Operator,
     posts: Sequence[np.ndarray],
     demon_initial: np.ndarray,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """A record-write engine on a qubit of gap ``omega`` whose strokes turn
@@ -855,7 +858,7 @@ def _ladder_engine(
     weight = build_oscillator_weight(omega, N)
     strokes = [build_shift_unitary(weight, post) for post in posts]
     return _record_write_engine(
-        label, ctx, q, h_s, h_d, posts, demon_initial, weight, strokes, erasure, tol_s
+        label, ctx, q, h_s, h_d, posts, demon_initial, weight, strokes, tol_s
     )
 
 
@@ -865,14 +868,13 @@ def _eigenstate_engine(
     q: float,
     N: int,
     omega: float,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """Each outcome leaves its measured eigenstate and the demon has no
     energy.  ``example_I`` and the ``eigenstate_posts`` family build here."""
     h_d = Operator(np.zeros((2, 2)))
     posts = (basis_state(2, 0), basis_state(2, 1))
-    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], erasure, tol_s)
+    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], tol_s)
 
 
 def _superposition_engine(
@@ -883,7 +885,6 @@ def _superposition_engine(
     omega: float,
     c1: float,
     c2: float,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """Outcomes leave ``c1|0> + c2|1>`` and ``c1|0> - c2|1>``; the demon
@@ -891,7 +892,7 @@ def _superposition_engine(
     ``example_II`` and the ``superposition_posts`` family build here."""
     h_d = Operator(np.diag([omega / 2, -omega / 2]))
     posts = (np.array([c1, c2], dtype=complex), np.array([c1, -c2], dtype=complex))
-    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], erasure, tol_s)
+    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], tol_s)
 
 
 def _example_I(
@@ -900,13 +901,12 @@ def _example_I(
     omega: float = 1.0,
     temperature: float = 1.0,
     kb: float = 1.0,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """Eigenstate measurement in the energy basis; one branch lifts the
     weight a full quantum, the other does nothing."""
     ctx = ThermoContext(temperature, kb)
-    return _eigenstate_engine("example_I", ctx, q, N, omega, erasure, tol_s)
+    return _eigenstate_engine("example_I", ctx, q, N, omega, tol_s)
 
 
 def _example_II(
@@ -915,14 +915,13 @@ def _example_II(
     omega: float = 1.0,
     temperature: float = 1.0,
     kb: float = 1.0,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """Eigenstate measurement whose post states are balanced superpositions;
     both branches extract close to half a quantum at large N."""
     ctx = ThermoContext(temperature, kb)
     s = 1.0 / math.sqrt(2.0)
-    return _superposition_engine("example_II", ctx, q, N, omega, s, s, erasure, tol_s)
+    return _superposition_engine("example_II", ctx, q, N, omega, s, s, tol_s)
 
 
 def _degenerate_circumvention(
@@ -932,7 +931,6 @@ def _degenerate_circumvention(
     omega: float = 1.0,
     temperature: float = 1.0,
     kb: float = 1.0,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """Degenerate target observable read out by a coarse-grained instrument:
@@ -969,7 +967,7 @@ def _degenerate_circumvention(
         target_rows.append((labels[i], float(i), Operator(proj)))
         data[labels[i]] = [(PureState(basis_state(d, s)), top) for s in covered]
     target = Observable(tuple(target_rows))
-    instr = build_degenerate_instrument("coarse_grained", target, data)
+    instr = build_degenerate_instrument(target, data)
     weight = build_oscillator_weight(omega, N, dim=N + d + 2)
     dw = weight.dim
     swap = [[0.0, 1.0], [1.0, 0.0]]
@@ -987,7 +985,6 @@ def _degenerate_circumvention(
         feedback=FeedbackScheme(tuple(unitaries)),
         weight=weight,
         thermo=ctx,
-        erasure=erasure,
         degenerate_target=True,
         tol_s=tol_s,
         label="degenerate_circumvention",
@@ -1002,7 +999,6 @@ def _reservoir_circumvention(
     omega: float = 0.25,
     temperature: float = 1.0,
     kb: float = 1.0,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """Fully degenerate system: feedback partially swaps reservoir quanta
@@ -1040,7 +1036,6 @@ def _reservoir_circumvention(
         posts[0],
         weight,
         strokes,
-        erasure,
         tol_s,
         h_r,
     )
@@ -1050,7 +1045,6 @@ def _null_engine(
     omega: float = 1.0,
     temperature: float = 1.0,
     kb: float = 1.0,
-    erasure: str | ExplicitReservoir = "landauer_optimal",
     tol_s: float | None = None,
 ) -> EngineConfig:
     """Trivial single-outcome measurement and identity feedback."""
@@ -1066,7 +1060,6 @@ def _null_engine(
         feedback=FeedbackScheme((("0", Operator(np.eye(weight.dim * 2))),)),
         weight=weight,
         thermo=ctx,
-        erasure=erasure,
         tol_s=tol_s,
         label="null_engine",
     )
@@ -1086,15 +1079,17 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 def _typed_param(name: str, value: object, annotation: str) -> object:
     """``value`` read as its scenario parameter's annotation says: ``int``
     or ``float``, either optionally ``| None``, or ``Sequence[int]``, a list
-    or tuple of integral numbers read as a tuple of ``int``; other
-    annotations pass through."""
+    or tuple of integral numbers read as a tuple of ``int``.  Any other
+    annotation is an error, so no scenario parameter goes unchecked."""
     where = f"parameter {name!r}"
     if annotation == "Sequence[int]":
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where}: expected a list of integers, got {value!r}")
         return tuple(_number(v, int, where) for v in value)
     kind = {"int": int, "float": float}.get(annotation.removesuffix(" | None"))
-    if kind is None or (value is None and annotation.endswith(" | None")):
+    if kind is None:
+        raise TypeError(f"{where}: no reader for annotation {annotation!r}")
+    if value is None and annotation.endswith(" | None"):
         return value
     return _number(value, kind, where)
 
@@ -1244,10 +1239,7 @@ class ScanReport:
 
 
 def impossibility_scan(
-    count: int,
-    seed: int,
-    families: Sequence[str] | None = None,
-    thermal_system: bool = False,
+    count: int, seed: int, thermal_system: bool = False
 ) -> ScanReport:
     """Run randomized conforming engines and tally their feature patterns.
 
@@ -1258,12 +1250,7 @@ def impossibility_scan(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    names = tuple(families) if families is not None else tuple(SCAN_FAMILIES)
-    for n in names:
-        if n not in SCAN_FAMILIES:
-            raise ValueError(
-                f"unknown family {n!r}; available: {', '.join(SCAN_FAMILIES)}"
-            )
+    names = tuple(SCAN_FAMILIES)
     rng = np.random.default_rng(seed)
     records = []
     all_three = 0

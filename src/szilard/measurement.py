@@ -36,7 +36,6 @@ from .qop import (
     _check_hermitian,
     _energy_sectors,
     _entries_of,
-    _fix_phase,
     _kron,
     commutator_norm,
     dagger,
@@ -51,7 +50,6 @@ __all__ = [
     "Instrument",
     "Branch",
     "Gemenge",
-    "build_standard_premeasurement",
     "build_transition_model",
     "premeasure_and_objectify",
     "check_energy_conserving_measurement",
@@ -396,14 +394,6 @@ def complete_unitary(
 # model builders
 
 
-def _vector_from_projector(p: Operator) -> np.ndarray:
-    """Deterministic unit vector in the range of a projector of any rank."""
-    m = p.entries
-    j = int(np.argmax(np.linalg.norm(m, axis=0)))
-    v = m[:, j]
-    return _fix_phase(v / np.linalg.norm(v))
-
-
 def build_transition_model(
     target: Observable,
     pointer: Observable,
@@ -436,45 +426,6 @@ def build_transition_model(
         pointer=pointer,
         target=target,
         transitions=tuple(transitions),
-    )
-
-
-def build_standard_premeasurement(
-    target: Observable,
-    post_states: Mapping[object, PureState],
-    pointer: Observable,
-    demon_initial: PureState,
-    hamiltonians: tuple[object, object] | None = None,
-) -> MeasurementModel:
-    """Standard model: one post state and one pointer record per outcome.
-
-    The target must be non-degenerate.  Pointer records are taken as
-    deterministic unit vectors inside each pointer subspace.
-    """
-    if not target.is_nondegenerate:
-        raise ValueError("standard premeasurement needs a non-degenerate target")
-    if set(post_states) != set(target.labels):
-        raise ValueError(
-            f"post_states labels {sorted(map(str, post_states))} do not match "
-            f"target labels {sorted(map(str, target.labels))}"
-        )
-    transitions = []
-    for label, _, proj in target.outcomes:
-        phi = _vector_from_projector(proj)
-        post = post_states[label]
-        if not isinstance(post, PureState):
-            post = PureState(post)  # raises ValueError when not normalised
-        rec = _vector_from_projector(pointer.projector_for(label))
-        transitions.append(
-            Transition(
-                outcome=label,
-                sys_in=PureState(phi),
-                sys_out=post,
-                pointer_out=PureState(rec),
-            )
-        )
-    return build_transition_model(
-        target, pointer, demon_initial, transitions, hamiltonians
     )
 
 
@@ -631,56 +582,33 @@ def _way_report(
 
 
 def build_degenerate_instrument(
-    kind: str,
-    target: Observable,
-    data: Mapping[object, object],
-    repeatable: bool = True,
+    target: Observable, data: Mapping[object, object]
 ) -> Instrument:
-    """Instruments for a degenerate target observable.
+    """A coarse-grained instrument for a degenerate target observable.
 
-    ``strong_value_correlation``: one unitary per outcome acting inside the
-    outcome subspace; single Kraus operator ``V_x P_x`` per outcome, so pure
-    inputs give pure branch states.
-
-    ``coarse_grained``: per outcome, a list of ``(basis_vec, post_vec)``
-    pairs; Kraus set ``{|post><basis|}``.  This models merging the outcomes
-    of a finer measurement and is deliberately inefficient: branch states
-    are mixtures even for pure inputs.
+    ``data`` maps each outcome to a list of ``(basis_vec, post_vec)``
+    pairs; the Kraus set is ``{|post><basis|}``, and every post vector must
+    lie in its outcome subspace.  This models merging the outcomes of a
+    finer measurement and is deliberately inefficient: branch states are
+    mixtures even for pure inputs.
     """
     if set(data) != set(target.labels):
         raise ValueError("data labels do not match target labels")
     groups = []
-    if kind == "strong_value_correlation":
-        for label, _, proj in target.outcomes:
-            v = _entries_of(data[label])
-            k = v @ proj.entries
-            if repeatable:
-                leak = operator_norm((np.eye(target.dim) - proj.entries) @ k)
-                if leak > EPS_FID:
-                    raise ConstructionError(
-                        f"outcome {label!r}: post map leaves the outcome subspace"
-                    )
-            groups.append((label, (Operator(k),)))
-    elif kind == "coarse_grained":
-        for label, _, proj in target.outcomes:
-            ops = []
-            for basis_vec, post_vec in data[label]:
-                b = np.asarray(getattr(basis_vec, "amplitudes", basis_vec), complex)
-                f = np.asarray(getattr(post_vec, "amplitudes", post_vec), complex)
-                if abs(np.linalg.norm(f) - 1.0) > EPS_ALG:
-                    raise ValueError(f"outcome {label!r}: post vector not normalised")
-                if repeatable:
-                    leak = float(
-                        np.linalg.norm((np.eye(target.dim) - proj.entries) @ f)
-                    )
-                    if leak > EPS_FID:
-                        raise ConstructionError(
-                            f"outcome {label!r}: post vector outside its subspace"
-                        )
-                ops.append(Operator(np.outer(f, b.conj())))
-            groups.append((label, tuple(ops)))
-    else:
-        raise ValueError(f"unknown instrument kind {kind!r}")
+    for label, _, proj in target.outcomes:
+        ops = []
+        for basis_vec, post_vec in data[label]:
+            b = np.asarray(getattr(basis_vec, "amplitudes", basis_vec), complex)
+            f = np.asarray(getattr(post_vec, "amplitudes", post_vec), complex)
+            if abs(np.linalg.norm(f) - 1.0) > EPS_ALG:
+                raise ValueError(f"outcome {label!r}: post vector not normalised")
+            leak = float(np.linalg.norm((np.eye(target.dim) - proj.entries) @ f))
+            if leak > EPS_FID:
+                raise ConstructionError(
+                    f"outcome {label!r}: post vector outside its subspace"
+                )
+            ops.append(Operator(np.outer(f, b.conj())))
+        groups.append((label, tuple(ops)))
     return Instrument(tuple(groups))
 
 

@@ -245,11 +245,17 @@ def _entries_of(x: object) -> np.ndarray:
 
 def _number(value: object, kind: type, where: str) -> int | float:
     """``value`` as a ``kind`` number read from outside input: ``int`` takes
-    integral values (``5.0`` gives ``5``), ``float`` any real.  Anything else
-    raises ``ValueError`` citing ``where``."""
+    integral values (``5.0`` gives ``5``), ``float`` any finite real.
+    Anything else raises ``ValueError`` citing ``where``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    if kind is int and not float(value).is_integer():
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    if kind is int and not x.is_integer():
         raise ValueError(f"{where}: expected an integer, got {value!r}")
     return kind(value)
 

@@ -4,8 +4,9 @@ erasure cost, and the inequality chains tying them together.
 Work is stored in the weight and quantified by its non-equilibrium free
 energy ``F(rho) = tr[H rho] - K_B T S(rho)`` (natural logarithms, so
 entropies are in nats).  Erasure of the demon record is charged against the
-extracted work either through an idealised Landauer-optimal accounting rule
-or through an explicit finite reservoir with a constructed reset unitary.
+extracted work through an idealised Landauer-optimal accounting rule, or
+through an explicit finite reservoir with a constructed reset unitary when
+one is given.
 """
 
 from __future__ import annotations
@@ -71,10 +72,12 @@ class ThermoContext:
     kb: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if not self.kb > 0:
-            raise ValueError(f"kb must be positive, got {self.kb}")
+        for name in ("temperature", "kb"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}"
+                )
 
     @property
     def beta(self) -> float:
@@ -199,25 +202,23 @@ def erase_demon(
     h_d: object,
     demon_initial: PureState,
     ctx: ThermoContext,
-    mode: str | ExplicitReservoir = "landauer_optimal",
+    reservoir: ExplicitReservoir | None = None,
 ) -> ErasureResult:
     """Reset the demon record to its blank state and account the cost.
 
-    Landauer-optimal mode is an accounting rule: exact reset with heat
-    ``Q = K_B T S(rho_D')``.  Explicit mode applies the supplied reset
-    unitary to ``rho_D' (x) tau_R``, with ``tau_R`` the Gibbs state of
-    ``H_R`` at the context temperature, and charges ``Q = tr[H_R (tau_R' -
-    tau_R)]``; it must restore the blank state within fidelity 1 - 1e-6 and
-    always obeys ``Q >= K_B T S(rho_D')`` up to tolerance, anything less
-    being an implementation bug.
+    Without a reservoir the erasure is Landauer-optimal, an accounting
+    rule: exact reset with heat ``Q = K_B T S(rho_D')``.  An explicit
+    reservoir applies its reset unitary to ``rho_D' (x) tau_R``, with
+    ``tau_R`` the Gibbs state of ``H_R`` at the context temperature, and
+    charges ``Q = tr[H_R (tau_R' - tau_R)]``; it must restore the blank
+    state within fidelity 1 - 1e-6 and always obeys ``Q >= K_B T S(rho_D')``
+    up to tolerance, anything less being an implementation bug.
 
-    Both modes price the demon's own energy change as
+    Both price the demon's own energy change as
     ``W_R = tr[H_D(|psi><psi| - rho_D')] + Q``.
     """
-    tau = None
-    if isinstance(mode, ExplicitReservoir):
-        tau = thermal_state(mode.h_r, ctx.beta)
-    return _erase_demon(rho_d_prime, h_d, demon_initial, ctx, mode, tau)
+    tau = None if reservoir is None else thermal_state(reservoir.h_r, ctx.beta)
+    return _erase_demon(rho_d_prime, h_d, demon_initial, ctx, reservoir, tau)
 
 
 def _erase_demon(
@@ -225,11 +226,11 @@ def _erase_demon(
     h_d: object,
     demon_initial: PureState,
     ctx: ThermoContext,
-    mode: str | ExplicitReservoir,
+    reservoir: ExplicitReservoir | None,
     tau: DensityMatrix | None,
 ) -> ErasureResult:
-    """:func:`erase_demon` given an explicit reservoir's Gibbs state
-    ``tau`` (``None`` in Landauer-optimal mode)."""
+    """:func:`erase_demon` given the reservoir's Gibbs state ``tau``
+    (``None`` for the Landauer-optimal erasure)."""
     hd = _entries_of(h_d)
     dd = rho_d_prime.dim
     if hd.shape[0] != dd or demon_initial.dim != dd:
@@ -238,7 +239,7 @@ def _erase_demon(
     blank = projector_onto(demon_initial)
     e_term = _energy(h_d, blank - rho_d_prime.entries)
 
-    if mode == "landauer_optimal":
+    if reservoir is None:
         q = ctx.kt * s_record
         return ErasureResult(
             q=q,
@@ -247,15 +248,14 @@ def _erase_demon(
             landauer_optimal=True,
             reset_fidelity=1.0,
         )
-    if not isinstance(mode, ExplicitReservoir):
-        raise ValueError(f"unknown erasure mode {mode!r}")
 
     dr = tau.dim
-    if mode.u_r.dim != dd * dr:
+    if reservoir.u_r.dim != dd * dr:
         raise ValueError(
-            f"reset operator dimension {mode.u_r.dim} != demon*reservoir {dd * dr}"
+            f"reset operator dimension {reservoir.u_r.dim} != demon*reservoir "
+            f"{dd * dr}"
         )
-    u = mode.u_r.entries
+    u = reservoir.u_r.entries
     joint = u @ _kron(rho_d_prime.entries, tau.entries) @ dagger(u)
     rho_d_after = _ptrace_nd(joint, [dd, dr], [0])
     fid = float(np.vdot(demon_initial.amplitudes, rho_d_after @ demon_initial.amplitudes).real)
@@ -264,7 +264,7 @@ def _erase_demon(
             f"reset restores the blank state with fidelity {fid:.9f} < 1 - 1e-6"
         )
     tau_after = _ptrace_nd(joint, [dd, dr], [1])
-    q = _energy(mode.h_r, tau_after - tau.entries)
+    q = _energy(reservoir.h_r, tau_after - tau.entries)
     if q < ctx.kt * s_record - EPS_ASSERT:
         raise HardAssertionError(
             f"explicit erasure heat {q} beats the Landauer cost "

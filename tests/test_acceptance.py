@@ -519,6 +519,6 @@ class TestErasureCosts:
         blank = PureState(basis_state(2, 0))
         record = DensityMatrix(np.eye(2) / 2.0)
         h_d = Operator(np.zeros((2, 2)))
-        res = erase_demon(record, h_d, blank, ctx, "landauer_optimal")
+        res = erase_demon(record, h_d, blank, ctx)
         assert abs(res.q - math.log(2.0)) <= 1e-12
         assert res.landauer_optimal

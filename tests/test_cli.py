@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -27,6 +28,17 @@ def _library_doc(**params):
     merged = {"q": 0.3, "N": 6}
     merged.update(params)
     return {"name": "smoke", "scenario": "example_I", "params": merged}
+
+
+def _explicit_set(path, value):
+    """The explicit block with the entry at ``path`` (keys and indices)
+    replaced by ``value``; a JSON round trip unshares the block's rows."""
+    block = json.loads(json.dumps(_explicit_block()))
+    here = block
+    for key in path[:-1]:
+        here = here[key]
+    here[path[-1]] = value
+    return block
 
 
 def _explicit_block(**extra):
@@ -160,6 +172,15 @@ class TestExplicitConfig:
         with pytest.raises(ValueError, match="config.erasure"):
             parse_scenario({"config": _explicit_block(erasure="free")})
 
+    def test_library_erasure_is_an_unknown_parameter(self, monkeypatch):
+        # library engines are Landauer-optimal; ``erasure: swap`` used to
+        # build and then fail inside the cycle on an unknown erasure mode
+        ran = []
+        monkeypatch.setattr("szilard.cli.run_cycle", ran.append)
+        with pytest.raises(ValueError, match="unknown parameter 'erasure'"):
+            run_records(parse_scenario(_library_doc(erasure="swap")))
+        assert ran == []
+
     def test_swap_erasure_mode(self):
         runs = parse_scenario(
             {"config": _explicit_block(erasure="swap")}
@@ -287,6 +308,48 @@ class TestRunCommand:
         assert main(argv) == 1
         assert "tol_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, flags, env, named",
+        [
+            (_library_doc(kb=math.inf), [], None, "parameter 'kb'"),
+            ({"config": _explicit_block(kb=math.inf)}, [], None,
+             "field 'config.kb'"),
+            (_library_doc(), ["--kb", "inf"], None, "parameter 'kb'"),
+            ({"config": _explicit_block()}, ["--kb", "inf"], None,
+             "field 'config.kb'"),
+            (_library_doc(), [], "inf", "parameter 'kb'"),
+            ({"config": _explicit_block()}, [], "inf", "field 'config.kb'"),
+            (_library_doc(temperature=math.inf), [], None,
+             "parameter 'temperature'"),
+            ({"config": _explicit_block(temperature=math.inf)}, [], None,
+             "field 'config.temperature'"),
+        ],
+        ids=["library-kb", "explicit-kb", "library-flag", "explicit-flag",
+             "library-env", "explicit-env", "library-temperature",
+             "explicit-temperature"],
+    )
+    def test_non_finite_context_exit_code(self, tmp_path, capsys, monkeypatch,
+                                          doc, flags, env, named):
+        # an infinite kb or temperature used to exit 0 and write NaN and
+        # Infinity tokens, which are not JSON
+        if env is not None:
+            monkeypatch.setenv("SZILARD_KB", env)
+        assert main(["run", _write(tmp_path, doc), *flags]) == 1
+        out = capsys.readouterr()
+        assert named in out.err and "finite" in out.err
+        assert out.out == ""
+
+    def test_json_output_rejects_non_finite_numbers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a NaN that reaches the writer fails the run rather than being
+        # written as a bare NaN token
+        monkeypatch.setattr(
+            "szilard.cli.run_records", lambda runs: [{"work": math.nan}]
+        )
+        assert main(["run", _write(tmp_path, _library_doc())]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_unknown_scenario_exit_code(self, tmp_path, capsys):
         path = _write(tmp_path, {"scenario": "bogus"})
         assert main(["run", path]) == 1
@@ -340,6 +403,10 @@ class TestRunCommand:
             ({"config": "abc"}, "field 'config'"),
             ({"scenario": "example_I", "params": {"q": "abc"}}, "parameter 'q'"),
             ({"scenario": "example_I", "params": {"q": [1]}}, "parameter 'q'"),
+            # an integer past the float range used to end in an
+            # OverflowError traceback
+            ({"scenario": "example_I", "params": {"N": 10**400}},
+             "parameter 'N'"),
             # ranks used to be read by int(), or to end in a TypeError
             ({"scenario": "degenerate_circumvention",
               "params": {"d": 3, "ranks": [2.7, 1.3]}}, "parameter 'ranks'"),
@@ -363,6 +430,24 @@ class TestRunCommand:
              "field 'config.non_conforming'"),
             ({"config": _explicit_block(degenerate_target="false")},
              "field 'config.degenerate_target'"),
+            # matrix entries and observable values are read as numbers: a
+            # boolean entry used to read as 1 or 0, a boolean value as 1.0,
+            # and a string value failed naming no field
+            ({"config": _explicit_set(("h_d", 0, 0), [False, False])},
+             "field 'config.h_d[0][0]'"),
+            ({"config": _explicit_set(
+                ("pointer", 0, "projector", 0, 0), [True, False])},
+             "field 'config.pointer[0].projector[0][0]'"),
+            ({"config": _explicit_set(("h_s", 0, 0), [math.inf, 0.0])},
+             "field 'config.h_s[0][0]'"),
+            ({"config": _explicit_set(("target", 0, "value"), True)},
+             "field 'config.target[0].value'"),
+            ({"config": _explicit_set(("target", 1, "value"), "x")},
+             "field 'config.target[1].value'"),
+            ({"config": _explicit_set(("pointer", 0, "value"), None)},
+             "field 'config.pointer[0].value'"),
+            ({"config": _explicit_set(("target", 0, "value"), math.nan)},
+             "field 'config.target[0].value'"),
             ({"config": _explicit_block(), "params": {"q": 0.9, "bogus": 1}},
              "field 'params'"),
             # misspelt output keys used to be ignored, and the JSON went

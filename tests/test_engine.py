@@ -4,6 +4,7 @@ the scenario library, and the randomized scan machinery."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -754,6 +755,9 @@ class TestScenarioLibrary:
             ("example_I", {"tol_s": -1.0}),
             ("example_I", {"tol_s": float("nan")}),
             ("example_II", {"tol_s": float("inf")}),
+            # the thermodynamic context must be finite
+            ("example_I", {"kb": float("inf")}),
+            ("example_I", {"temperature": float("inf")}),
         ],
     )
     def test_out_of_range_parameters(self, name, params):
@@ -777,6 +781,34 @@ class TestScenarioLibrary:
 
     def test_zero_tol_s_is_accepted(self):
         assert scenario_library("example_I", tol_s=0.0).tol_s == 0.0
+
+    def test_every_parameter_has_a_reader(self):
+        # the parameter reader checks exactly these annotations; an
+        # ``erasure: str | ExplicitReservoir`` once passed through unchecked
+        known = {"int", "float", "int | None", "float | None", "Sequence[int]"}
+        for name, fn in engine_mod._SCENARIOS.items():
+            for param in inspect.signature(fn).parameters.values():
+                assert param.annotation in known, (name, param.name)
+                read = engine_mod._typed_param(
+                    param.name, param.default, param.annotation
+                )
+                assert read == param.default, (name, param.name)
+
+    def test_unknown_annotation_is_an_error(self):
+        with pytest.raises(TypeError, match="parameter 'erasure'"):
+            engine_mod._typed_param("erasure", "swap", "str | ExplicitReservoir")
+
+    def test_erasure_is_a_reservoir_or_none(self):
+        # the old mode string used to fail with an AttributeError on h_r
+        config = scenario_library("example_I")
+        with pytest.raises(TypeError, match="ExplicitReservoir or None"):
+            dataclasses.replace(config, erasure="landauer_optimal")
+
+    def test_library_engines_erase_landauer_optimally(self):
+        with pytest.raises(ValueError, match="unknown parameter 'erasure'"):
+            scenario_library("example_I", erasure="swap")
+        for name in SCENARIO_NAMES:
+            assert scenario_library(name).erasure is None
 
     def test_degenerate_ranks_set_branch_works(self):
         config = scenario_library(
@@ -825,8 +857,9 @@ class TestDerivedInputs:
         assert result.objectification_order_gap < 1e-10
 
     def test_reservoir_states_are_gibbs_states(self):
-        config = scenario_library(
-            "reservoir_circumvention", dim_R=3, erasure=_swap_erasure()
+        config = dataclasses.replace(
+            scenario_library("reservoir_circumvention", dim_R=3),
+            erasure=_swap_erasure(),
         )
         beta = config.thermo.beta
         assert np.array_equal(
@@ -837,7 +870,9 @@ class TestDerivedInputs:
         )
 
     def test_explicit_erasure_cycle_derives_no_thermal_state(self, monkeypatch):
-        config = scenario_library("example_I", erasure=_swap_erasure())
+        config = dataclasses.replace(
+            scenario_library("example_I"), erasure=_swap_erasure()
+        )
         calls = []
 
         def counted(*args):
@@ -943,13 +978,12 @@ class TestImpossibilityScan:
         ],
     )
     def test_family_feature_patterns(self, family, check):
-        report = impossibility_scan(6, seed=31, families=[family])
-        for record in report.records:
-            assert check(record.triple), (family, record.triple)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            impossibility_scan(4, seed=0, families=["nope"])
+        # six draws of one family off one generator, as the scan draws them
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            config = SCAN_FAMILIES[family](rng, False)
+            triple = evaluate_features(run_cycle(config), config).triple
+            assert check(triple), (family, triple)
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):

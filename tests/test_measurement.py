@@ -19,7 +19,6 @@ from szilard import (
     apply_instrument,
     basis_state,
     build_degenerate_instrument,
-    build_standard_premeasurement,
     build_transition_model,
     check_energy_conserving_measurement,
     check_repeatable,
@@ -125,38 +124,6 @@ class TestObservable:
 
 
 class TestBuildModels:
-    def test_standard_model_reproduces_mapping(self):
-        plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)
-        model = build_standard_premeasurement(
-            basis_observable(2),
-            {"0": PureState(plus), "1": PureState(minus)},
-            basis_observable(2),
-            PureState(basis_state(2, 0)),
-        )
-        assert model.premeasurement.is_unitary
-        psi = model.demon_initial.amplitudes
-        for t in model.transitions:
-            src = np.kron(t.sys_in.amplitudes, psi)
-            dst = np.kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
-            got = model.premeasurement.entries @ src
-            assert abs(np.vdot(dst, got)) ** 2 >= 1.0 - 1e-9
-
-    def test_standard_model_rejects_degenerate_target(self):
-        deg = Observable(
-            (
-                ("lo", 0.0, Operator(np.diag([1.0, 1.0, 0j]))),
-                ("hi", 1.0, Operator(np.diag([0j, 0j, 1.0]))),
-            )
-        )
-        with pytest.raises(ValueError):
-            build_standard_premeasurement(
-                deg,
-                {"lo": PureState(basis_state(3, 0)), "hi": PureState(basis_state(3, 2))},
-                basis_observable(2),
-                PureState(basis_state(2, 0)),
-            )
-
     def test_transition_model_rejects_cross_sector_table(self):
         # writing the record costs demon energy: no conserving completion
         h = (np.diag([0.0, 1.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -529,7 +496,7 @@ class TestInstruments:
         # with every post chosen as the top of its subspace, branch states
         # sit strictly above the global ground energy
         target, data = self._coarse()
-        instr = build_degenerate_instrument("coarse_grained", target, data)
+        instr = build_degenerate_instrument(target, data)
         h_s = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
         gem = apply_instrument(instr, rho)
@@ -541,26 +508,4 @@ class TestInstruments:
         target, data = self._coarse()
         data["lo"][0] = (data["lo"][0][0], PureState(basis_state(4, 3)))
         with pytest.raises(ConstructionError):
-            build_degenerate_instrument("coarse_grained", target, data)
-
-    def test_strong_value_correlation_keeps_purity(self):
-        lo = Operator(np.diag([1.0, 1.0, 0j, 0j]))
-        hi = Operator(np.diag([0j, 0j, 1.0, 1.0]))
-        target = Observable((("lo", 0.0, lo), ("hi", 1.0, hi)))
-        # one unitary per outcome rotating within the subspace
-        v = np.eye(4, dtype=complex)
-        v[:2, :2] = np.array([[0, 1], [1, 0]], dtype=complex)
-        instr = build_degenerate_instrument(
-            "strong_value_correlation", target, {"lo": Operator(v), "hi": Operator(np.eye(4, dtype=complex))}
-        )
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0
-        gem = apply_instrument(instr, DensityMatrix(np.outer(psi, psi.conj())))
-        lo_branch = next(b for b in gem.branches if b.outcome == "lo")
-        evals = np.linalg.eigvalsh(lo_branch.state.entries)
-        assert evals[-1] > 1.0 - 1e-9  # still pure
-
-    def test_unknown_kind_rejected(self):
-        target, data = self._coarse()
-        with pytest.raises(ValueError):
-            build_degenerate_instrument("something_else", target, data)
+            build_degenerate_instrument(target, data)

@@ -71,6 +71,15 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             ThermoContext(temperature=1.0, kb=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["temperature", "kb"])
+    def test_context_needs_finite_values(self, field, value):
+        # an infinite temperature or kb used to be accepted, and the cycle
+        # then priced entropy at kT = inf, writing NaN works
+        kwargs = {"temperature": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ThermoContext(**kwargs)
+
     def test_kb_scales_entropy_term(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
         h = np.zeros((2, 2), dtype=complex)
@@ -202,7 +211,7 @@ class TestErasure:
         blank = PureState(basis_state(2, 0))
         reservoir = build_swap_erasure(blank, ctx)
         rho_d = DensityMatrix(np.eye(2, dtype=complex) / 2)
-        res = erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, mode=reservoir)
+        res = erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, reservoir)
         assert not res.landauer_optimal
         assert res.q >= math.log(2) - 1e-9
         assert res.q > math.log(2)  # finite reservoir pays strictly more
@@ -219,7 +228,7 @@ class TestErasure:
         )
         rho_d = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ErasureError):
-            erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, mode=lazy)
+            erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, lazy)
 
     def test_pure_record_erases_for_free(self):
         ctx = ThermoContext(1.0)
