@@ -18,7 +18,8 @@ import io
 import json
 import os
 import sys
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 import numpy as np
 import yaml
@@ -37,12 +38,13 @@ from .engine import (
 from .feedback import FeedbackScheme, build_oscillator_weight, build_shift_unitary
 from .measurement import Observable, Transition, build_transition_model
 from .qop import (
+    REQUIRED,
     DensityMatrix,
     HardAssertionError,
     Operator,
     PureState,
     SzilardError,
-    _number,
+    _read,
 )
 from .thermo import ThermoContext, build_swap_erasure
 
@@ -50,166 +52,134 @@ __all__ = ["main", "parse_scenario", "run_records", "ScenarioRun"]
 
 
 # ---------------------------------------------------------------------------
-# scenario file parsing
+# scenario file parsing: value kinds, then one table per block
 
 
 def _fail(field: str, message: str) -> ValueError:
     return ValueError(f"field {field!r}: {message}")
 
 
-def _read(doc: Mapping[str, Any], key: str, kind: type, default: Any = None,
-          prefix: str = "") -> Any:
-    """``doc[key]`` as ``kind``: a ``Mapping``, a ``str``, a ``bool``, a
-    real number (``float``) or an integral one (``int``, which takes
-    ``5.0``).  An absent or null entry gives ``default``; any other value
-    fails naming the field."""
-    value = doc.get(key)
-    if value is None:
-        return default
-    field = prefix + key
-    if kind in (int, float):
-        return _number(value, kind, f"field {field!r}")
-    if not isinstance(value, kind):
-        expected = {Mapping: "a mapping", str: "a string", bool: "true or false"}
-        raise _fail(field, f"expected {expected[kind]}, got {value!r}")
-    return value
-
-
-def _parse_complex(entry: Any, field: str) -> complex:
+def _complex(entry: Any, path: str) -> complex:
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise _fail(field, f"expected an [re, im] pair, got {entry!r}")
-    re, im = (_number(v, float, f"field {field!r}") for v in entry)
+        raise ValueError(f"expected an [re, im] pair, got {entry!r}")
+    re, im = (_read(v, float, path) for v in entry)
     return complex(re, im)
 
 
-def _parse_vector(obj: Any, field: str) -> np.ndarray:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise _fail(field, "expected a non-empty list of [re, im] pairs")
-    return np.array(
-        [_parse_complex(e, f"{field}[{i}]") for i, e in enumerate(obj)],
-        dtype=complex,
-    )
+def _vector(obj: Any, path: str) -> np.ndarray:
+    return np.array(_read(obj, [_complex], path), dtype=complex)
 
 
-def _parse_matrix(obj: Any, field: str) -> np.ndarray:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise _fail(field, "expected a non-empty list of rows")
-    rows = [_parse_vector(r, f"{field}[{i}]") for i, r in enumerate(obj)]
-    width = {len(r) for r in rows}
-    if len(width) != 1:
-        raise _fail(field, "rows have inconsistent lengths")
+def _matrix(obj: Any, path: str) -> np.ndarray:
+    rows = _read(obj, [_vector], path)
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("rows have inconsistent lengths")
     return np.array(rows, dtype=complex)
 
 
-def _parse_hamiltonian(obj: Any, field: str) -> Operator:
-    h = Operator(_parse_matrix(obj, field))
+def _operator(obj: Any, path: str) -> Operator:
+    return Operator(_matrix(obj, path))
+
+
+def _hamiltonian(obj: Any, path: str) -> Operator:
+    h = _operator(obj, path)
     if not h.is_hermitian:
-        raise _fail(field, "expected a Hermitian matrix")
+        raise ValueError("expected a Hermitian matrix")
     return h
 
 
-def _parse_observable(obj: Any, field: str) -> Observable:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise _fail(field, "expected a list of {label, value, projector} rows")
-    rows = []
-    for i, item in enumerate(obj):
-        here = f"{field}[{i}]"
-        if not isinstance(item, Mapping):
-            raise _fail(here, "expected a mapping")
-        for key in ("label", "value", "projector"):
-            if key not in item:
-                raise _fail(f"{here}.{key}", "missing")
-        rows.append(
-            (
-                str(item["label"]),
-                _number(item["value"], float, f"field {here + '.value'!r}"),
-                Operator(_parse_matrix(item["projector"], f"{here}.projector")),
-            )
-        )
-    return Observable(tuple(rows))
+def _state(obj: Any, path: str) -> PureState:
+    return PureState(_vector(obj, path))
 
 
-def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
+def _density(obj: Any, path: str) -> DensityMatrix:
+    return DensityMatrix(_matrix(obj, path))
+
+
+_OUTCOME = {
+    "label": (str, REQUIRED),
+    "value": (float, REQUIRED),
+    "projector": (_operator, REQUIRED),
+}
+_TRANSITION = {
+    "outcome": (str, REQUIRED),
+    "sys_in": (_state, REQUIRED),
+    "sys_out": (_state, REQUIRED),
+    "pointer_out": (_state, REQUIRED),
+}
+_BRANCH = {"label": (str, REQUIRED), "unitary": (_operator, REQUIRED)}
+
+
+def _observable(obj: Any, path: str) -> Observable:
+    return Observable(tuple(
+        (r["label"], r["value"], r["projector"])
+        for r in _read(obj, [_OUTCOME], path)
+    ))
+
+
+def _transitions(obj: Any, path: str) -> tuple[Transition, ...]:
+    return tuple(Transition(**r) for r in _read(obj, [_TRANSITION], path))
+
+
+def _feedback(obj: Any, path: str) -> FeedbackScheme:
+    return FeedbackScheme(tuple(
+        (r["label"], r["unitary"]) for r in _read(obj, [_BRANCH], path)
+    ))
+
+
+_CONFIG = {
+    "temperature": (float, 1.0),
+    "kb": (float, 1.0),
+    "omega": (float, 1.0),
+    "levels": (int, 20),
+    "dim": (int, None),
+    "h_s": (_hamiltonian, REQUIRED),
+    "h_d": (_hamiltonian, REQUIRED),
+    "rho_s": (_density, REQUIRED),
+    "demon_initial": (_state, REQUIRED),
+    "target": (_observable, REQUIRED),
+    "pointer": (_observable, REQUIRED),
+    "transitions": (_transitions, REQUIRED),
+    "feedback": (_feedback, None),
+    "erasure": (("landauer_optimal", "swap"), "landauer_optimal"),
+    "tol_s": (float, None),
+}
+_SWEEP = {"parameter": (str, REQUIRED), "values": ([object], REQUIRED)}
+_OUTPUT = {"format": (("json", "csv"), None), "path": (str, None)}
+_DOCUMENT = {
+    "name": (str, "scenario"),
+    "scenario": (str, None),
+    "params": (Mapping, None),
+    "config": (Mapping, None),
+    "sweep": (_SWEEP, None),
+    "output": (_OUTPUT, None),
+    "non_conforming": (bool, False),
+}
+
+
+def _parse_explicit_config(
+    block: Mapping[str, Any], non_conforming: bool
+) -> EngineConfig:
     """Build an engine from a fully explicit scenario-file config block."""
-    known = {
-        "temperature", "kb", "omega", "levels", "dim", "h_s", "h_d",
-        "rho_s", "demon_initial", "target", "pointer", "transitions",
-        "feedback", "erasure", "degenerate_target", "non_conforming",
-        "tol_s",
-    }
-    for key in doc:
-        if key not in known:
-            raise _fail(f"config.{key}", "unknown key")
-    for key in ("h_s", "h_d", "rho_s", "demon_initial", "target", "pointer",
-                "transitions"):
-        if key not in doc:
-            raise _fail(f"config.{key}", "missing")
-    ctx = ThermoContext(
-        _read(doc, "temperature", float, 1.0, "config."),
-        _read(doc, "kb", float, 1.0, "config."),
-    )
-    omega = _read(doc, "omega", float, 1.0, "config.")
-    levels = _read(doc, "levels", int, 20, "config.")
-    dim = _read(doc, "dim", int, None, "config.")
-    h_s = _parse_hamiltonian(doc["h_s"], "config.h_s")
-    h_d = _parse_hamiltonian(doc["h_d"], "config.h_d")
-    rho_s = DensityMatrix(_parse_matrix(doc["rho_s"], "config.rho_s"))
-    demon_initial = PureState(
-        _parse_vector(doc["demon_initial"], "config.demon_initial")
-    )
-    target = _parse_observable(doc["target"], "config.target")
-    pointer = _parse_observable(doc["pointer"], "config.pointer")
-    if not isinstance(doc["transitions"], (list, tuple)) or not doc["transitions"]:
-        raise _fail("config.transitions", "expected a non-empty list")
-    transitions = []
-    for i, item in enumerate(doc["transitions"]):
-        here = f"config.transitions[{i}]"
-        if not isinstance(item, Mapping):
-            raise _fail(here, "expected a mapping")
-        for key in ("outcome", "sys_in", "sys_out", "pointer_out"):
-            if key not in item:
-                raise _fail(f"{here}.{key}", "missing")
-        transitions.append(
-            Transition(
-                str(item["outcome"]),
-                PureState(_parse_vector(item["sys_in"], f"{here}.sys_in")),
-                PureState(_parse_vector(item["sys_out"], f"{here}.sys_out")),
-                PureState(
-                    _parse_vector(item["pointer_out"], f"{here}.pointer_out")
-                ),
-            )
-        )
+    c = _read(block, _CONFIG, "config")
+    ctx = ThermoContext(c["temperature"], c["kb"])
     model = build_transition_model(
-        target,
-        pointer,
-        demon_initial,
-        tuple(transitions),
-        hamiltonians=(h_s, h_d),
+        c["target"],
+        c["pointer"],
+        c["demon_initial"],
+        c["transitions"],
+        hamiltonians=(c["h_s"], c["h_d"]),
     )
-    weight = build_oscillator_weight(omega, levels, dim=dim)
-    if "feedback" in doc and doc["feedback"] is not None:
-        if not isinstance(doc["feedback"], (list, tuple)) or not doc["feedback"]:
-            raise _fail("config.feedback", "expected a list of {label, unitary}")
-        unitaries = []
-        for i, item in enumerate(doc["feedback"]):
-            here = f"config.feedback[{i}]"
-            if not isinstance(item, Mapping) or "label" not in item or "unitary" not in item:
-                raise _fail(here, "expected a mapping with label and unitary")
-            unitaries.append(
-                (
-                    str(item["label"]),
-                    Operator(_parse_matrix(item["unitary"], f"{here}.unitary")),
-                )
-            )
-        scheme = FeedbackScheme(tuple(unitaries))
-    else:
+    weight = build_oscillator_weight(c["omega"], c["levels"], dim=c["dim"])
+    scheme = c["feedback"]
+    if scheme is None:
         posts = model.post_states
         if posts is None:
             raise _fail(
                 "config.feedback",
                 "required when outcomes have several transition rows",
             )
-        if h_s.dim != 2:
+        if c["h_s"].dim != 2:
             raise _fail(
                 "config.feedback",
                 "required for non-qubit systems; only qubit ladder strokes "
@@ -218,31 +188,24 @@ def _parse_explicit_config(doc: Mapping[str, Any]) -> EngineConfig:
         scheme = FeedbackScheme(
             tuple(
                 (label, build_shift_unitary(weight, posts[label]))
-                for label in pointer.labels
+                for label in c["pointer"].labels
             )
         )
-    erasure_key = doc.get("erasure", "landauer_optimal")
-    if erasure_key == "landauer_optimal":
-        erasure = None
-    elif erasure_key == "swap":
-        erasure = build_swap_erasure(demon_initial, ctx)
-    else:
-        raise _fail(
-            "config.erasure",
-            f"unknown mode {erasure_key!r}; use landauer_optimal or swap",
-        )
+    erasure = None
+    if c["erasure"] == "swap":
+        erasure = build_swap_erasure(c["demon_initial"], ctx)
     return EngineConfig(
-        rho_s=rho_s,
-        h_s=h_s,
+        rho_s=c["rho_s"],
+        h_s=c["h_s"],
         measurement=model,
         feedback=scheme,
         weight=weight,
         thermo=ctx,
-        h_d=h_d,
+        h_d=c["h_d"],
         erasure=erasure,
-        degenerate_target=_read(doc, "degenerate_target", bool, False, "config."),
-        non_conforming=_read(doc, "non_conforming", bool, False, "config."),
-        tol_s=_read(doc, "tol_s", float, None, "config."),
+        degenerate_target=not c["target"].is_nondegenerate,
+        non_conforming=non_conforming,
+        tol_s=c["tol_s"],
         label="explicit",
     )
 
@@ -271,64 +234,38 @@ def parse_scenario(
     if not isinstance(doc, Mapping):
         raise ValueError("scenario document must be a mapping")
     overrides = dict(overrides or {})
-    known = {"name", "scenario", "params", "config", "sweep", "output",
-             "non_conforming"}
-    for key in doc:
-        if key not in known:
-            raise _fail(key, "unknown key")
-    name = str(doc.get("name", "scenario"))
-    has_ref = "scenario" in doc
-    has_explicit = "config" in doc
-    if has_ref == has_explicit:
+    d = _read(doc, _DOCUMENT, "")
+    has_ref = d["scenario"] is not None
+    if has_ref == (d["config"] is not None):
         raise ValueError(
             "scenario document needs exactly one of 'scenario' (library "
             "reference) or 'config' (explicit matrices)"
         )
-    if has_explicit and doc.get("params") is not None:
+    if not has_ref and d["params"] is not None:
         raise _fail("params", "not allowed with an explicit 'config'")
-    params = dict(_read(doc, "params", Mapping, {}))
-    non_conforming = _read(doc, "non_conforming", bool, False)
-
-    sweep = doc.get("sweep")
+    sweep = d["sweep"]
     points: list[tuple[str | None, Any]] = [(None, None)]
     if sweep is not None:
-        if not isinstance(sweep, Mapping):
-            raise _fail("sweep", "expected a mapping")
-        if "parameter" not in sweep or "values" not in sweep:
-            raise _fail("sweep", "needs 'parameter' and 'values'")
-        values = sweep["values"]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise _fail("sweep.values", "expected a non-empty list")
-        points = [(str(sweep["parameter"]), v) for v in values]
+        points = [(sweep["parameter"], v) for v in sweep["values"]]
 
     runs = []
     for parameter, value in points:
+        block = dict((d["params"] or {}) if has_ref else d["config"])
+        if parameter is not None:
+            block[parameter] = value
+        for key in ("kb", "tol_s"):
+            if overrides.get(key) is not None:
+                block[key] = overrides[key]
         if has_ref:
-            scenario_name = str(doc["scenario"])
-            p = dict(params)
-            if parameter is not None:
-                p[parameter] = value
-            for key in ("kb", "tol_s"):
-                if overrides.get(key) is not None:
-                    p[key] = overrides[key]
-            config = scenario_library(scenario_name, **p)
-            if non_conforming:
+            config = scenario_library(d["scenario"], **block)
+            if d["non_conforming"]:
                 config = config._as_non_conforming()
         else:
-            scenario_name = "explicit"
-            block = dict(_read(doc, "config", Mapping, {}))
-            if parameter is not None:
-                block[parameter] = value
-            for key in ("kb", "tol_s"):
-                if overrides.get(key) is not None:
-                    block[key] = overrides[key]
-            if non_conforming:
-                block["non_conforming"] = True
-            config = _parse_explicit_config(block)
+            config = _parse_explicit_config(block, d["non_conforming"])
         runs.append(
             ScenarioRun(
-                name=name,
-                scenario=scenario_name,
+                name=d["name"],
+                scenario=d["scenario"] if has_ref else "explicit",
                 sweep_parameter=parameter,
                 sweep_value=value,
                 config=config,
@@ -523,24 +460,17 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     }
     seed = ns.seed if ns.seed is not None else _env_int("SZILARD_SEED")
     runs = parse_scenario(doc, overrides)
-    out_opts = _read(doc, "output", Mapping, {})
-    for key in out_opts:
-        if key not in ("format", "path"):
-            raise _fail(f"output.{key}", "unknown key")
-    file_format = _read(out_opts, "format", str, None, "output.")
-    file_path = _read(out_opts, "path", str, None, "output.")
+    output = _read(doc.get("output") or {}, _OUTPUT, "output")
     records = run_records(runs)
-    fmt = ns.format or file_format or "json"
-    path = ns.out or file_path
+    fmt = ns.format or output["format"] or "json"
+    path = ns.out or output["path"]
     if fmt == "json":
-        payload = {"name": runs[0].name if runs else "scenario", "records": records}
+        payload = {"name": runs[0].name, "records": records}
         if seed is not None:
             payload["seed"] = seed
         _emit(json.dumps(payload, indent=2, allow_nan=False), path)
-    elif fmt == "csv":
-        _emit(_records_to_csv(records, ns.plot_data), path)
     else:
-        raise ValueError(f"unknown output format {fmt!r}; use json or csv")
+        _emit(_records_to_csv(records, ns.plot_data), path)
     return 0
 
 

@@ -72,8 +72,8 @@ from .qop import (
     _check_hermitian,
     _factor,
     _kron,
-    _number,
     _ptrace_nd,
+    _read,
     basis_state,
     dagger,
     operator_norm,
@@ -1076,22 +1076,24 @@ _SCENARIOS: dict[str, Callable[..., EngineConfig]] = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
-def _typed_param(name: str, value: object, annotation: str) -> object:
-    """``value`` read as its scenario parameter's annotation says: ``int``
-    or ``float``, either optionally ``| None``, or ``Sequence[int]``, a list
-    or tuple of integral numbers read as a tuple of ``int``.  Any other
-    annotation is an error, so no scenario parameter goes unchecked."""
-    where = f"parameter {name!r}"
-    if annotation == "Sequence[int]":
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{where}: expected a list of integers, got {value!r}")
-        return tuple(_number(v, int, where) for v in value)
-    kind = {"int": int, "float": float}.get(annotation.removesuffix(" | None"))
-    if kind is None:
-        raise TypeError(f"{where}: no reader for annotation {annotation!r}")
-    if value is None and annotation.endswith(" | None"):
-        return value
-    return _number(value, kind, where)
+# how outside input is read for each annotation a scenario parameter has
+_PARAM_KINDS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "float | None": float,
+    "Sequence[int]": [int],
+}
+
+
+def _param_table(fn: Callable[..., EngineConfig]) -> dict:
+    """A scenario builder's parameters as a reader block: name -> (kind,
+    default).  An annotation without a kind raises ``KeyError``, so no
+    scenario parameter goes unchecked."""
+    return {
+        key: (_PARAM_KINDS[p.annotation], p.default)
+        for key, p in inspect.signature(fn).parameters.items()
+    }
 
 
 def scenario_library(name: str, **params) -> EngineConfig:
@@ -1099,24 +1101,14 @@ def scenario_library(name: str, **params) -> EngineConfig:
 
     Unknown names or parameters, and parameters of the wrong type, raise
     ``ValueError`` naming the offender, so front ends can surface precise
-    diagnostics.
+    diagnostics.  A ``None`` parameter takes its default.
     """
     if name not in _SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
     fn = _SCENARIOS[name]
-    allowed = inspect.signature(fn).parameters
-    for key in params:
-        if key not in allowed:
-            raise ValueError(
-                f"unknown parameter {key!r} for scenario {name!r}; "
-                f"allowed: {', '.join(sorted(allowed))}"
-            )
-    return fn(**{
-        key: _typed_param(key, value, allowed[key].annotation)
-        for key, value in params.items()
-    })
+    return fn(**_read(params, _param_table(fn), "", "parameter"))
 
 
 # ---------------------------------------------------------------------------

@@ -344,14 +344,15 @@ def _unitary_from_pairs(
 def complete_unitary(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     dim: int,
-    hamiltonian: np.ndarray | None = None,
+    hamiltonian: np.ndarray,
 ) -> np.ndarray:
     """Extend the map ``in_i -> out_i`` to a unitary on the whole space.
 
-    With a Hamiltonian the extension is performed separately inside each
-    of its energy sectors, which forces the result to commute with it; pairs
+    The extension is performed separately inside each energy sector of
+    ``hamiltonian``, which forces the result to commute with it; pairs
     whose in and out vectors distribute differently over the sectors are
-    rejected as incompatible with conservation.
+    rejected as incompatible with conservation.  A zero Hamiltonian has one
+    sector and leaves the extension unconstrained.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -359,9 +360,6 @@ def complete_unitary(
     y = np.stack([np.asarray(b, dtype=complex) for _, b in pairs], axis=1)
     if x.shape[0] != dim or y.shape[0] != dim:
         raise ValueError("pair vectors do not match the requested dimension")
-    if hamiltonian is None:
-        return _unitary_from_pairs(x, y, dim)
-
     h = np.asarray(hamiltonian, dtype=complex)
     # eigh reads one triangle only, so a non-Hermitian H must stop here
     _check_hermitian(
@@ -399,13 +397,13 @@ def build_transition_model(
     pointer: Observable,
     demon_initial: PureState,
     transitions: Sequence[Transition],
-    hamiltonians: tuple[object, object] | None = None,
+    hamiltonians: tuple[object, object],
 ) -> MeasurementModel:
     """Assemble a model from an explicit transition table.
 
-    When ``hamiltonians = (H_S, H_D)`` is given, the premeasurement is
-    completed blockwise inside the eigenspaces of ``H_S + H_D`` and is
-    therefore exactly energy conserving (or the construction fails).
+    With ``hamiltonians = (H_S, H_D)`` the premeasurement is completed
+    blockwise inside the eigenspaces of ``H_S + H_D`` and is therefore
+    exactly energy conserving (or the construction fails).
     """
     ds, dd = target.dim, pointer.dim
     psi = demon_initial.amplitudes
@@ -414,11 +412,9 @@ def build_transition_model(
         src = _kron(t.sys_in.amplitudes, psi)
         dst = _kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
         pairs.append((src, dst))
-    h = None
-    if hamiltonians is not None:
-        hs = _entries_of(hamiltonians[0])
-        hd = _entries_of(hamiltonians[1])
-        h = _kron(hs, np.eye(dd)) + _kron(np.eye(ds), hd)
+    hs = _entries_of(hamiltonians[0])
+    hd = _entries_of(hamiltonians[1])
+    h = _kron(hs, np.eye(dd)) + _kron(np.eye(ds), hd)
     u = complete_unitary(pairs, ds * dd, h)
     return MeasurementModel(
         demon_initial=demon_initial,

@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import math
 import numbers
+from collections.abc import Mapping
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -243,21 +244,89 @@ def _entries_of(x: object) -> np.ndarray:
     return np.asarray(e, dtype=complex)
 
 
-def _number(value: object, kind: type, where: str) -> int | float:
-    """``value`` as a ``kind`` number read from outside input: ``int`` takes
-    integral values (``5.0`` gives ``5``), ``float`` any finite real.
-    Anything else raises ``ValueError`` citing ``where``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
+class FieldError(ValueError):
+    """Outside input rejected by a message that names its field."""
+
+
+# the default of a block key that must be given
+REQUIRED = object()
+
+_TYPE_NAMES = {str: "a string", bool: "true or false",
+               Mapping: "a mapping with string keys"}
+
+
+def _read(value: object, kind: object, path: str, noun: str = "field") -> object:
+    """``value``, read from outside input at ``path``, as ``kind``:
+
+    * ``int`` or ``float``: a number; ``int`` takes integral values (``5.0``
+      gives ``5``), ``float`` any finite real;
+    * ``str``, ``bool`` or ``Mapping``: a value of that type, as given;
+    * a tuple of strings: one of them;
+    * ``[item]``: a non-empty list, read entrywise as ``item`` into a tuple
+      (``[object]`` takes any entries);
+    * a block, ``{key: (kind, default)}``: a mapping with no other keys,
+      read into a dict of every key; an absent or null key takes its
+      default, and is missing if that is ``REQUIRED``;
+    * a function ``(value, path)``: its result, and a ``ValueError`` it
+      raises is raised again naming the field.
+
+    Every failure raises ``FieldError`` naming the full path of the field
+    at fault, as in ``field 'config.target[0].label'``.
+    """
+    where = f"{noun} {path!r}"
+    if isinstance(kind, dict):
+        _read(value, Mapping, path, noun)
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in kind:
+                raise FieldError(
+                    f"unknown {noun} {prefix + key!r}; allowed: {', '.join(kind)}"
+                )
+        out = {}
+        for key, (item, default) in kind.items():
+            if value.get(key) is not None:
+                out[key] = _read(value[key], item, prefix + key, noun)
+            elif default is REQUIRED:
+                raise FieldError(f"{noun} {prefix + key!r}: missing")
+            else:
+                out[key] = default
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise FieldError(f"{where}: expected a non-empty list, got {value!r}")
+        return tuple(
+            _read(v, kind[0], f"{path}[{i}]", noun) for i, v in enumerate(value)
+        )
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise FieldError(
+                f"{where}: expected one of {', '.join(kind)}, got {value!r}"
+            )
+        return value
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise FieldError(f"{where}: expected a number, got {value!r}")
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise FieldError(f"{where}: expected a finite number, got {value!r}")
+        if kind is int and not x.is_integer():
+            raise FieldError(f"{where}: expected an integer, got {value!r}")
+        return kind(value)
+    if isinstance(kind, type):
+        if not isinstance(value, kind) or (
+            kind is Mapping and not all(isinstance(k, str) for k in value)
+        ):
+            raise FieldError(f"{where}: expected {_TYPE_NAMES[kind]}, got {value!r}")
+        return value
     try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{where}: expected a finite number, got {value!r}")
-    if kind is int and not x.is_integer():
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-    return kind(value)
+        return kind(value, path)
+    except FieldError:
+        raise
+    except ValueError as exc:
+        raise FieldError(f"{where}: {exc}") from exc
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -231,6 +231,7 @@ def _rotated_record_generic(theta: float, omega: float) -> tuple[
         _vector_observable([basis_state(2, 0), basis_state(2, 1)]),
         PureState(basis_state(2, 0)),
         transitions,
+        hamiltonians=(np.zeros((2, 2)), np.zeros((2, 2))),
     )
     return model, Operator(np.diag([omega / 2, -omega / 2])), Operator(
         np.zeros((2, 2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -14,8 +15,10 @@ import pytest
 import yaml
 
 import szilard
+import szilard.cli as cli
 from szilard import EngineConfig, HardAssertionError
 from szilard.cli import main, parse_scenario, run_records
+from szilard.qop import REQUIRED
 
 
 def _write(tmp_path, doc, name="scenario.yaml"):
@@ -97,7 +100,7 @@ class TestParseScenario:
     def test_sweep_needs_parameter_and_values(self):
         doc = _library_doc()
         doc["sweep"] = {"parameter": "N"}
-        with pytest.raises(ValueError, match="field 'sweep'"):
+        with pytest.raises(ValueError, match="field 'sweep.values': missing"):
             parse_scenario(doc)
         doc["sweep"] = {"parameter": "N", "values": []}
         with pytest.raises(ValueError, match="sweep.values"):
@@ -228,12 +231,18 @@ class TestRunCommand:
         assert main(["run", path]) == 0
         assert capsys.readouterr().out.startswith("outcome,probability")
 
-    def test_unknown_format_fails(self, tmp_path, capsys):
+    def test_unknown_format_fails_before_any_cycle(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # this used to be rejected only after every cycle had run, naming
+        # no field
+        ran = []
+        monkeypatch.setattr("szilard.cli.run_cycle", ran.append)
         doc = _library_doc()
         doc["output"] = {"format": "xml"}
         path = _write(tmp_path, doc)
         assert main(["run", path]) == 1
-        assert "unknown output format" in capsys.readouterr().err
+        assert "field 'output.format'" in capsys.readouterr().err
+        assert ran == []
 
     def test_sweep_is_deterministic(self, tmp_path, capsys):
         doc = _library_doc()
@@ -409,13 +418,13 @@ class TestRunCommand:
              "parameter 'N'"),
             # ranks used to be read by int(), or to end in a TypeError
             ({"scenario": "degenerate_circumvention",
-              "params": {"d": 3, "ranks": [2.7, 1.3]}}, "parameter 'ranks'"),
+              "params": {"d": 3, "ranks": [2.7, 1.3]}}, "parameter 'ranks[0]'"),
             ({"scenario": "degenerate_circumvention", "params": {"ranks": "22"}},
              "parameter 'ranks'"),
             ({"scenario": "degenerate_circumvention", "params": {"ranks": True}},
              "parameter 'ranks'"),
             ({"scenario": "degenerate_circumvention",
-              "params": {"ranks": [2, None]}}, "parameter 'ranks'"),
+              "params": {"ranks": [2, None]}}, "parameter 'ranks[1]'"),
             # an integer path is a file descriptor to open(); this one can
             # never be open, so the old behaviour fails without writing
             ({"scenario": "example_I", "output": {"path": 2**31 - 1}},
@@ -426,10 +435,40 @@ class TestRunCommand:
              "field 'non_conforming'"),
             ({"config": _explicit_block(), "non_conforming": "false"},
              "field 'non_conforming'"),
-            ({"config": _explicit_block(non_conforming="false")},
-             "field 'config.non_conforming'"),
-            ({"config": _explicit_block(degenerate_target="false")},
-             "field 'config.degenerate_target'"),
+            # the explicit config derives these two from the target and the
+            # document; a config that set them is refused, not overridden
+            ({"config": _explicit_block(non_conforming=False),
+              "non_conforming": True},
+             "unknown field 'config.non_conforming'"),
+            ({"config": _explicit_block(degenerate_target=False)},
+             "unknown field 'config.degenerate_target'"),
+            # null, numbers and booleans used to be read with str(): the run
+            # was named "None", a null scenario was "unknown scenario
+            # 'None'", and labels null and "None" collided naming no field
+            ({"name": 5, "scenario": "example_I"}, "field 'name'"),
+            ({"scenario": None}, "'scenario'"),
+            ({"scenario": "example_I",
+              "sweep": {"parameter": "q", "values": [0.3], "x": 1}},
+             "unknown field 'sweep.x'"),
+            ({"scenario": "example_I", "sweep": {"parameter": 5, "values": [1]}},
+             "field 'sweep.parameter'"),
+            ({"config": _explicit_set(("target", 0, "label"), None)},
+             "field 'config.target[0].label': missing"),
+            ({"config": _explicit_set(("target", 0, "label"), True)},
+             "field 'config.target[0].label'"),
+            ({"config": _explicit_set(("transitions", 1, "outcome"), 1)},
+             "field 'config.transitions[1].outcome'"),
+            # an integer key used to end in a TypeError traceback
+            ({"scenario": "example_I", "params": {1: 2}}, "field 'params'"),
+            # a value whose construction fails names its field
+            ({"config": _explicit_set(("rho_s", 1, 1), [1.7, 0.0])},
+             "field 'config.rho_s'"),
+            ({"config": _explicit_set(("demon_initial", 0), [2.0, 0.0])},
+             "field 'config.demon_initial'"),
+            ({"config": _explicit_set(
+                ("target", 1, "projector"), [[[0.5, 0], [0.5, 0]],
+                                             [[0.5, 0], [0.5, 0]]])},
+             "field 'config.target'"),
             # matrix entries and observable values are read as numbers: a
             # boolean entry used to read as 1 or 0, a boolean value as 1.0,
             # and a string value failed naming no field
@@ -482,6 +521,159 @@ class TestRunCommand:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
         assert "usage:" in capsys.readouterr().out
+
+
+@functools.cache
+def _feedback_doc():
+    """An explicit document that writes its feedback out as rows: the
+    strokes the parser builds for the explicit block at one window level."""
+    block = _explicit_block(levels=1)
+    config = parse_scenario({"config": block})[0].config
+    block["feedback"] = [
+        {"label": label,
+         "unitary": [[[float(z.real), float(z.imag)] for z in row]
+                     for row in u.entries]}
+        for label, u in config.feedback.branch_unitaries
+    ]
+    return json.dumps({"name": "t", "config": block})
+
+
+def _library_full():
+    return {
+        "name": "t", "scenario": "example_I", "params": {"q": 0.3, "N": 6},
+        "sweep": {"parameter": "q", "values": [0.3]},
+        "output": {"format": "json"}, "non_conforming": False,
+    }
+
+
+def _explicit_full():
+    return {"name": "t", "config": _explicit_block(
+        kb=1.0, dim=10, erasure="swap", tol_s=1e-9)}
+
+
+def _feedback_full():
+    return json.loads(_feedback_doc())
+
+
+# every block the reader knows: where it sits in a document that is valid
+# as given, and the table the reader reads it against
+_BLOCKS = [
+    ("document", _library_full, (), cli._DOCUMENT),
+    ("sweep", _library_full, ("sweep",), cli._SWEEP),
+    ("output", _library_full, ("output",), cli._OUTPUT),
+    ("config", _explicit_full, ("config",), cli._CONFIG),
+    ("target", _explicit_full, ("config", "target", 0), cli._OUTCOME),
+    ("pointer", _explicit_full, ("config", "pointer", 1), cli._OUTCOME),
+    ("transition", _explicit_full, ("config", "transitions", 1),
+     cli._TRANSITION),
+    ("feedback", _feedback_full, ("config", "feedback", 0), cli._BRANCH),
+]
+
+
+def _path(location):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in location).lstrip(".")
+
+
+def _block_at(doc, location):
+    for k in location:
+        doc = doc[k]
+    return doc
+
+
+def _run(tmp_path, capsys, doc):
+    code = main(["run", _write(tmp_path, doc)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestFieldTable:
+    """Each block read against its table: an unknown key, a value of the
+    wrong kind and a null each behave the same way for every key."""
+
+    @pytest.mark.parametrize("full", [_library_full, _explicit_full,
+                                      _feedback_full])
+    def test_full_documents_run(self, tmp_path, capsys, full):
+        assert _run(tmp_path, capsys, full())[0] == 0
+
+    @pytest.mark.parametrize("name, full, location, table", _BLOCKS,
+                             ids=[b[0] for b in _BLOCKS])
+    def test_unknown_key(self, tmp_path, capsys, name, full, location, table):
+        doc = full()
+        _block_at(doc, location)["bogus"] = 1
+        code, _, err = _run(tmp_path, capsys, doc)
+        prefix = _path(location) + "." if location else ""
+        assert code == 1 and f"unknown field '{prefix}bogus'" in err
+
+    @pytest.mark.parametrize(
+        "full, location, key, kind, default",
+        [(full, location, key, kind, default)
+         for _, full, location, table in _BLOCKS
+         for key, (kind, default) in table.items()],
+        ids=[f"{name}.{key}" for name, _, _, table in _BLOCKS for key in table],
+    )
+    def test_wrong_kind_and_null(self, tmp_path, capsys, full, location, key,
+                                 kind, default):
+        named = _path(location + (key,))
+        doc = full()
+        _block_at(doc, location)[key] = 5 if kind is str else "abc"
+        code, out, err = _run(tmp_path, capsys, doc)
+        assert (code, out) == (1, "") and f"field '{named}'" in err
+        doc = full()
+        _block_at(doc, location)[key] = None
+        if default is REQUIRED:
+            code, out, err = _run(tmp_path, capsys, doc)
+            assert (code, out) == (1, "")
+            assert f"field '{named}': missing" in err
+        else:
+            # a null reads as the key's default, the same as leaving it out
+            absent = full()
+            _block_at(absent, location).pop(key, None)
+            assert _run(tmp_path, capsys, doc) == _run(tmp_path, capsys, absent)
+
+    def test_null_name_is_the_default(self, tmp_path, capsys):
+        # this run used to be named "None"
+        doc = _library_doc()
+        doc["name"] = None
+        assert main(["run", _write(tmp_path, doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == "scenario"
+
+    def test_null_erasure_is_landauer_optimal(self, tmp_path, capsys):
+        # this used to fail as "unknown mode None"
+        code, out, _ = _run(tmp_path, capsys,
+                            {"config": _explicit_block(erasure=None)})
+        assert code == 0
+        assert json.loads(out)["records"][0]["erasure"]["landauer_optimal"]
+
+
+def _readme_tables():
+    """Each markdown table of the README as {first-column key: default}."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    tables, rows = [], {}
+    for line in readme.read_text(encoding="utf-8").splitlines() + [""]:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) > 2:
+            rows[cells[0].strip("`")] = cells[2]
+        elif rows:
+            tables.append(rows)
+            rows = {}
+    return tables
+
+
+@pytest.mark.parametrize(
+    "name, table",
+    [("document", cli._DOCUMENT), ("sweep", cli._SWEEP),
+     ("output", cli._OUTPUT), ("config", cli._CONFIG),
+     ("outcome", cli._OUTCOME), ("transition", cli._TRANSITION),
+     ("feedback", cli._BRANCH)],
+)
+def test_readme_documents_every_block(name, table):
+    # the scenario-file section has one table per block: the same keys,
+    # and "required" exactly where the reader requires the key
+    documented = [t for t in _readme_tables() if set(t) == set(table)]
+    assert len(documented) == 1, name
+    required = {k for k, (_, default) in table.items() if default is REQUIRED}
+    assert {k for k, d in documented[0].items() if d == "required"} == required
 
 
 class TestScanCommand:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,7 @@ from szilard import (
 
 import szilard.engine as engine_mod
 import szilard.thermo as thermo_mod
+from szilard.qop import _read
 import _dense
 from _oracles import harvest_works
 from szilard.cli import parse_scenario
@@ -77,8 +79,9 @@ def _swapped_post_model(h_s_gap: float = 1.0):
         Transition("-", PureState(basis_state(2, 1)), PureState(basis_state(2, 0)),
                    PureState(basis_state(2, 1))),
     )
+    zero = np.zeros((2, 2))
     return build_transition_model(
-        target, pointer, PureState(basis_state(2, 0)), transitions
+        target, pointer, PureState(basis_state(2, 0)), transitions, (zero, zero)
     )
 
 
@@ -787,16 +790,19 @@ class TestScenarioLibrary:
         # ``erasure: str | ExplicitReservoir`` once passed through unchecked
         known = {"int", "float", "int | None", "float | None", "Sequence[int]"}
         for name, fn in engine_mod._SCENARIOS.items():
+            defaults = {}
             for param in inspect.signature(fn).parameters.values():
                 assert param.annotation in known, (name, param.name)
-                read = engine_mod._typed_param(
-                    param.name, param.default, param.annotation
-                )
-                assert read == param.default, (name, param.name)
+                defaults[param.name] = param.default
+            table = engine_mod._param_table(fn)
+            assert _read(defaults, table, "", "parameter") == defaults, name
 
     def test_unknown_annotation_is_an_error(self):
-        with pytest.raises(TypeError, match="parameter 'erasure'"):
-            engine_mod._typed_param("erasure", "swap", "str | ExplicitReservoir")
+        def builder(erasure: str | ExplicitReservoir = "swap"):  # noqa: F821
+            raise AssertionError("never built")
+
+        with pytest.raises(KeyError, match=re.escape("str | ExplicitReservoir")):
+            engine_mod._param_table(builder)
 
     def test_erasure_is_a_reservoir_or_none(self):
         # the old mode string used to fail with an AttributeError on h_r

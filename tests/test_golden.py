@@ -10,9 +10,11 @@ family label and count must be identical.
 
 ``golden/library.json`` holds, for each scenario document it lists, the
 document ``szilard run --format json`` wrote for it: the five library
-scenarios at their defaults, ``example_II`` at N = 5, 20 and 120, and
-``reservoir_circumvention`` at dim_R = 4.  The same gate applies to every
-record, so the scenario builders cannot move a number unnoticed.
+scenarios at their defaults, ``example_II`` at N = 5, 20 and 120,
+``reservoir_circumvention`` at dim_R = 4, and the explicit qubit block of
+``test_cli._explicit_block`` with Landauer-optimal and with swap erasure.
+The same gate applies to every record, so neither the scenario builders
+nor the explicit-config parser can move a number unnoticed.
 """
 
 from __future__ import annotations

@@ -51,9 +51,13 @@ def basis_observable(dim: int) -> Observable:
     return Observable(tuple(rows))
 
 
-def record_write_model(posts, h=None, demon_initial=None):
+ZERO2 = np.zeros((2, 2), dtype=complex)
+
+
+def record_write_model(posts, h=(ZERO2, ZERO2), demon_initial=None):
     """Two-outcome qubit model: target = computational basis, the demon
-    copies the outcome index, the system is released into ``posts``."""
+    copies the outcome index, the system is released into ``posts``; zero
+    Hamiltonians by default leave the completion unconstrained."""
     target = basis_observable(2)
     pointer = basis_observable(2)
     psi = PureState(demon_initial if demon_initial is not None else basis_state(2, 0))
@@ -134,7 +138,7 @@ class TestBuildModels:
 
     def test_complete_unitary_extends_isometry(self):
         pairs = [(basis_state(4, 0), basis_state(4, 2))]
-        u = complete_unitary(pairs, 4)
+        u = complete_unitary(pairs, 4, np.zeros((4, 4), dtype=complex))
         assert operator_norm(u @ dagger(u) - np.eye(4)) < EPS_ALG
         assert abs(np.vdot(basis_state(4, 2), u @ basis_state(4, 0))) > 1 - 1e-12
 
@@ -259,7 +263,8 @@ class TestEnergyCertificate:
             Transition("1", PureState(rot1), PureState(rot1), PureState(basis_state(2, 1))),
         ]
         model = build_transition_model(
-            target, pointer, PureState(basis_state(2, 0)), transitions
+            target, pointer, PureState(basis_state(2, 0)), transitions,
+            (ZERO2, ZERO2),
         )
         rep = check_energy_conserving_measurement(model, h_s, h_d)
         assert not rep.passed
@@ -278,7 +283,7 @@ class TestEnergyCertificate:
             Transition("1", PureState(basis_state(2, 1)), PureState(basis_state(2, 1)), PureState(rec1)),
         ]
         model = build_transition_model(
-            target, pointer, PureState(rec0), transitions
+            target, pointer, PureState(rec0), transitions, (ZERO2, ZERO2)
         )
         rep = check_energy_conserving_measurement(model, h_s, h_d)
         assert rep.pointer_commutator > 1e-3
@@ -319,7 +324,8 @@ class TestRepeatability:
             Transition("hi", PureState(basis_state(d, 2)), PureState(basis_state(d, 2)), PureState(basis_state(2, 1))),
         ]
         model = build_transition_model(
-            target, pointer, PureState(basis_state(2, 0)), transitions
+            target, pointer, PureState(basis_state(2, 0)), transitions,
+            (np.zeros((d, d)), ZERO2),
         )
         assert check_repeatable(model).passed
 
