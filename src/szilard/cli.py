@@ -88,6 +88,20 @@ def _hamiltonian(obj: Any, path: str) -> Operator:
     return h
 
 
+def _positive(obj: Any, path: str) -> float:
+    x = _read(obj, float, path)
+    if x <= 0:
+        raise ValueError(f"expected a positive number, got {obj!r}")
+    return x
+
+
+def _levels(obj: Any, path: str) -> int:
+    n = _read(obj, int, path)
+    if n < 1:
+        raise ValueError(f"expected at least one window level, got {obj!r}")
+    return n
+
+
 def _state(obj: Any, path: str) -> PureState:
     return PureState(_vector(obj, path))
 
@@ -128,10 +142,10 @@ def _feedback(obj: Any, path: str) -> FeedbackScheme:
 
 
 _CONFIG = {
-    "temperature": (float, 1.0),
-    "kb": (float, 1.0),
-    "omega": (float, 1.0),
-    "levels": (int, 20),
+    "temperature": (_positive, 1.0),
+    "kb": (_positive, 1.0),
+    "omega": (_positive, 1.0),
+    "levels": (_levels, 20),
     "dim": (int, None),
     "h_s": (_hamiltonian, REQUIRED),
     "h_d": (_hamiltonian, REQUIRED),
@@ -170,7 +184,10 @@ def _parse_explicit_config(
         c["transitions"],
         hamiltonians=(c["h_s"], c["h_d"]),
     )
-    weight = build_oscillator_weight(c["omega"], c["levels"], dim=c["dim"])
+    try:
+        weight = build_oscillator_weight(c["omega"], c["levels"], dim=c["dim"])
+    except ValueError as exc:  # omega and levels are read valid: dim is short
+        raise _fail("config.dim", str(exc)) from exc
     scheme = c["feedback"]
     if scheme is None:
         posts = model.post_states

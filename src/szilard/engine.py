@@ -20,8 +20,10 @@ fully-certified reference constructions.
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
+import functools
 import inspect
 import math
 from typing import Callable, Sequence
@@ -49,6 +51,7 @@ from .measurement import (
     RepeatReport,
     Transition,
     WayReport,
+    _eigh_order,
     _way_report,
     apply_instrument,
     build_degenerate_instrument,
@@ -58,6 +61,7 @@ from .measurement import (
     premeasure_and_objectify,
 )
 from .qop import (
+    EPS_ALG,
     EPS_ASSERT,
     EPS_EIG,
     EPS_FID,
@@ -70,11 +74,14 @@ from .qop import (
     PureState,
     SizeError,
     _check_hermitian,
+    _diagonal_of,
+    _energy_sectors,
     _factor,
     _kron,
     _ptrace_nd,
     _read,
     basis_state,
+    commutator_norm,
     dagger,
     operator_norm,
     projector_onto,
@@ -788,6 +795,78 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> None:
         raise ValueError(f"parameter {name!r} = {value} outside [{lo}, {hi}]")
 
 
+@functools.cache
+def _record_register() -> tuple[tuple[PureState, PureState], Observable]:
+    """The qubit register every record-write engine shares: the two basis
+    states and the basis observable, which serves as target, pointer and
+    feedback control.  Built on first use, so importing does no algebra."""
+    records = (PureState(basis_state(2, 0)), PureState(basis_state(2, 1)))
+    basis = Observable(
+        (
+            ("+", 1.0, Operator(projector_onto(records[0]))),
+            ("-", -1.0, Operator(projector_onto(records[1]))),
+        )
+    )
+    return records, basis
+
+
+# record-write models by structure, least recently used first
+_MODELS: collections.OrderedDict = collections.OrderedDict()
+_MODELS_BOUND = 32
+
+
+def _record_model(
+    h_s: Operator,
+    h_d: Operator,
+    posts: Sequence[np.ndarray],
+    demon_initial: np.ndarray,
+) -> MeasurementModel:
+    """The record-write model: outcome ``"+"`` (``"-"``) takes basis state
+    0 (1) to its post and writes demon basis state 0 (1).
+
+    Its premeasurement conserves ``H_S (x) 1 + 1 (x) H_D``, which
+    ``measurement.complete_unitary`` reads, for diagonal ``H_S`` and
+    ``H_D``, only through the order and the sector partition of that sum's
+    diagonal.  With the posts and the demon's initial amplitudes, those
+    determine the model, so engines that share them share one model from a
+    bounded memo; a non-diagonal or complex ``H_S`` or ``H_D`` skips it.
+    A shared model still meets the completion's hard assertion against
+    this engine's Hamiltonians, and each engine certifies it itself."""
+    records, basis = _record_register()
+    posts = [np.asarray(p, dtype=complex) for p in posts]
+    psi = np.asarray(demon_initial, dtype=complex)
+    ds, dd = _diagonal_of(h_s), _diagonal_of(h_d)
+    key = None
+    if ds is not None and dd is not None and not (ds.imag.any() or dd.imag.any()):
+        e = (ds.real[:, None] + dd.real[None, :]).ravel()
+        order = _eigh_order(e)
+        key = (
+            tuple(p.tobytes() for p in posts),
+            psi.tobytes(),
+            (ds.size, dd.size),
+            order.tobytes(),
+            tuple(s.size for s in _energy_sectors(e[order])),
+        )
+        model = _MODELS.get(key)
+        if model is not None:
+            _MODELS.move_to_end(key)
+            if commutator_norm(model.premeasurement, np.diag(e)) > EPS_ALG:
+                raise HardAssertionError("blockwise completion failed to commute")
+            return model
+    transitions = [
+        Transition(x, r, PureState(post), r)
+        for x, r, post in zip(basis.labels, records, posts)
+    ]
+    model = build_transition_model(
+        basis, basis, PureState(psi), transitions, (h_s, h_d)
+    )
+    if key is not None:
+        _MODELS[key] = model
+        if len(_MODELS) > _MODELS_BOUND:
+            _MODELS.popitem(last=False)
+    return model
+
+
 def _record_write_engine(
     label: str,
     ctx: ThermoContext,
@@ -803,31 +882,15 @@ def _record_write_engine(
 ) -> EngineConfig:
     """The two-outcome engine behind every model-based scenario and scan
     family.  The qubit system starts in ``diag(q, 1 - q)`` and is measured
-    in its energy basis: outcome ``"+"`` (``"-"``) takes basis state 0 (1)
-    to its post state and writes demon basis state 0 (1), and that record
-    selects the outcome's stroke.  ``posts`` and ``strokes`` are in outcome
-    order; a reservoir given by ``h_r`` takes part in the strokes."""
-    records = [PureState(basis_state(2, i)) for i in range(2)]
-    # the target and the pointer, which controls the feedback, share one
-    # basis
-    basis = Observable(
-        (
-            ("+", 1.0, Operator(projector_onto(records[0]))),
-            ("-", -1.0, Operator(projector_onto(records[1]))),
-        )
-    )
-    transitions = [
-        Transition(x, r, PureState(post), r)
-        for x, r, post in zip(basis.labels, records, posts)
-    ]
-    model = build_transition_model(
-        basis, basis, PureState(demon_initial), transitions, (h_s, h_d)
-    )
+    in its energy basis by :func:`_record_model`, and the record selects
+    the outcome's stroke.  ``posts`` and ``strokes`` are in outcome order;
+    a reservoir given by ``h_r`` takes part in the strokes."""
+    model = _record_model(h_s, h_d, posts, demon_initial)
     return EngineConfig(
         rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
         h_s=h_s,
         measurement=model,
-        feedback=FeedbackScheme(tuple(zip(basis.labels, strokes))),
+        feedback=FeedbackScheme(tuple(zip(model.pointer.labels, strokes))),
         weight=weight,
         thermo=ctx,
         h_d=h_d,

@@ -34,6 +34,7 @@ from .qop import (
     Operator,
     PureState,
     _check_hermitian,
+    _diagonal_of,
     _energy_sectors,
     _entries_of,
     _kron,
@@ -84,18 +85,31 @@ class Observable:
         if len(set(labels)) != len(labels):
             raise ValueError(f"outcome labels not unique: {labels}")
         dim = outs[0][2].dim
-        total = np.zeros((dim, dim), dtype=complex)
         for label, _, p in outs:
             if p.dim != dim:
                 raise ValueError("projector dimensions inconsistent")
             if not p.is_projector:
                 raise ValueError(f"outcome {label!r}: not a projector")
-            total += p.entries
-        for i, (la, _, pa) in enumerate(outs):
-            for lb, _, pb in outs[i + 1 :]:
-                if operator_norm(pa.entries @ pb.entries) > EPS_ALG:
-                    raise ValueError(f"projectors {la!r} and {lb!r} not orthogonal")
-        if operator_norm(total - np.eye(dim)) > EPS_ALG:
+        diagonals = [p._diagonal for _, _, p in outs]
+        if all(d is not None for d in diagonals):
+            # the products and the sum of diagonal projectors are diagonal,
+            # and a diagonal matrix's operator norm is its largest |entry|
+            d = np.array(diagonals)
+            overlaps = [np.abs(a * d[i + 1 :]).max(axis=1) for i, a in enumerate(d)]
+            gap = float(np.abs(d.sum(axis=0) - 1.0).max())
+        else:
+            m = [p.entries for _, _, p in outs]
+            overlaps = [
+                [operator_norm(a @ b) for b in m[i + 1 :]] for i, a in enumerate(m)
+            ]
+            gap = operator_norm(sum(m) - np.eye(dim))
+        for i, row in enumerate(overlaps):
+            for j, overlap in enumerate(row, start=i + 1):
+                if overlap > EPS_ALG:
+                    raise ValueError(
+                        f"projectors {outs[i][0]!r} and {outs[j][0]!r} not orthogonal"
+                    )
+        if gap > EPS_ALG:
             raise ValueError("projectors do not sum to the identity")
         object.__setattr__(self, "outcomes", outs)
 
@@ -317,18 +331,12 @@ def _unitary_from_pairs(
 ) -> np.ndarray:
     """A unitary mapping each in-column to the matching out-column.
 
-    Exists iff the two Gram matrices agree; rank-deficient input is rejected.
+    Exists iff the two Gram matrices agree, which the caller checks;
+    rank-deficient input is rejected.
     """
     k = vecs_in.shape[1]
     if k == 0:
         return np.eye(dim, dtype=complex)
-    g_in = dagger(vecs_in) @ vecs_in
-    g_out = dagger(vecs_out) @ vecs_out
-    if operator_norm(g_in - g_out) > EPS_GRAM:
-        raise ConstructionError(
-            "transition table is not compatible with an isometry "
-            "(Gram matrices differ)"
-        )
     u_svd, s, vh = np.linalg.svd(vecs_in, full_matrices=False)
     if np.any(s < EPS_RANK):
         raise ConstructionError("isometry inputs are linearly dependent")
@@ -339,6 +347,21 @@ def _unitary_from_pairs(
     qf = _orthonormal_extension(q, dim)
     pf = _orthonormal_extension(p, dim)
     return pf @ dagger(qf)
+
+
+def _eigh_order(d: np.ndarray) -> np.ndarray:
+    """The order ``eigh`` gives the entries of a real diagonal: LAPACK's
+    closing selection sort, which swaps the first smallest remaining entry
+    into each place in turn, and so can reorder equal entries where a
+    stable sort would not (``[1, 0, 1, 0]`` gives ``[1, 3, 2, 0]``)."""
+    d = d.copy()
+    order = np.arange(d.size)
+    for i in range(d.size - 1):
+        k = i + int(np.argmin(d[i:]))
+        if d[k] < d[i]:
+            d[[i, k]] = d[[k, i]]
+            order[[i, k]] = order[[k, i]]
+    return order
 
 
 def complete_unitary(
@@ -353,6 +376,16 @@ def complete_unitary(
     whose in and out vectors distribute differently over the sectors are
     rejected as incompatible with conservation.  A zero Hamiltonian has one
     sector and leaves the extension unconstrained.
+
+    A general Hamiltonian's sectors come from ``eigh``, and the pairs are
+    rotated into its eigenbasis and the blocks back out of it.  A diagonal
+    Hamiltonian's eigenbasis is the standard basis, in the order
+    :func:`_eigh_order` reads from the real part of its diagonal, so the
+    sectors are read from that order and each block is placed by index: no
+    ``eigh`` and no rotation.  ``eigh``'s eigenvectors of a diagonal matrix
+    are exactly that permutation, so both routes give the same bits, and
+    the result depends on a diagonal Hamiltonian only through the order
+    and sector partition of its diagonal.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -365,10 +398,17 @@ def complete_unitary(
     _check_hermitian(
         h, "energy-conserving completion needs a Hermitian Hamiltonian"
     )
-    ev, vec = np.linalg.eigh(h)
+    diagonal = _diagonal_of(h)
+    if diagonal is None:
+        ev, vec = np.linalg.eigh(h)
+        cx = dagger(vec) @ x
+        cy = dagger(vec) @ y
+    else:
+        order = _eigh_order(diagonal.real)
+        ev = diagonal.real[order]
+        cx = x[order]
+        cy = y[order]
     blocks = np.zeros((dim, dim), dtype=complex)
-    cx = dagger(vec) @ x
-    cy = dagger(vec) @ y
     for sector in _energy_sectors(ev):
         # the pairs with a component in this sector
         keep = (np.linalg.norm(cx[sector], axis=0) > EPS_SUPPORT) | (
@@ -382,7 +422,11 @@ def complete_unitary(
                 "no energy-conserving completion exists"
             )
         blocks[np.ix_(sector, sector)] = _unitary_from_pairs(xs, ys, len(sector))
-    u = vec @ blocks @ dagger(vec)
+    if diagonal is None:
+        u = vec @ blocks @ dagger(vec)
+    else:
+        u = np.empty_like(blocks)
+        u[np.ix_(order, order)] = blocks
     if commutator_norm(u, h) > EPS_ALG:
         raise HardAssertionError("blockwise completion failed to commute")
     return u

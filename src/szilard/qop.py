@@ -373,11 +373,13 @@ class Operator:
 
     @property
     def is_projector(self) -> bool:
+        if not self.is_hermitian:
+            return False
+        if (d := self._diagonal) is not None:
+            # m m - m is diagonal too: its operator norm is its largest |entry|
+            return float(np.abs(d * d - d).max()) <= EPS_ALG
         m = self.entries
-        return (
-            self.is_hermitian
-            and operator_norm(m @ m - m) <= EPS_ALG
-        )
+        return operator_norm(m @ m - m) <= EPS_ALG
 
     def rank_estimate(self) -> int:
         """Rank of a projector, via its trace."""

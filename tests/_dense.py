@@ -11,7 +11,10 @@ replaced with a factored one, and ``entropy`` / ``free_energy`` price its
 outputs from a fresh ``eigvalsh``.  ``shift_stroke``, ``top_swap``,
 ``reservoir_swap`` and ``harvest_plane`` are the element-by-element loops
 that built the feedback strokes before they went through
-``szilard.feedback._plane_stroke``.  The arithmetic is numpy only, with no
+``szilard.feedback._plane_stroke``.  ``complete_unitary`` is the
+premeasurement completion through ``eigh`` that
+``szilard.measurement.complete_unitary`` replaced on diagonal Hamiltonians,
+and ``observable_fault`` judges a projector family on dense products.  The arithmetic is numpy only, with no
 package helpers, so each is an independent route for differential tests.
 """
 
@@ -21,7 +24,7 @@ import math
 
 import numpy as np
 
-from szilard import HardAssertionError
+from szilard import ConstructionError, HardAssertionError
 
 TOL = 1e-9
 
@@ -200,3 +203,92 @@ def harvest_plane(dim_w: int, m: int) -> np.ndarray:
     u[a, a] = u[b, b] = 0.0
     u[a, b] = u[b, a] = 1.0
     return u
+
+
+# ---------------------------------------------------------------------------
+# measurement construction
+
+
+def _sectors(ev: np.ndarray) -> list[np.ndarray]:
+    """Index groups of ascending ``ev``, split where neighbours differ by
+    more than ``1e-8 * (1 + max|ev|)``."""
+    tol = 1e-8 * (1.0 + float(np.abs(ev).max()))
+    return np.split(np.arange(ev.size), np.flatnonzero(np.diff(ev) > tol) + 1)
+
+
+def _extend(columns: np.ndarray, dim: int) -> np.ndarray:
+    cols = [columns[:, i] for i in range(columns.shape[1])]
+    for i in range(dim):
+        if len(cols) == dim:
+            break
+        v = np.zeros(dim, dtype=complex)
+        v[i] = 1.0
+        for _ in range(2):
+            for c in cols:
+                v = v - c * np.vdot(c, v)
+        n = float(np.linalg.norm(v))
+        if n > 1e-7:
+            cols.append(v / n)
+    if len(cols) != dim:
+        raise ConstructionError("failed to extend basis")
+    return np.stack(cols, axis=1)
+
+
+def complete_unitary(pairs, dim: int, hamiltonian) -> np.ndarray:
+    """The energy-conserving completion through ``eigh`` for every
+    Hamiltonian, diagonal or not: in and out vectors rotated into the
+    eigenbasis, each sector's pairs extended to a unitary block, and the
+    blocks rotated back with two dense products.  A non-Hermitian
+    Hamiltonian raises ``ValueError``, pairs that admit no completion
+    ``ConstructionError``, and a result that fails to commute with
+    the Hamiltonian raises ``HardAssertionError``."""
+    x = np.stack([np.asarray(a, dtype=complex) for a, _ in pairs], axis=1)
+    y = np.stack([np.asarray(b, dtype=complex) for _, b in pairs], axis=1)
+    h = np.asarray(hamiltonian, dtype=complex)
+    if _norm(h - h.conj().T) > 1e-10:
+        raise ValueError("Hamiltonian is not Hermitian")
+    ev, vec = np.linalg.eigh(h)
+    blocks = np.zeros((dim, dim), dtype=complex)
+    cx = vec.conj().T @ x
+    cy = vec.conj().T @ y
+    for sector in _sectors(ev):
+        keep = (np.linalg.norm(cx[sector], axis=0) > 1e-12) | (
+            np.linalg.norm(cy[sector], axis=0) > 1e-12
+        )
+        xs = cx[sector][:, keep]
+        ys = cy[sector][:, keep]
+        n = len(sector)
+        if _norm(xs.conj().T @ xs - ys.conj().T @ ys) > 1e-8:
+            raise ConstructionError("pairs move amplitude between energy sectors")
+        if xs.shape[1] == 0:
+            blocks[np.ix_(sector, sector)] = np.eye(n, dtype=complex)
+            continue
+        _, s, vh = np.linalg.svd(xs, full_matrices=False)
+        if np.any(s < 1e-8):
+            raise ConstructionError("pair inputs are linearly dependent")
+        coef = vh.conj().T @ np.diag(1.0 / s)
+        qf = _extend(xs @ coef, n)
+        pf = _extend(ys @ coef, n)
+        blocks[np.ix_(sector, sector)] = pf @ qf.conj().T
+    u = vec @ blocks @ vec.conj().T
+    if _norm(u @ h - h @ u) > 1e-10:
+        raise HardAssertionError("blockwise completion failed to commute")
+    return u
+
+
+def observable_fault(outcomes) -> str | None:
+    """The first fault of a labelled projector family, in the order an
+    observable checks them, or ``None`` for a valid family: ``"projector
+    <label>"`` (not Hermitian or not idempotent), ``"orthogonal <a> <b>"``
+    or ``"identity"``, each decided on the exact spectral norm."""
+    mats = [np.asarray(p, dtype=complex) for _, p in outcomes]
+    for (label, _), m in zip(outcomes, mats):
+        if _norm(m - m.conj().T) > 1e-10 or _norm(m @ m - m) > 1e-10:
+            return f"projector {label}"
+    for i, (la, _) in enumerate(outcomes):
+        for j in range(i + 1, len(outcomes)):
+            if _norm(mats[i] @ mats[j]) > 1e-10:
+                return f"orthogonal {la} {outcomes[j][0]}"
+    if _norm(sum(mats) - np.eye(mats[0].shape[0])) > 1e-10:
+        return "identity"
+    return None

@@ -497,6 +497,15 @@ class TestRunCommand:
             ({"scenario": "example_I",
               "output": {"format": "json", "file": "out.json"}},
              "field 'output.file'"),
+            # the context and the weight are built from these after the
+            # reader, and their messages used to name no field
+            ({"config": _explicit_block(levels=0)}, "field 'config.levels'"),
+            ({"config": _explicit_block(omega=-1)}, "field 'config.omega'"),
+            ({"config": _explicit_block(levels=3, dim=4)},
+             "field 'config.dim'"),
+            ({"config": _explicit_block(temperature=0)},
+             "field 'config.temperature'"),
+            ({"config": _explicit_block(kb=-1)}, "field 'config.kb'"),
         ],
     )
     def test_malformed_field_exit_code(self, tmp_path, capsys, doc, named):

@@ -7,6 +7,8 @@ import dataclasses
 import inspect
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -833,6 +835,14 @@ def _swap_erasure():
     return build_swap_erasure(PureState(basis_state(2, 0)), ThermoContext(1.0))
 
 
+def test_hundred_outcome_basis_register():
+    labels = [f"x{i}" for i in range(100)]
+    records = engine_mod._basis_records(labels)
+    assert records.labels == tuple(labels)
+    assert records.is_nondegenerate
+    assert np.array_equal(records.operator(), np.diag(np.arange(100.0)))
+
+
 class TestDerivedInputs:
     """What the engine can derive is not an input: the feedback controls
     are the measurement's record register, and each reservoir state is the
@@ -958,6 +968,161 @@ class TestHarvestFamily:
             works = {b.outcome: b.work for b in result.branches}
             assert works["+"] == pytest.approx(w_plus, abs=1e-9)
             assert works["-"] == pytest.approx(w_minus, abs=1e-9)
+
+
+def _assert_same(a, b, where="value"):
+    """``a`` and ``b`` hold the same values, bit for bit: states and
+    operators entrywise, dataclasses field by field."""
+    if isinstance(a, (DensityMatrix, Operator)):
+        assert np.array_equal(a.entries, b.entries), where
+    elif isinstance(a, PureState):
+        assert np.array_equal(a.amplitudes, b.amplitudes), where
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            _assert_same(
+                getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}"
+            )
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_same(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), where
+    else:
+        assert a == b, where
+
+
+def _assert_memo_matches_fresh(config):
+    """``config``'s model, however it was obtained, against one built from
+    the same table by ``build_transition_model``: the premeasurement, the
+    certification and the cycle are identical."""
+    m = config.measurement
+    fresh = build_transition_model(
+        m.target, m.pointer, m.demon_initial, m.transitions,
+        (config.h_s, config.h_d),
+    )
+    assert fresh is not m
+    assert np.array_equal(m.premeasurement.entries, fresh.premeasurement.entries)
+    twin = dataclasses.replace(config, measurement=fresh)
+    _assert_same(config.certification, twin.certification, "certification")
+    _assert_same(run_cycle(config), run_cycle(twin), "cycle")
+
+
+class TestSharedModels:
+    """Record-write engines share one record register and take their model
+    from a memo keyed by what determines it: the posts, the demon's initial
+    amplitudes and the order and sector partition of the additive
+    diagonal."""
+
+    @pytest.mark.parametrize("family", tuple(SCAN_FAMILIES))
+    def test_scan_draws_match_fresh_builds(self, family):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            _assert_memo_matches_fresh(SCAN_FAMILIES[family](rng, False))
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("example_I", {"q": 0.3}),
+            ("example_II", {"N": 8}),
+            ("reservoir_circumvention", {"dim_R": 3, "N": 6}),
+        ],
+    )
+    def test_library_engines_match_fresh_builds(self, name, params):
+        scenario_library(name, **params)  # the second build is a memo hit
+        _assert_memo_matches_fresh(scenario_library(name, **params))
+
+    def test_one_model_per_structure(self):
+        rng = np.random.default_rng(3)
+        family = SCAN_FAMILIES["eigenstate_posts"]
+        a, b = family(rng, False), family(rng, False)
+        assert a.h_s.entries[0, 0] != b.h_s.entries[0, 0]
+        assert a.measurement is b.measurement
+        register = engine_mod._record_register()
+        assert a.records is register[1]
+        assert a.measurement.transitions[0].sys_in is register[0][0]
+
+    def test_different_sectors_never_share_a_model(self):
+        omega = 1.3
+        e0, e1 = basis_state(2, 0), basis_state(2, 1)
+        zero = Operator(np.zeros((2, 2)))
+        h_s = Operator(np.diag([omega / 2, -omega / 2]))
+        # excited posts conserve energy only when the demon prices the
+        # record of the ground outcome one quantum lower; without that
+        # price the table crosses sectors, memo or not
+        engine_mod._record_model(h_s, Operator(np.diag([0.0, -omega])), (e0, e0), e0)
+        with pytest.raises(ConstructionError, match="between energy sectors"):
+            engine_mod._record_model(h_s, zero, (e0, e0), e0)
+        # eigenstate posts conserve under one sector of four levels and
+        # under two sectors of two
+        one = engine_mod._record_model(zero, zero, (e0, e1), e0)
+        two = engine_mod._record_model(h_s, zero, (e0, e1), e0)
+        assert one is not two
+        other_gap = Operator(np.diag([0.35, -0.35]))
+        assert engine_mod._record_model(other_gap, zero, (e0, e1), e0) is two
+        for model, h in ((one, (zero, zero)), (two, (h_s, zero))):
+            fresh = build_transition_model(
+                model.target, model.pointer, model.demon_initial,
+                model.transitions, h,
+            )
+            assert np.array_equal(
+                model.premeasurement.entries, fresh.premeasurement.entries
+            )
+
+    def test_shared_model_meets_the_completion_assertion(self):
+        # a demon gap below the sector split keeps the structure of h_d = 0
+        # but breaks commutation with the completed swap of |1,0>, |1,1>;
+        # a fresh build fails the completion's hard assertion, and so must
+        # the shared model
+        e0, e1 = basis_state(2, 0), basis_state(2, 1)
+        h_s = Operator(np.diag([0.5, -0.5]))
+        model = engine_mod._record_model(
+            h_s, Operator(np.zeros((2, 2))), (e0, e1), e0
+        )
+        near = Operator(np.diag([0.0, 3e-9]))
+        with pytest.raises(HardAssertionError, match="failed to commute"):
+            build_transition_model(
+                model.target, model.pointer, model.demon_initial,
+                model.transitions, (h_s, near),
+            )
+        with pytest.raises(HardAssertionError, match="failed to commute"):
+            engine_mod._record_model(h_s, near, (e0, e1), e0)
+
+    def test_non_diagonal_hamiltonians_skip_the_memo(self):
+        # flipping the demon's record conserves sigma_x on the demon
+        e0, e1 = basis_state(2, 0), basis_state(2, 1)
+        zero = Operator(np.zeros((2, 2)))
+        sx = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        a = engine_mod._record_model(zero, sx, (e0, e1), e0)
+        b = engine_mod._record_model(zero, sx, (e0, e1), e0)
+        assert a is not b
+        assert np.array_equal(a.premeasurement.entries, b.premeasurement.entries)
+
+    def test_memo_stays_within_its_bound(self):
+        # the superposed posts are new on every draw, so a long scan fills
+        # the memo and keeps evicting
+        names = tuple(SCAN_FAMILIES)
+        rng = np.random.default_rng(16)
+        for i in range(2000):
+            SCAN_FAMILIES[names[i % len(names)]](rng, False)
+            assert len(engine_mod._MODELS) <= engine_mod._MODELS_BOUND
+        assert len(engine_mod._MODELS) == engine_mod._MODELS_BOUND
+
+    def test_import_builds_no_register(self):
+        code = (
+            "import szilard.engine as e; "
+            "print(e._record_register.cache_info().currsize, len(e._MODELS))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestImpossibilityScan:

@@ -30,7 +30,8 @@ from szilard import (
     way_witness,
 )
 from szilard.measurement import MeasurementModel
-from szilard.qop import EPS_ALG, _ptrace_nd
+from szilard.qop import EPS_ALG, EPS_SECTOR, _ptrace_nd
+import _dense
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -123,8 +124,175 @@ class TestObservable:
         assert not deg.is_nondegenerate
 
 
+@st.composite
+def diagonal_families(draw):
+    """Diagonal projector families on 1-6 levels, each level owned by one
+    of 1-4 outcomes, with up to three entries nudged: by rounding-sized
+    real or imaginary amounts that keep the family valid, or by amounts
+    that break idempotence, Hermiticity, orthogonality or completeness."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    d = np.zeros((k, n), dtype=complex)
+    d[owner, np.arange(n)] = 1.0
+    nudges = st.sampled_from([1e-13, 1e-13j, 1e-6, 1e-6j, 0.5, 1.0, -1.0])
+    for a, i, delta in draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, n - 1), nudges),
+        max_size=3,
+    )):
+        d[a, i] += delta
+    return [(f"x{a}", np.diag(d[a])) for a in range(k)]
+
+
+def _observable_fault(family) -> str | None:
+    """The fault ``Observable`` reports for ``family``, in the oracle's
+    terms, or ``None`` when it builds."""
+    try:
+        Observable(tuple(
+            (label, float(i), Operator(p)) for i, (label, p) in enumerate(family)
+        ))
+    except ValueError as exc:
+        msg = str(exc)
+        if msg.endswith("not a projector"):
+            return "projector " + msg.split("'")[1]
+        if msg.endswith("not orthogonal"):
+            return "orthogonal " + " ".join(msg.split("'")[1:4:2])
+        assert msg == "projectors do not sum to the identity"
+        return "identity"
+    return None
+
+
+class TestDiagonalObservable:
+    """Diagonal projector families are judged on their diagonals; the
+    verdict is the dense one."""
+
+    @given(diagonal_families())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_matches_the_dense_oracle(self, family):
+        assert _observable_fault(family) == _dense.observable_fault(family)
+
+    def test_families_of_every_verdict_are_drawn(self):
+        # the oracle separates the four verdicts on these hand-made cases
+        one, zero = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        cases = {
+            None: [("a", one), ("b", zero)],
+            "projector a": [("a", np.diag([0.5, 0.0])), ("b", zero)],
+            "orthogonal a b": [("a", np.eye(2)), ("b", zero)],
+            "identity": [("a", one), ("b", np.zeros((2, 2)))],
+        }
+        for fault, family in cases.items():
+            assert _dense.observable_fault(family) == fault
+            assert _observable_fault(family) == fault
+
+
 # ---------------------------------------------------------------------------
 # model construction
+
+
+def _completion_outcome(route, pairs, dim, h):
+    """A completion's unitary, or the type of the error it raised."""
+    try:
+        return route(pairs, dim, h)
+    except (ValueError, ConstructionError, HardAssertionError) as exc:
+        return type(exc)
+
+
+def _assert_same_completion(pairs, dim, h):
+    got = _completion_outcome(complete_unitary, pairs, dim, h)
+    want = _completion_outcome(_dense.complete_unitary, pairs, dim, h)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type), got
+        assert np.array_equal(got, want)
+
+
+def _random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def diagonal_completions(draw):
+    """A diagonal Hamiltonian on 2-6 levels drawn from four energies, so
+    degeneracies are exact, with each level nudged by 0 or by amounts below
+    ``EPS_SECTOR`` (near degeneracies), and 1-3 pairs: in vectors with
+    random support, and out vectors their image under a random unitary
+    inside each exact level group, or (to exercise refusals) random."""
+    dim = draw(st.integers(2, 6))
+    levels = np.array(draw(
+        st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    ))
+    scale = draw(st.floats(0.25, 4.0))
+    nudge = draw(st.lists(
+        st.sampled_from([0.0, 1e-14, 1e-12, 0.3 * EPS_SECTOR]),
+        min_size=dim, max_size=dim,
+    ))
+    rng = np.random.default_rng(draw(seeds))
+    k = draw(st.integers(1, 3))
+    x = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    x = x * (rng.random(size=(dim, 1)) < 0.7)
+    w = np.zeros((dim, dim), dtype=complex)
+    for level in set(levels.tolist()):
+        group = np.flatnonzero(levels == level)
+        w[np.ix_(group, group)] = _random_unitary(rng, group.size)
+    y = w @ x if draw(st.booleans()) else rng.normal(size=(dim, k)) + 0j
+    h = np.diag(levels * scale + np.array(nudge)).astype(complex)
+    return [(x[:, j], y[:, j]) for j in range(k)], dim, h
+
+
+class TestCompletionRoutes:
+    """``complete_unitary`` reads a diagonal Hamiltonian's sectors from its
+    diagonal; the result is bit-identical to the ``eigh`` route kept in
+    ``_dense``, refusals included."""
+
+    @given(diagonal_completions())
+    @settings(max_examples=300, deadline=None)
+    def test_diagonal_route_matches_the_eigh_oracle(self, case):
+        _assert_same_completion(*case)
+
+    @given(diagonal_completions())
+    @settings(max_examples=100, deadline=None)
+    def test_rotated_hamiltonian_matches_the_eigh_oracle(self, case):
+        pairs, dim, h = case
+        v = _random_unitary(np.random.default_rng(dim), dim)
+        h = v @ h @ dagger(v)
+        h = (h + dagger(h)) / 2.0
+        pairs = [(v @ a, v @ b) for a, b in pairs]
+        _assert_same_completion(pairs, dim, h)
+
+    def test_tied_levels_keep_the_eigh_order(self):
+        # eigh's sort reorders the tied levels of diag(1, 0, 1, 0), where a
+        # stable sort would not; the completion inside each sector of two
+        # depends on that order
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=4) + 1j * rng.normal(size=4)
+        h = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+        w = np.zeros((4, 4), dtype=complex)
+        w[np.ix_([0, 2], [0, 2])] = _random_unitary(rng, 2)
+        w[np.ix_([1, 3], [1, 3])] = _random_unitary(rng, 2)
+        _assert_same_completion([(x, w @ x)], 4, h)
+
+    def test_scan_structures_match_the_eigh_oracle(self):
+        # the additive Hamiltonians of the record-write engines, completed
+        # for their eigenstate, superposed and excited posts
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            omega = float(rng.uniform(0.5, 2.0))
+            h_s = np.diag([omega / 2, -omega / 2])
+            for h_d in (np.zeros(2), [omega / 2, -omega / 2], [0.0, -omega]):
+                h = np.kron(h_s, np.eye(2)) + np.kron(np.eye(2), np.diag(h_d))
+                c = math.sqrt(float(rng.uniform(0.05, 0.95)))
+                post = np.array([c, math.sqrt(1.0 - c * c)])
+                for posts in (np.eye(2), [post, post * [1, -1]], [[1, 0], [1, 0]]):
+                    pairs = [
+                        (np.kron(basis_state(2, s), posts[0]),
+                         np.kron(posts[s], basis_state(2, s)))
+                        for s in (0, 1)
+                    ]
+                    _assert_same_completion(pairs, 4, h.astype(complex))
+
 
 
 class TestBuildModels:
