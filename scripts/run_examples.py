@@ -72,8 +72,8 @@ def describe(name: str) -> dict:
         "ledger": {
             "w_coarse": led.w_coarse,
             "w_avg": led.w_avg,
-            "q": led.q,
-            "w_r": led.w_r,
+            "q": result.erasure.q,
+            "w_r": result.erasure.w_r,
             "w_net_coarse": led.w_net_coarse,
             "w_net_avg": led.w_net_avg,
         },

@@ -28,7 +28,6 @@ from .engine import (
     EngineConfig,
     FeatureReport,
     CycleResult,
-    SCENARIO_NAMES,
     ScanReport,
     evaluate_features,
     impossibility_scan,
@@ -44,6 +43,9 @@ from .qop import (
     Operator,
     PureState,
     SzilardError,
+    _check_joint_dim,
+    _non_negative,
+    _positive,
     _read,
 )
 from .thermo import ThermoContext, build_swap_erasure
@@ -86,13 +88,6 @@ def _hamiltonian(obj: Any, path: str) -> Operator:
     if not h.is_hermitian:
         raise ValueError("expected a Hermitian matrix")
     return h
-
-
-def _positive(obj: Any, path: str) -> float:
-    x = _read(obj, float, path)
-    if x <= 0:
-        raise ValueError(f"expected a positive number, got {obj!r}")
-    return x
 
 
 def _levels(obj: Any, path: str) -> int:
@@ -156,7 +151,7 @@ _CONFIG = {
     "transitions": (_transitions, REQUIRED),
     "feedback": (_feedback, None),
     "erasure": (("landauer_optimal", "swap"), "landauer_optimal"),
-    "tol_s": (float, None),
+    "tol_s": (_non_negative, None),
 }
 _SWEEP = {"parameter": (str, REQUIRED), "values": ([object], REQUIRED)}
 _OUTPUT = {"format": (("json", "csv"), None), "path": (str, None)}
@@ -177,6 +172,11 @@ def _parse_explicit_config(
     """Build an engine from a fully explicit scenario-file config block."""
     c = _read(block, _CONFIG, "config")
     ctx = ThermoContext(c["temperature"], c["kb"])
+    try:
+        weight = build_oscillator_weight(c["omega"], c["levels"], dim=c["dim"])
+    except ValueError as exc:  # omega and levels are read valid: dim is short
+        raise _fail("config.dim", str(exc)) from exc
+    _check_joint_dim(weight.dim, c["h_s"].dim, c["pointer"].dim)
     model = build_transition_model(
         c["target"],
         c["pointer"],
@@ -184,10 +184,6 @@ def _parse_explicit_config(
         c["transitions"],
         hamiltonians=(c["h_s"], c["h_d"]),
     )
-    try:
-        weight = build_oscillator_weight(c["omega"], c["levels"], dim=c["dim"])
-    except ValueError as exc:  # omega and levels are read valid: dim is short
-        raise _fail("config.dim", str(exc)) from exc
     scheme = c["feedback"]
     if scheme is None:
         posts = model.post_states
@@ -318,24 +314,24 @@ def _certification_record(config: EngineConfig, result: CycleResult) -> dict:
         "objectification_order_gap": result.objectification_order_gap,
         "marginal_deviation": result.marginal_deviation,
     }
-    if cert.measurement_energy is not None:
+    way = cert.way
+    if way is not None:
         rec["measurement_energy"] = {
-            "passed": cert.measurement_energy.passed,
-            "premeasurement_commutator": cert.measurement_energy.premeasurement_commutator,
-            "pointer_commutator": cert.measurement_energy.pointer_commutator,
+            "passed": way.energy.passed,
+            "premeasurement_commutator": way.energy.premeasurement_commutator,
+            "pointer_commutator": way.energy.pointer_commutator,
         }
-    if cert.way is not None:
         rec["way"] = {
-            "energy_ok": cert.way.energy_ok,
-            "repeatable_or_pointer_commuting": cert.way.repeatable_or_pointer_commuting,
-            "observable_commutes": cert.way.observable_commutes,
-            "target_commutator": cert.way.target_commutator,
+            "energy_ok": way.energy.passed,
+            "repeatable_or_pointer_commuting": way.repeatable_or_pointer_commuting,
+            "observable_commutes": way.observable_commutes,
+            "target_commutator": way.target_commutator,
         }
     return rec
 
 
 def _run_record(run: ScenarioRun, result: CycleResult, report: FeatureReport) -> dict:
-    led = result.ledger
+    led, erasure, config = result.ledger, result.erasure, run.config
     rec: dict[str, Any] = {
         "name": run.name,
         "scenario": run.scenario,
@@ -354,8 +350,8 @@ def _run_record(run: ScenarioRun, result: CycleResult, report: FeatureReport) ->
     rec["ledger"] = {
         "w_coarse": led.w_coarse,
         "w_avg": led.w_avg,
-        "q": led.q,
-        "w_r": led.w_r,
+        "q": erasure.q,
+        "w_r": erasure.w_r,
         "w_net_coarse": led.w_net_coarse,
         "w_net_avg": led.w_net_avg,
         "bound_rhs_coarse": led.bound_rhs_coarse,
@@ -368,17 +364,17 @@ def _run_record(run: ScenarioRun, result: CycleResult, report: FeatureReport) ->
         "f2_entropy_invariant": report.f2_entropy_invariant,
         "f3_positive_work": report.f3_positive_work,
         "min_work": report.min_work,
-        "work_floor": report.work_floor,
-        "degenerate_target": report.degenerate_target,
-        "reservoir_in_feedback": report.reservoir_in_feedback,
+        "work_floor": config.work_floor,
+        "degenerate_target": config.degenerate_target,
+        "reservoir_in_feedback": config.reservoir_in_feedback,
     }
     rec["erasure"] = {
-        "q": result.erasure.q,
-        "w_r": result.erasure.w_r,
-        "landauer_optimal": result.erasure.landauer_optimal,
-        "reset_fidelity": result.erasure.reset_fidelity,
+        "q": erasure.q,
+        "w_r": erasure.w_r,
+        "landauer_optimal": erasure.landauer_optimal,
+        "reset_fidelity": erasure.reset_fidelity,
     }
-    rec["certification"] = _certification_record(run.config, result)
+    rec["certification"] = _certification_record(config, result)
     return rec
 
 

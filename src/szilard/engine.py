@@ -43,22 +43,18 @@ from .feedback import (
 )
 from .measurement import (
     Branch,
-    EnergyReport,
     Gemenge,
     Instrument,
     MeasurementModel,
     Observable,
-    RepeatReport,
     Transition,
     WayReport,
     _eigh_order,
-    _way_report,
     apply_instrument,
     build_degenerate_instrument,
     build_transition_model,
-    check_energy_conserving_measurement,
-    check_repeatable,
     premeasure_and_objectify,
+    way_witness,
 )
 from .qop import (
     EPS_ALG,
@@ -66,18 +62,19 @@ from .qop import (
     EPS_EIG,
     EPS_FID,
     EPS_ROUTE,
-    MAX_DIM,
     ConstructionError,
     DensityMatrix,
     HardAssertionError,
     Operator,
     PureState,
-    SizeError,
     _check_hermitian,
+    _check_joint_dim,
     _diagonal_of,
     _energy_sectors,
     _factor,
     _kron,
+    _non_negative,
+    _positive,
     _ptrace_nd,
     _read,
     basis_state,
@@ -127,7 +124,12 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GenericWeight:
-    """A weight given directly by its Hamiltonian and initial state."""
+    """A weight given directly by its Hamiltonian and initial state.
+
+    A weight of any kind owns three facts the engine reads: its
+    ``hamiltonian``, its ``initial`` state and the energy ``scale`` its
+    work floor is measured against (:class:`feedback.OscillatorWeight` is
+    the other kind)."""
 
     hamiltonian: Operator
     initial: DensityMatrix
@@ -142,35 +144,24 @@ class GenericWeight:
         if h.dim != self.initial.dim:
             raise ValueError("weight Hamiltonian and state dimensions differ")
 
-
-def _weight_parts(weight: OscillatorWeight | GenericWeight) -> tuple[Operator, DensityMatrix]:
-    if isinstance(weight, OscillatorWeight):
-        return weight.hamiltonian, weight.initial_density()
-    return weight.hamiltonian, weight.initial
-
-
-def _weight_scale(weight: OscillatorWeight | GenericWeight) -> float:
-    if isinstance(weight, OscillatorWeight):
-        return weight.omega
-    ev = np.linalg.eigvalsh(weight.hamiltonian.entries)
-    return float(ev.max() - ev.min())
+    @functools.cached_property
+    def scale(self) -> float:
+        """The spectral width of the Hamiltonian."""
+        ev = np.linalg.eigvalsh(self.hamiltonian.entries)
+        return float(ev.max() - ev.min())
 
 
 @dataclasses.dataclass(frozen=True)
 class Certification:
-    measurement_energy: EnergyReport | None
+    # a model's measurement energy and repeatability reports are the ones
+    # its WAY report was decided from; an instrument has none of the three
     way: WayReport | None
-    repeatability: RepeatReport | None
     feedback_energy: object
     feedback_form: object
 
     @property
     def passed(self) -> bool:
-        meas_ok = (
-            self.measurement_energy.passed
-            if self.measurement_energy is not None
-            else False
-        )
+        meas_ok = self.way is not None and self.way.energy.passed
         return bool(
             meas_ok and self.feedback_energy.passed and self.feedback_form.passed
         )
@@ -241,12 +232,9 @@ class EngineConfig:
                 )
         elif m.dim != self.rho_s.dim:
             raise ValueError("instrument dimension mismatch")
-        h_w, rho_w = _weight_parts(self.weight)
-        object.__setattr__(self, "_h_w", h_w)
-        object.__setattr__(self, "_rho_w", rho_w)
-        floor = work_threshold(_weight_scale(self.weight), self.thermo)
+        floor = work_threshold(self.weight.scale, self.thermo)
         object.__setattr__(self, "_work_floor", floor)
-        branch_dim = h_w.dim * self.rho_s.dim
+        branch_dim = self.weight.hamiltonian.dim * self.rho_s.dim
         if self.h_r is not None:
             branch_dim *= self.h_r.dim
         if self.feedback.branch_dim != branch_dim:
@@ -254,11 +242,7 @@ class EngineConfig:
                 f"feedback branch dimension {self.feedback.branch_dim} != "
                 f"weight*system(*reservoir) {branch_dim}"
             )
-        total_dim = branch_dim * (m.demon_dim if model else len(m.labels))
-        if total_dim > MAX_DIM:
-            raise SizeError(
-                f"joint dimension {total_dim} exceeds limit {MAX_DIM}"
-            )
+        _check_joint_dim(branch_dim, m.demon_dim if model else len(m.labels))
         records = m.pointer if model else _basis_records(m.labels)
         object.__setattr__(self, "_records", records)
         if set(self.feedback.labels) != set(records.labels):
@@ -290,10 +274,10 @@ class EngineConfig:
         object.__setattr__(self, "_certification", cert)
         if not self.non_conforming:
             failures = []
-            if model and not cert.measurement_energy.passed:
+            if model and not cert.way.energy.passed:
                 failures.append(
                     "measurement violates energy conservation "
-                    f"(norms {cert.measurement_energy})"
+                    f"(norms {cert.way.energy})"
                 )
             if not cert.feedback_energy.passed:
                 failures.append("feedback violates energy conservation")
@@ -305,24 +289,18 @@ class EngineConfig:
     def _certify(self) -> Certification:
         records = self._records
         fb_energy = check_feedback_energy(
-            self.feedback, records, self._h_w, self.h_s, self._h_d, self.h_r
+            self.feedback, records, self.weight.hamiltonian, self.h_s,
+            self._h_d, self.h_r,
         )
         fb_form = check_feedback_form(
             compose_feedback_unitary(self.feedback, records),
             [(x, p) for x, _, p in records.outcomes], self.feedback.branch_dim,
         )
+        way = None
         if isinstance(self.measurement, MeasurementModel):
-            me = check_energy_conserving_measurement(
-                self.measurement, self.h_s, self._h_d
-            )
-            rep = check_repeatable(self.measurement)
-            way = _way_report(self.measurement, self.h_s, me, rep)
-        else:
-            me, rep, way = None, None, None
+            way = way_witness(self.measurement, self.h_s, self._h_d)
         return Certification(
-            measurement_energy=me,
             way=way,
-            repeatability=rep,
             feedback_energy=fb_energy,
             feedback_form=fb_form,
         )
@@ -383,14 +361,6 @@ class EngineConfig:
         if isinstance(self.measurement, MeasurementModel):
             return self.measurement.demon_initial
         return PureState(basis_state(self.demon_dim, 0))
-
-    @property
-    def weight_hamiltonian(self) -> Operator:
-        return self._h_w
-
-    @property
-    def weight_initial(self) -> DensityMatrix:
-        return self._rho_w
 
     @property
     def work_floor(self) -> float:
@@ -480,7 +450,7 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     engine.
     """
     ctx = config.thermo
-    h_w, rho_w = config.weight_hamiltonian, config.weight_initial
+    h_w, rho_w = config.weight.hamiltonian, config.weight.initial
     h_s = config.h_s
     tau_r = config.tau_r
 
@@ -567,7 +537,7 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         config._tau_e,
     )
     ledger = _work_ledger(
-        [(br.outcome, br.probability, br.post_weight, br.work) for br in branches],
+        [(br.probability, br.post_weight, br.work) for br in branches],
         f_w0, rho_w, rho_w_after, config.rho_s, rho_s_after, rho_d_after, h_w,
         h_s, erasure, ctx, config.conforming, config.reservoir_in_feedback,
     )
@@ -711,9 +681,6 @@ class FeatureReport:
     f1_fidelities: tuple[tuple[object, float], ...]
     f2_report: Feature2Report
     min_work: float
-    work_floor: float
-    degenerate_target: bool
-    reservoir_in_feedback: bool
 
     @property
     def triple(self) -> tuple[bool, bool, bool]:
@@ -746,7 +713,7 @@ def evaluate_features(result: CycleResult, config: EngineConfig) -> FeatureRepor
     violation raises, since it would prove an implementation bug.
     """
     if isinstance(config.measurement, MeasurementModel):
-        rep = config.certification.repeatability
+        rep = config.certification.way.repeatability
         f1 = rep.passed
         fids = rep.fidelities
     else:
@@ -754,7 +721,7 @@ def evaluate_features(result: CycleResult, config: EngineConfig) -> FeatureRepor
         f1 = all(p >= 1.0 - EPS_FID for _, p in fids)
     f2_rep = feature2_test(
         [(b.outcome, b.probability, b.post_weight) for b in result.branches],
-        config.weight_initial,
+        config.weight.initial,
         config.tol_s,
     )
     floor = config.work_floor
@@ -768,9 +735,6 @@ def evaluate_features(result: CycleResult, config: EngineConfig) -> FeatureRepor
         f1_fidelities=tuple(fids),
         f2_report=f2_rep,
         min_work=min_work,
-        work_floor=floor,
-        degenerate_target=config.degenerate_target,
-        reservoir_in_feedback=config.reservoir_in_feedback,
     )
     guarded = (
         config.conforming
@@ -917,8 +881,9 @@ def _ladder_engine(
     _check_range("q", q, 0.0, 1.0)
     if N < 2:
         raise ValueError(f"parameter 'N' = {N} must be at least 2")
-    h_s = Operator(np.diag([omega / 2, -omega / 2]))
     weight = build_oscillator_weight(omega, N)
+    _check_joint_dim(weight.dim, 2, h_d.dim)
+    h_s = Operator(np.diag([omega / 2, -omega / 2]))
     strokes = [build_shift_unitary(weight, post) for post in posts]
     return _record_write_engine(
         label, ctx, q, h_s, h_d, posts, demon_initial, weight, strokes, tol_s
@@ -1014,6 +979,8 @@ def _degenerate_circumvention(
         )
     if N < 2:
         raise ValueError(f"parameter 'N' = {N} must be at least 2")
+    weight = build_oscillator_weight(omega, N, dim=N + d + 2)
+    _check_joint_dim(weight.dim, d, len(ranks))
     ctx = ThermoContext(temperature, kb)
     h_s = Operator(np.diag([omega * s for s in range(d)]))
     # outcome x covers system levels [offset, offset + rank); merging the
@@ -1031,7 +998,6 @@ def _degenerate_circumvention(
         data[labels[i]] = [(PureState(basis_state(d, s)), top) for s in covered]
     target = Observable(tuple(target_rows))
     instr = build_degenerate_instrument(target, data)
-    weight = build_oscillator_weight(omega, N, dim=N + d + 2)
     dw = weight.dim
     swap = [[0.0, 1.0], [1.0, 0.0]]
     unitaries = []
@@ -1073,9 +1039,10 @@ def _reservoir_circumvention(
         raise ValueError(f"parameter 'dim_R' = {dim_R} must be at least 2")
     if N < 2:
         raise ValueError(f"parameter 'N' = {N} must be at least 2")
-    ctx = ThermoContext(temperature, kb)
     weight = build_oscillator_weight(omega, N)
     dw = weight.dim
+    _check_joint_dim(dw, 2, dim_R, 2)
+    ctx = ThermoContext(temperature, kb)
     h_r = Operator(np.diag([omega * k for k in range(dim_R)]))
     c, s = math.cos(theta), math.sin(theta)
     block = [[c, -1j * s], [-1j * s, c]]
@@ -1148,13 +1115,21 @@ _PARAM_KINDS = {
     "Sequence[int]": [int],
 }
 
+# parameters every builder names alike, whose range the reader checks too
+_NAMED_KINDS = {
+    "temperature": _positive,
+    "kb": _positive,
+    "omega": _positive,
+    "tol_s": _non_negative,
+}
+
 
 def _param_table(fn: Callable[..., EngineConfig]) -> dict:
     """A scenario builder's parameters as a reader block: name -> (kind,
     default).  An annotation without a kind raises ``KeyError``, so no
     scenario parameter goes unchecked."""
     return {
-        key: (_PARAM_KINDS[p.annotation], p.default)
+        key: (_NAMED_KINDS.get(key) or _PARAM_KINDS[p.annotation], p.default)
         for key, p in inspect.signature(fn).parameters.items()
     }
 

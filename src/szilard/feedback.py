@@ -360,7 +360,8 @@ def objectification_order_gap(
 @dataclasses.dataclass(frozen=True, eq=False)
 class OscillatorWeight:
     """Truncated ladder: ``H_W = omega * diag(0..dim-1)`` and a uniform
-    window state over levels ``2..levels+1``."""
+    window state over levels ``2..levels+1``.  The Hamiltonian and the
+    initial state are built on first use and kept."""
 
     omega: float
     levels: int
@@ -379,7 +380,7 @@ class OscillatorWeight:
                 f"window starting at 2 plus headroom"
             )
 
-    @property
+    @functools.cached_property
     def hamiltonian(self) -> Operator:
         return Operator(np.diag(self.omega * np.arange(self.dim, dtype=float)))
 
@@ -389,8 +390,14 @@ class OscillatorWeight:
         v[2 : 2 + self.levels] = 1.0 / np.sqrt(self.levels)
         return PureState(v)
 
-    def initial_density(self) -> DensityMatrix:
+    @functools.cached_property
+    def initial(self) -> DensityMatrix:
         return self.initial_state.density()
+
+    @property
+    def scale(self) -> float:
+        """The energy a work floor is measured against: the rung ``omega``."""
+        return self.omega
 
 
 def build_oscillator_weight(

@@ -570,11 +570,13 @@ def check_repeatable(model: MeasurementModel) -> RepeatReport:
 
 @dataclasses.dataclass(frozen=True)
 class WayReport:
-    energy_ok: bool
+    """The WAY implication and the energy and repeatability reports its
+    hypotheses were read from."""
+
+    energy: EnergyReport
+    repeatability: RepeatReport
     repeatable_or_pointer_commuting: bool
     observable_commutes: bool
-    premeasurement_commutator: float
-    pointer_commutator: float
     target_commutator: float
 
 
@@ -586,19 +588,8 @@ def way_witness(model: MeasurementModel, h_s: object, h_d: object) -> WayReport:
     commute with the system Hamiltonian.  A violation of that implication
     cannot arise from physics and raises a hard failure.
     """
-    return _way_report(
-        model,
-        h_s,
-        check_energy_conserving_measurement(model, h_s, h_d),
-        check_repeatable(model),
-    )
-
-
-def _way_report(
-    model: MeasurementModel, h_s: object, en: EnergyReport, rep: RepeatReport
-) -> WayReport:
-    """The WAY implication, given the model's energy and repeatability
-    reports, so a caller that already holds them need not recompute them."""
+    en = check_energy_conserving_measurement(model, h_s, h_d)
+    rep = check_repeatable(model)
     tc = commutator_norm(model.target.operator(), h_s)
     commutes = tc <= EPS_ALG
     hyp2 = rep.passed or (en.pointer_commutator <= EPS_ALG)
@@ -608,11 +599,10 @@ def _way_report(
             f"fails to commute with the system Hamiltonian (norm {tc:.3e})"
         )
     return WayReport(
-        energy_ok=en.passed,
+        energy=en,
+        repeatability=rep,
         repeatable_or_pointer_commuting=hyp2,
         observable_commutes=commutes,
-        premeasurement_commutator=en.premeasurement_commutator,
-        pointer_commutator=en.pointer_commutator,
         target_commutator=tc,
     )
 

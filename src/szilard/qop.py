@@ -303,30 +303,50 @@ def _read(value: object, kind: object, path: str, noun: str = "field") -> object
                 f"{where}: expected one of {', '.join(kind)}, got {value!r}"
             )
         return value
-    if kind in (int, float):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise FieldError(f"{where}: expected a number, got {value!r}")
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if not math.isfinite(x):
-            raise FieldError(f"{where}: expected a finite number, got {value!r}")
-        if kind is int and not x.is_integer():
-            raise FieldError(f"{where}: expected an integer, got {value!r}")
-        return kind(value)
-    if isinstance(kind, type):
+    if isinstance(kind, type) and kind not in (int, float):
         if not isinstance(value, kind) or (
             kind is Mapping and not all(isinstance(k, str) for k in value)
         ):
             raise FieldError(f"{where}: expected {_TYPE_NAMES[kind]}, got {value!r}")
         return value
     try:
-        return kind(value, path)
+        return _number(value, kind) if kind in (int, float) else kind(value, path)
     except FieldError:
         raise
     except ValueError as exc:
         raise FieldError(f"{where}: {exc}") from exc
+
+
+def _number(value: object, kind: type) -> int | float:
+    """``value`` as the reader's ``int`` or ``float`` kind; a ``ValueError``
+    says why it is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    if kind is int and not x.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
+
+
+def _positive(value: object, path: str) -> float:
+    """A reader kind: a finite number above zero."""
+    x = _number(value, float)
+    if x <= 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return x
+
+
+def _non_negative(value: object, path: str) -> float:
+    """A reader kind: a finite number of at least zero."""
+    x = _number(value, float)
+    if x < 0:
+        raise ValueError(f"expected a non-negative number, got {value!r}")
+    return x
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -597,6 +617,14 @@ class SubsystemLayout:
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def _check_joint_dim(*dims: int) -> None:
+    """Refuse a joint space of these factor dimensions over ``MAX_DIM``.
+    Builders call it before allocating anything of the joint size."""
+    total = math.prod(dims)
+    if total > MAX_DIM:
+        raise SizeError(f"joint dimension {total} exceeds limit {MAX_DIM}")
 
 
 def tensor_product(a: Operator, b: Operator) -> Operator:

@@ -49,7 +49,6 @@ __all__ = [
     "Feature2Report",
     "ExplicitReservoir",
     "ErasureResult",
-    "OutcomeWork",
     "WorkLedger",
     "ChainReport",
     "free_energy",
@@ -321,21 +320,13 @@ def build_swap_erasure(
 
 
 @dataclasses.dataclass(frozen=True)
-class OutcomeWork:
-    outcome: object
-    probability: float
-    work: float
-    weight_entropy_change: float
-    weight_energy_change: float
-
-
-@dataclasses.dataclass(frozen=True)
 class WorkLedger:
-    outcomes: tuple[OutcomeWork, ...]
+    """The cycle's work account.  The per-branch rows are the cycle's
+    branches and the erasure terms its :class:`ErasureResult`; the ledger
+    holds only what it derives from them."""
+
     w_coarse: float  # from the outcome-averaged weight state
     w_avg: float  # probability-weighted per-outcome work
-    q: float
-    w_r: float
     w_net_coarse: float
     w_net_avg: float
     bound_rhs_coarse: float  # F(rho_S) - F(rho_S')
@@ -368,8 +359,8 @@ def work_ledger(
     """
     f_w0 = free_energy(rho_w, h_w, ctx)
     rows = [
-        (x, p, state, free_energy(state, h_w, ctx) - f_w0)
-        for x, p, state in branches
+        (p, state, free_energy(state, h_w, ctx) - f_w0)
+        for _, p, state in branches
         if p > EPS_EIG and state is not None
     ]
     return _work_ledger(
@@ -379,34 +370,20 @@ def work_ledger(
 
 
 def _work_ledger(
-    rows: Sequence[tuple[object, float, DensityMatrix, float]],
+    rows: Sequence[tuple[float, DensityMatrix, float]],
     f_w0: float, rho_w: object, rho_w_after: object, rho_s: object,
     rho_s_after: object, rho_d_after: object, h_w: object, h_s: object,
     erasure: ErasureResult, ctx: ThermoContext, certified: bool,
     reservoir_in_feedback: bool,
 ) -> WorkLedger:
-    """:func:`work_ledger` on the realised branches' ``(outcome,
-    probability, weight state, work)`` rows, given ``F(rho_W)``."""
+    """:func:`work_ledger` on the realised branches' ``(probability,
+    weight state, work)`` rows, given ``F(rho_W)``."""
     t = ctx.kt
-    out = []
     w_avg = 0.0
-    s_w0 = von_neumann_entropy(rho_w)
-    e_w0 = _energy(h_w, _entries_of(rho_w))
     s_branch_avg = 0.0
-    for outcome, p, state, w_x in rows:
-        s_x = von_neumann_entropy(state)
-        e_x = _energy(h_w, _entries_of(state))
-        out.append(
-            OutcomeWork(
-                outcome=outcome,
-                probability=float(p),
-                work=w_x,
-                weight_entropy_change=s_x - s_w0,
-                weight_energy_change=e_x - e_w0,
-            )
-        )
+    for p, state, w_x in rows:
         w_avg += p * w_x
-        s_branch_avg += p * s_x
+        s_branch_avg += p * von_neumann_entropy(state)
     w_coarse = free_energy(rho_w_after, h_w, ctx) - f_w0
     concavity_gap = w_avg - w_coarse
     mixing_gap = t * (von_neumann_entropy(rho_w_after) - s_branch_avg)
@@ -427,7 +404,7 @@ def _work_ledger(
         von_neumann_entropy(rho_w_after)
         + von_neumann_entropy(rho_s_after)
         + von_neumann_entropy(rho_d_after)
-        - s_w0
+        - von_neumann_entropy(rho_w)
         - von_neumann_entropy(rho_s)
     )
     if certified and not reservoir_in_feedback:
@@ -442,11 +419,8 @@ def _work_ledger(
                 f"{bound}"
             )
     return WorkLedger(
-        outcomes=tuple(out),
         w_coarse=w_coarse,
         w_avg=w_avg,
-        q=erasure.q,
-        w_r=erasure.w_r,
         w_net_coarse=w_net_coarse,
         w_net_avg=w_net_avg,
         bound_rhs_coarse=bound,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from szilard import (
     SCAN_FAMILIES,
+    SizeError,
     evaluate_features,
     impossibility_scan,
     run_cycle,
@@ -17,6 +21,22 @@ SCAN_SEED = 20260814
 SCAN_COUNT = 500
 THERMAL_SEED = 7151
 THERMAL_COUNT = 100
+
+
+def assert_refused_before_allocating(build) -> None:
+    """``build()`` raises the joint-dimension ``SizeError`` within 0.5 s
+    with a traced peak under 10 MB: nothing of the refused size was made."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(SizeError, match="joint dimension .* exceeds limit"):
+            build()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5, elapsed
+    assert peak < 10 * 2**20, peak
 
 
 def _cycle(name: str, **params):

@@ -267,8 +267,8 @@ class TestConservationRestrictsMeasurement:
         repeatable = 0
         for config in scan500_configs:
             cert = config.certification
-            assert cert.way.energy_ok
-            if cert.repeatability.passed:
+            assert cert.way.energy.passed
+            if cert.way.repeatability.passed:
                 repeatable += 1
                 assert cert.way.observable_commutes
                 assert cert.way.target_commutator <= TOL_GAP
@@ -292,14 +292,14 @@ class TestConservationRestrictsMeasurement:
             # the witness raises on an energy-conserving repeatable model
             # whose target fails to commute; none of these may trip it
             report = way_witness(model, h_s, h_d)
-            if report.energy_ok and check_repeatable(model).passed:
+            if report.energy.passed and check_repeatable(model).passed:
                 non_vacuous += 1
                 assert report.observable_commutes
                 assert report.target_commutator <= TOL_GAP
             if kind == 0 or kind == 3:
-                assert report.energy_ok
+                assert report.energy.passed
             else:
-                assert not report.energy_ok
+                assert not report.energy.passed
         assert non_vacuous == 250
 
 
@@ -441,9 +441,9 @@ class TestProductConservingInteractions:
 
 class TestDegenerateSubspaceCircumvention:
     def test_all_three_features_hold(self, degenerate_cycle):
-        _, _, report = degenerate_cycle
+        config, _, report = degenerate_cycle
         assert report.triple == (True, True, True)
-        assert report.degenerate_target
+        assert config.degenerate_target
 
     def test_every_branch_extracts_at_least_one_gap(self, degenerate_cycle):
         config, result, _ = degenerate_cycle

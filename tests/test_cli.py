@@ -307,7 +307,7 @@ class TestRunCommand:
     def test_bad_tol_s_exit_code(self, tmp_path, capsys, monkeypatch, doc,
                                  source, value):
         # these used to exit 0, scoring the weight entropy against the bad
-        # tolerance
+        # tolerance, and then to exit 1 naming no field
         path = _write(tmp_path, doc)
         argv = ["run", path]
         if source == "flag":
@@ -315,7 +315,8 @@ class TestRunCommand:
         else:
             monkeypatch.setenv("SZILARD_TOL_S", value)
         assert main(argv) == 1
-        assert "tol_s" in capsys.readouterr().err
+        named = "field 'config.tol_s'" if "config" in doc else "parameter 'tol_s'"
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc, flags, env, named",
@@ -506,6 +507,18 @@ class TestRunCommand:
             ({"config": _explicit_block(temperature=0)},
              "field 'config.temperature'"),
             ({"config": _explicit_block(kb=-1)}, "field 'config.kb'"),
+            # library parameters reached the context, the weight and the
+            # engine unnamed, as did the explicit config's tolerance
+            ({"scenario": "example_I", "params": {"kb": -1}}, "parameter 'kb'"),
+            ({"scenario": "example_II", "params": {"omega": -1}},
+             "parameter 'omega'"),
+            ({"scenario": "example_I", "params": {"temperature": 0}},
+             "parameter 'temperature'"),
+            ({"scenario": "example_I", "params": {"tol_s": -1}},
+             "parameter 'tol_s'"),
+            ({"scenario": "null_engine", "params": {"kb": "warm"}},
+             "parameter 'kb'"),
+            ({"config": _explicit_block(tol_s=-1)}, "field 'config.tol_s'"),
         ],
     )
     def test_malformed_field_exit_code(self, tmp_path, capsys, doc, named):
@@ -516,6 +529,20 @@ class TestRunCommand:
         path = _write(tmp_path, doc)
         assert main(["run", path]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"scenario": name, "params": params} for name, params in [
+            ("reservoir_circumvention", {"dim_R": 40}),
+            ("example_II", {"N": 1100}),
+            ("degenerate_circumvention", {"d": 3, "ranks": [2, 1], "N": 700}),
+            ("example_II", {"N": 10**30}),
+        ]] + [{"config": _explicit_block(dim=1025)},
+              {"config": _explicit_block(levels=1022)}],
+    )
+    def test_oversize_engine_exit_code(self, tmp_path, capsys, doc):
+        assert main(["run", _write(tmp_path, doc)]) == 1
+        assert "exceeds limit" in capsys.readouterr().err
 
     def test_hard_assertion_exit_code(self, tmp_path, capsys, monkeypatch):
         path = _write(tmp_path, _library_doc())

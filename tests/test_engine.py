@@ -26,6 +26,7 @@ from szilard import (
     Instrument,
     Observable,
     Operator,
+    OscillatorWeight,
     PureState,
     SizeError,
     ThermoContext,
@@ -50,9 +51,10 @@ from szilard import (
 
 import szilard.engine as engine_mod
 import szilard.thermo as thermo_mod
-from szilard.qop import _read
+from szilard.qop import _check_joint_dim, _read
 import _dense
 from _oracles import harvest_works
+from conftest import assert_refused_before_allocating
 from szilard.cli import parse_scenario
 from test_cli import _explicit_block
 
@@ -180,7 +182,7 @@ class TestEngineConfigValidation:
 
     def test_nonconserving_feedback_refused(self):
         cfg = scenario_library("example_I")
-        dw = cfg.weight_hamiltonian.dim
+        dw = cfg.weight.hamiltonian.dim
         # cyclic weight raise with no compensating system drop
         lift = Operator(np.roll(np.eye(2 * dw), 2, axis=0))
         scheme = FeedbackScheme((("+", lift), ("-", lift)))
@@ -198,7 +200,7 @@ class TestEngineConfigValidation:
             cfg, measurement=_swapped_post_model(), non_conforming=True
         )
         assert not loose.conforming
-        assert not loose.certification.measurement_energy.passed
+        assert not loose.certification.way.energy.passed
         assert loose.certification.feedback_energy.passed
         result = run_cycle(loose)
         assert len(result.branches) == 2
@@ -208,20 +210,50 @@ class TestEngineConfigValidation:
         cert = cfg.certification
         assert cfg.conforming
         assert cert.passed
-        assert cert.measurement_energy.passed
+        assert cert.way.energy.passed
         assert cert.feedback_energy.passed
         assert cert.feedback_form.passed
-        assert cert.repeatability is not None
-        assert cert.way is not None
+        assert cert.way.repeatability is not None
 
     def test_instrument_configs_have_no_model_certificates(self):
         cfg = scenario_library("degenerate_circumvention")
         cert = cfg.certification
-        assert cert.measurement_energy is None
-        assert cert.repeatability is None
         assert cert.way is None
         assert not cert.passed
         assert not cfg.conforming
+
+
+# each joint dimension just past MAX_DIM = 4096, and one past any array
+OVERSIZE = [
+    ("reservoir_circumvention", {"dim_R": 40}),  # 34 * 2 * 40 * 2
+    ("example_II", {"N": 1100}),  # 1104 * 2 * 2
+    ("degenerate_circumvention", {"d": 3, "ranks": [2, 1], "N": 700}),
+    ("example_II", {"N": 10**30}),
+]
+
+
+class TestSizeGuard:
+    """An oversize engine is refused from the dimensions its builder holds,
+    before any stroke of the joint size is allocated."""
+
+    @pytest.mark.parametrize("name, params", OVERSIZE)
+    def test_library_refuses_before_building(self, name, params):
+        assert_refused_before_allocating(
+            lambda: scenario_library(name, **params)
+        )
+
+    @pytest.mark.parametrize("extra", [{"dim": 1025}, {"levels": 1022}])
+    def test_explicit_config_refuses_before_building(self, extra):
+        # a qubit system and a qubit record: 1025 * 2 * 2 = 4100, and
+        # 1022 window levels make a ladder of 1026
+        assert_refused_before_allocating(
+            lambda: parse_scenario({"config": _explicit_block(**extra)})
+        )
+
+    def test_limit_is_inclusive(self):
+        _check_joint_dim(1024, 2, 2)
+        with pytest.raises(SizeError, match="joint dimension 4100 exceeds"):
+            _check_joint_dim(1025, 2, 2)
 
 
 class TestRunCycle:
@@ -271,7 +303,7 @@ class TestRunCycle:
         config, result, _ = example_i_cycles[0.3]
         v = compose_feedback_unitary(config.feedback, config.records)
         joint = np.kron(
-            config.weight_initial.entries, result.premeasured.entries
+            config.weight.initial.entries, result.premeasured.entries
         )
         gap = objectification_order_gap(
             v,
@@ -335,7 +367,7 @@ def _consistency_routes(config, **marginals):
         "rho_r_after": result.rho_r_after,
     }
     after.update(marginals)
-    args = (config, sigma_sd, gem, config.weight_initial, after["rho_s_after"],
+    args = (config, sigma_sd, gem, config.weight.initial, after["rho_s_after"],
             after["rho_w_after"], after["rho_d_after"], after["rho_r_after"])
     routes = []
     for route in (engine_mod._joint_consistency, _dense.joint_consistency):
@@ -436,13 +468,13 @@ class TestJointConsistency:
         # dropped mass on top; the two pinched factors miss it alike, so
         # the gap is twice the dropped mass
         base = SCAN_FAMILIES["entropy_harvest"](np.random.default_rng(3), False)
-        rho = base.weight_initial.entries.copy()
+        rho = base.weight.initial.entries.copy()
         top = int(np.argmax(rho.diagonal().real))
         rho[top, top] -= 1e-13
         rho[0, 0] += 1e-13
         config = dataclasses.replace(
             base,
-            weight=GenericWeight(base.weight_hamiltonian, DensityMatrix(rho)),
+            weight=GenericWeight(base.weight.hamiltonian, DensityMatrix(rho)),
         )
         _, ((gap, dev), (gap_d, dev_d)) = _consistency_routes(config)
         assert dev_d < 1e-14
@@ -482,14 +514,14 @@ class TestFactoredBranchMap:
 
     def _assert_branches_match(self, config):
         result = run_cycle(config)
-        rho_w = config.weight_initial.entries
-        h_w = config.weight_hamiltonian.entries
+        rho_w = config.weight.initial.entries
+        h_w = config.weight.hamiltonian.entries
         kt = config.thermo.kt
         tau_r = config.tau_r
         assert result.branches
         for br in result.branches:
             w, s, r = _dense.conditional_feedback_map(
-                config.feedback, br.outcome, config.weight_initial,
+                config.feedback, br.outcome, config.weight.initial,
                 br.pre_system, tau_r,
             )
             assert np.abs(br.post_weight.entries - w).max() <= 1e-12
@@ -536,7 +568,7 @@ class TestFactoredBranchMap:
         # the weight states' spectra come from their factors' singular
         # values, so nothing of the weight's dimension is diagonalised
         config = scenario_library("example_II", N=20)
-        dw = config.weight_hamiltonian.dim
+        dw = config.weight.hamiltonian.dim
         sizes = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -623,7 +655,7 @@ class TestValidatedAtTheBoundary:
             return thermal_state(*args)
 
         def counted_f(rho, *args, _real=thermo_mod.free_energy):
-            weight_f.append(rho is config.weight_initial)
+            weight_f.append(rho is config.weight.initial)
             return _real(rho, *args)
 
         for mod in (engine_mod, thermo_mod):
@@ -648,7 +680,7 @@ class TestValidatedAtTheBoundary:
 
     def test_work_floor_is_kept_from_the_build(self, monkeypatch):
         config = SCAN_FAMILIES["entropy_harvest"](np.random.default_rng(1), False)
-        scale = np.ptp(np.linalg.eigvalsh(config.weight_hamiltonian.entries))
+        scale = np.ptp(np.linalg.eigvalsh(config.weight.hamiltonian.entries))
         want = work_threshold(float(scale), config.thermo)
         calls = []
         real = np.linalg.eigvalsh
@@ -667,10 +699,10 @@ class TestFeatureReports:
         assert again == report
 
     def test_eigenstate_engine_pattern(self, example_i_cycles):
-        for _, _, report in example_i_cycles.values():
+        for config, _, report in example_i_cycles.values():
             assert report.triple == (True, True, False)
-            assert not report.degenerate_target
-            assert not report.reservoir_in_feedback
+            assert not config.degenerate_target
+            assert not config.reservoir_in_feedback
 
     def test_superposed_engine_pattern(self, example_ii_sweep):
         for _, _, report in example_ii_sweep.values():
@@ -678,23 +710,23 @@ class TestFeatureReports:
             assert report.f3_positive_work
 
     def test_degenerate_engine_holds_all_three(self, degenerate_cycle):
-        _, _, report = degenerate_cycle
+        config, _, report = degenerate_cycle
         assert report.triple == (True, True, True)
-        assert report.degenerate_target
+        assert config.degenerate_target
 
     def test_reservoir_engine_spends_weight_entropy(self, reservoir_cycle):
-        _, _, report = reservoir_cycle
+        config, _, report = reservoir_cycle
         assert report.f1_repeatable
         assert not report.f2_entropy_invariant
         assert report.f3_positive_work
-        assert report.reservoir_in_feedback
+        assert config.reservoir_in_feedback
 
     def test_min_work_and_floor_are_consistent(self, example_i_cycles):
         config, result, report = example_i_cycles[0.3]
         assert report.min_work == pytest.approx(
             min(b.work for b in result.branches), abs=1e-15
         )
-        assert report.work_floor == work_threshold(
+        assert config.work_floor == work_threshold(
             config.weight.omega, config.thermo
         )
 
@@ -910,6 +942,47 @@ class TestDerivedInputs:
         assert again.q == result.erasure.q
 
 
+def _library_and_family_configs():
+    configs = [scenario_library(name) for name in SCENARIO_NAMES]
+    rng = np.random.default_rng(11)
+    for family in SCAN_FAMILIES.values():
+        configs += [family(rng, False), family(rng, True)]
+    return configs
+
+
+class TestWeightsOwnTheirFacts:
+    """Both weight kinds own the three facts the build reads, built once."""
+
+    @pytest.mark.parametrize(
+        "config", _library_and_family_configs(), ids=lambda c: c.label
+    )
+    def test_hamiltonian_initial_and_scale(self, config):
+        w = config.weight
+        assert isinstance(w.hamiltonian, Operator)
+        assert isinstance(w.initial, DensityMatrix)
+        assert w.hamiltonian is w.hamiltonian and w.initial is w.initial
+        assert w.initial.dim == w.hamiltonian.dim
+        if isinstance(w, OscillatorWeight):
+            assert w.scale == w.omega
+            np.testing.assert_array_equal(
+                w.hamiltonian.entries, np.diag(w.omega * np.arange(w.dim))
+            )
+            np.testing.assert_array_equal(
+                w.initial.entries, w.initial_state.density().entries
+            )
+        else:
+            ev = np.linalg.eigvalsh(w.hamiltonian.entries)
+            assert w.scale == float(ev.max() - ev.min())
+        assert config.work_floor == work_threshold(w.scale, config.thermo)
+        assert config.feedback.branch_dim == w.hamiltonian.dim * config.rho_s.dim * (
+            1 if config.h_r is None else config.h_r.dim
+        )
+
+    def test_every_weight_kind_is_covered(self):
+        kinds = {type(c.weight) for c in _library_and_family_configs()}
+        assert kinds == {OscillatorWeight, GenericWeight}
+
+
 class TestPlaneStrokes:
     """Every stroke built through ``feedback._plane_stroke`` equals, entry
     for entry, the element-wise loop it replaced (``tests/_dense.py``)."""
@@ -956,10 +1029,10 @@ class TestHarvestFamily:
         rng = np.random.default_rng(99)
         for _ in range(5):
             config = SCAN_FAMILIES["entropy_harvest"](rng, False)
-            rw = np.diag(config.weight_initial.entries).real
+            rw = np.diag(config.weight.initial.entries).real
             idx = np.nonzero(rw > 1e-12)[0]
             p = float(rw[idx[0]])
-            hw = np.diag(config.weight_hamiltonian.entries).real
+            hw = np.diag(config.weight.hamiltonian.entries).real
             omega = float(hw[1] - hw[0])
             w_plus, w_minus = harvest_works(
                 p, omega, config.thermo.temperature
@@ -1176,9 +1249,9 @@ class TestImpossibilityScan:
             return wrapper
 
         counted(EngineConfig, "__init__")
+        # the build reaches both through measurement.way_witness
         for name in ("check_repeatable", "check_energy_conserving_measurement"):
-            wrapper = counted(measurement_mod, name)
-            monkeypatch.setattr(engine_mod, name, wrapper)
+            counted(measurement_mod, name)
         counted(engine_mod, "compose_feedback_unitary")
         impossibility_scan(8, seed=1)
         assert calls == {

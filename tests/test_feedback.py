@@ -388,7 +388,7 @@ class TestOscillatorWeight:
 
     def test_mean_energy_is_window_mean(self):
         w = build_oscillator_weight(1.0, 10)
-        rho = w.initial_density().entries
+        rho = w.initial.entries
         e = float(np.trace(w.hamiltonian.entries @ rho).real)
         assert abs(e - 6.5) < 1e-12  # mean of 2..11
 
@@ -401,6 +401,14 @@ class TestOscillatorWeight:
         assert operator_norm(
             w.hamiltonian.entries - np.diag(0.3 * np.arange(6))
         ) < 1e-12
+
+    def test_facts_are_built_once(self):
+        # the engine reads the Hamiltonian and the initial state on every
+        # build and cycle; the weight builds each on first use and keeps it
+        w = build_oscillator_weight(0.3, 2, dim=6)
+        assert w.hamiltonian is w.hamiltonian
+        assert w.initial is w.initial
+        assert w.scale == 0.3
 
 
 class TestShiftUnitary:
@@ -420,7 +428,7 @@ class TestShiftUnitary:
         post = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
         u = build_shift_unitary(weight, post)
         joint = np.kron(
-            weight.initial_density().entries,
+            weight.initial.entries,
             np.outer(post, post.conj()),
         )
         out = u.entries @ joint @ dagger(u.entries)
@@ -431,7 +439,7 @@ class TestShiftUnitary:
         assert fid >= 1.0 - 2.0 / n
         # the balanced post carries half a quantum of extractable energy;
         # the boundary sector eats 1/(2n) of it
-        e0 = float(np.trace(weight.hamiltonian.entries @ weight.initial_density().entries).real)
+        e0 = float(np.trace(weight.hamiltonian.entries @ weight.initial.entries).real)
         e1 = float(np.trace(weight.hamiltonian.entries @ w_after).real)
         assert abs((e1 - e0) - (0.5 - 0.5 / n)) < 1e-9
 

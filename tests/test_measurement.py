@@ -545,7 +545,7 @@ class TestWayWitness:
             posts=[basis_state(2, 0), basis_state(2, 1)], h=(h_s, h_d)
         )
         rep = way_witness(model, h_s, h_d)
-        assert rep.energy_ok and rep.repeatable_or_pointer_commuting
+        assert rep.energy.passed and rep.repeatable_or_pointer_commuting
         assert rep.observable_commutes
         assert rep.target_commutator <= 1e-10
 
@@ -576,11 +576,34 @@ class TestWayWitness:
             transitions=tuple(transitions),
         )
         rep = way_witness(model, h, h)
-        assert rep.premeasurement_commutator <= 1e-10
-        assert rep.pointer_commutator > 1e-3
-        assert not rep.energy_ok
+        assert rep.energy.premeasurement_commutator <= 1e-10
+        assert rep.energy.pointer_commutator > 1e-3
+        assert not rep.energy.passed
         assert not rep.repeatable_or_pointer_commuting
         assert not rep.observable_commutes
+
+    def test_report_holds_the_reports_it_was_decided_from(self, monkeypatch):
+        import szilard.measurement as measurement_mod
+
+        h_s = np.diag([0.5, -0.5]).astype(complex)
+        h_d = np.zeros((2, 2), dtype=complex)
+        model = record_write_model(
+            posts=[basis_state(2, 0), basis_state(2, 1)], h=(h_s, h_d)
+        )
+        made = {}
+        for name in ("check_energy_conserving_measurement", "check_repeatable"):
+            real = getattr(measurement_mod, name)
+
+            def spied(*args, _real=real, _name=name):
+                made[_name] = _real(*args)
+                return made[_name]
+
+            monkeypatch.setattr(measurement_mod, name, spied)
+        rep = way_witness(model, h_s, h_d)
+        assert rep.energy is made["check_energy_conserving_measurement"]
+        assert rep.repeatability is made["check_repeatable"]
+        assert rep.energy == check_energy_conserving_measurement(model, h_s, h_d)
+        assert rep.repeatability == check_repeatable(model)
 
     def test_inconsistent_declaration_raises_hard(self):
         # an energy-conserving pointer-commuting model cannot measure a

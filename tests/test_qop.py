@@ -481,6 +481,31 @@ def test_tolerances_live_in_one_table():
     assert not strays, "tolerance literals outside the table: " + ", ".join(strays)
 
 
+def test_package_modules_use_every_import():
+    """No module of the package imports a name it never reads.  The
+    package's ``__init__`` only re-exports, so it is left out."""
+    unused = []
+    for path in sorted(Path(qop_mod.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in imported.items()
+            if name not in read
+        ]
+    assert not unused, "imported and never used: " + ", ".join(unused)
+
+
 class TestThermalState:
     def test_two_level_closed_form(self):
         h = np.diag([0.0, 1.0]).astype(complex)

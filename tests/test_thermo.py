@@ -274,33 +274,40 @@ def _simple_cycle(q=0.3, temperature=1.0):
         erasure,
         ctx,
     )
-    return ledger, ctx, q
+    return ledger, ctx, q, erasure
 
 
 class TestWorkLedger:
     def test_average_is_probability_weighted(self):
-        ledger, _, q = _simple_cycle()
+        ledger, ctx, q, _ = _simple_cycle()
         assert abs(ledger.w_avg - q * 1.0) < 1e-12
-        works = {row.outcome: row.work for row in ledger.outcomes}
+        # the ledger keeps no per-branch rows: each branch's work is the
+        # weight's free-energy gain, as a cycle's BranchResult.work holds it
+        h_w = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        w0 = DensityMatrix(np.diag([0j, 1.0, 0j]))
+        w_up = DensityMatrix(np.diag([0j, 0j, 1.0]))
+        works = {x: work_per_outcome(w0, w, h_w, ctx)
+                 for x, w in (("0", w0), ("1", w_up))}
         assert abs(works["1"] - 1.0) < 1e-12
         assert abs(works["0"]) < 1e-12
+        assert abs(ledger.w_avg - ((1 - q) * works["0"] + q * works["1"])) < 1e-12
 
     def test_coarse_work_pays_mixing_entropy(self):
-        ledger, ctx, q = _simple_cycle()
+        ledger, ctx, q, _ = _simple_cycle()
         h = -(q * math.log(q) + (1 - q) * math.log(1 - q))
         assert abs(ledger.w_coarse - (q - ctx.kt * h)) < 1e-12
         assert ledger.w_coarse <= ledger.w_avg + 1e-9
         assert abs(ledger.concavity_gap - h) < 1e-12
 
     def test_erasure_charges_record_entropy(self):
-        ledger, ctx, q = _simple_cycle()
+        ledger, ctx, q, erasure = _simple_cycle()
         h = -(q * math.log(q) + (1 - q) * math.log(1 - q))
-        assert abs(ledger.q - ctx.kt * h) < 1e-12
-        assert abs(ledger.w_net_avg - (ledger.w_avg - ledger.w_r)) < 1e-12
-        assert abs(ledger.w_net_coarse - (ledger.w_coarse - ledger.w_r)) < 1e-12
+        assert abs(erasure.q - ctx.kt * h) < 1e-12
+        assert abs(ledger.w_net_avg - (ledger.w_avg - erasure.w_r)) < 1e-12
+        assert abs(ledger.w_net_coarse - (ledger.w_coarse - erasure.w_r)) < 1e-12
 
     def test_net_bound_is_free_energy_drop(self):
-        ledger, ctx, q = _simple_cycle()
+        ledger, ctx, q, _ = _simple_cycle()
         h_s = np.diag([0.0, 1.0]).astype(complex)
         rho_s = DensityMatrix(np.diag([1.0 - q, q]).astype(complex))
         rho_s_after = DensityMatrix(np.diag([1.0, 0j]))
@@ -310,7 +317,7 @@ class TestWorkLedger:
         assert ledger.slack_second_law >= -1e-9
 
     def test_entropy_chain_nonnegative_when_certified(self):
-        ledger, _, _ = _simple_cycle()
+        ledger, _, _, _ = _simple_cycle()
         assert ledger.entropy_chain_slack >= -1e-9
 
     def test_certified_violation_raises(self):
