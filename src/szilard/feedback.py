@@ -26,10 +26,13 @@ from .qop import (
     DensityMatrix,
     Operator,
     PureState,
+    _diagonal_commutator_norm,
+    _diagonal_of,
     _energy_sectors,
     _entries_of,
     _factor,
     _fix_phase,
+    _is_unitary,
     _kron,
     commutator_norm,
     dagger,
@@ -118,12 +121,17 @@ def compose_feedback_unitary(
 
     Unitarity needs no runtime product here: the scheme validated each
     branch unitary and the register the orthogonal completeness of its
-    projectors, which force the sum to be unitary."""
+    projectors, which force the sum to be unitary.  Each nonzero entry
+    ``P_x[a, b]`` adds ``U_x P_x[a, b]`` into the ``(branch, demon, branch,
+    demon)`` view of V, so no ``U_x (x) P_x`` is formed."""
     _check_labels(scheme, records)
-    d = scheme.branch_dim * records.dim
-    v = np.zeros((d, d), dtype=complex)
+    bd, dd = scheme.branch_dim, records.dim
+    v = np.zeros((bd * dd, bd * dd), dtype=complex)
+    t = v.reshape(bd, dd, bd, dd)
     for label, u in scheme.branch_unitaries:
-        v += _kron(u.entries, records.projector_for(label).entries)
+        p = records.projector_for(label).entries
+        for a, b in zip(*np.nonzero(p)):
+            t[:, a, :, b] += u.entries * p[a, b]
     return Operator(v)
 
 
@@ -160,7 +168,16 @@ def check_feedback_form(
     close with unitary blocks; the probe is reported as an independent
     diagnostic.
 
-    All contractions ride on the demon being the (small) final factor.
+    Each ``B_x`` is judged unitary as ``Operator.is_unitary`` judges a
+    matrix: block by block on the connected components of its nonzero
+    pattern, which gives the dense ``||B_x B_x^dag - 1||`` verdict exactly,
+    or by that dense product when ``B_x`` is small or its pattern cannot
+    split.  A non-finite entry fails the check: the verdict is
+    ``False`` or the exact norm raises ``LinAlgError``.
+
+    All contractions ride on the demon being the (small) final factor.  The
+    reconstruction is finished and dropped before the probes start, and each
+    probe subtracts in place, so at most three n x n arrays are held at once.
     """
     m = _entries_of(v)
     dps = [
@@ -175,7 +192,6 @@ def check_feedback_form(
     t = m.reshape(branch_dim, dd, branch_dim, dd)
     recon = np.zeros_like(m)
     blocks_unitary = True
-    probe = 0.0
     for label, p in dps:
         pe = p.entries
         rank = p.rank_estimate()
@@ -183,12 +199,16 @@ def check_feedback_form(
         # product, and exposes any within-subspace structure otherwise
         b = np.einsum("ab,ibjc,ca->ij", pe, t, pe, optimize=_BLOCK_PATH) / rank
         recon += _kron(b, pe)
-        if operator_norm(b @ dagger(b) - np.eye(branch_dim)) > EPS_ALG:
+        # the predicate forms X^dag X, which is B B^dag for X = B^dag
+        if not _is_unitary(dagger(b)):
             blocks_unitary = False
-        left = np.einsum("ibjc,cd->ibjd", t, pe).reshape(m.shape)
-        right = np.einsum("bd,idjc->ibjc", pe, t).reshape(m.shape)
-        probe = max(probe, operator_norm(left - right))
-    block_residual = operator_norm(m - recon)
+    block_residual = operator_norm(np.subtract(m, recon, out=recon))
+    del recon
+    probe = 0.0
+    for label, p in dps:
+        left = np.einsum("ibjc,cd->ibjd", t, p.entries).reshape(m.shape)
+        left -= np.einsum("bd,idjc->ibjc", p.entries, t).reshape(m.shape)
+        probe = max(probe, operator_norm(left))
     passed = block_residual <= EPS_ALG and blocks_unitary
     return FormReport(
         passed=passed, block_residual=block_residual, probe_residual=probe
@@ -235,22 +255,35 @@ def check_feedback_energy(
     summed record projector must commute with the memory Hamiltonian.
     Together these certify that the composed controlled operation conserves
     total energy.
+
+    When every factor Hamiltonian is diagonal, the sum's diagonal is built
+    from theirs and each branch commutator is taken entrywise, with the
+    same additions and products as through the dense sum.
     """
     _check_labels(scheme, records)
-    hw = _entries_of(h_w)
-    hs = _entries_of(h_s)
-    hd = _entries_of(h_d)
-    dw, ds = hw.shape[0], hs.shape[0]
-    hadd = _kron(hw, np.eye(ds)) + _kron(np.eye(dw), hs)
-    if h_r is not None:
-        hr = _entries_of(h_r)
-        hadd = _kron(hadd, np.eye(hr.shape[0])) + _kron(
-            np.eye(dw * ds), hr
+    factors = (h_w, h_s) if h_r is None else (h_w, h_s, h_r)
+    diagonals = [_diagonal_of(h) for h in factors]
+    if all(d is not None for d in diagonals):
+        dsum = functools.reduce(
+            lambda a, b: (a[:, None] + b[None, :]).ravel(), diagonals
         )
+        commutator = functools.partial(_diagonal_commutator_norm, d=dsum)
+    else:
+        hw = _entries_of(h_w)
+        hs = _entries_of(h_s)
+        dw, ds = hw.shape[0], hs.shape[0]
+        hadd = _kron(hw, np.eye(ds)) + _kron(np.eye(dw), hs)
+        if h_r is not None:
+            hr = _entries_of(h_r)
+            hadd = _kron(hadd, np.eye(hr.shape[0])) + _kron(
+                np.eye(dw * ds), hr
+            )
+        commutator = functools.partial(commutator_norm, b=hadd)
+    hd = _entries_of(h_d)
     branch = []
     ok = True
     for label, u in scheme.branch_unitaries:
-        c = commutator_norm(u.entries, hadd)
+        c = commutator(u.entries)
         branch.append((label, c))
         if c > EPS_ALG:
             ok = False

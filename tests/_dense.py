@@ -14,8 +14,11 @@ that built the feedback strokes before they went through
 ``szilard.feedback._plane_stroke``.  ``complete_unitary`` is the
 premeasurement completion through ``eigh`` that
 ``szilard.measurement.complete_unitary`` replaced on diagonal Hamiltonians,
-and ``observable_fault`` judges a projector family on dense products.  The arithmetic is numpy only, with no
-package helpers, so each is an independent route for differential tests.
+``observable_fault`` judges a projector family on dense products, and
+``is_unitary`` is the one dense product ``U^dag U`` that
+``szilard.qop._is_unitary`` splits into sector blocks.  The arithmetic is
+numpy only, with no package helpers, so each is an independent route for
+differential tests.
 """
 
 from __future__ import annotations
@@ -24,13 +27,19 @@ import math
 
 import numpy as np
 
-from szilard import ConstructionError, HardAssertionError
+from szilard import EPS_ALG, ConstructionError, HardAssertionError
 
 TOL = 1e-9
 
 
 def _norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
+
+
+def is_unitary(u: np.ndarray) -> bool:
+    """``||U^dag U - 1||_2 <= EPS_ALG`` from the full n x n product."""
+    u = np.asarray(u, dtype=complex)
+    return _norm(u.conj().T @ u - np.eye(u.shape[0])) <= EPS_ALG
 
 
 def _ptrace(rho: np.ndarray, dims, keep: int) -> np.ndarray:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szilard import (
+    SCAN_FAMILIES,
+    SCENARIO_NAMES,
     DensityMatrix,
     FeedbackScheme,
     Observable,
@@ -26,9 +28,10 @@ from szilard import (
     objectification_order_gap,
     operator_norm,
     random_energy_conserving_unitary,
+    scenario_library,
 )
 from szilard.feedback import _BLOCK_PATH, _plane_stroke
-from szilard.qop import EPS_ALG, _ptrace_nd
+from szilard.qop import _DENSE_UNITARY_DIM, EPS_ALG, _ptrace_nd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -89,6 +92,30 @@ class TestScheme:
         )
         assert operator_norm(v.entries - want) < 1e-12
         assert v.is_unitary
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_composed_is_the_kron_sum_bit_for_bit(self, rotated):
+        # adding U_x P_x[a, b] for each nonzero P_x[a, b] makes the same
+        # products and sums as adding U_x (x) P_x, in the same order
+        rng = np.random.default_rng(23)
+        if rotated:
+            s = 1.0 / math.sqrt(2.0)
+            records = Observable((
+                ("a", 1.0, Operator(np.outer([s, s], [s, s]))),
+                ("b", -1.0, Operator(np.outer([s, -s], [s, -s]))),
+            ))
+        else:
+            p0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
+            records = Observable((
+                ("a", 1.0, Operator(p0)), ("b", -1.0, Operator(np.eye(3) - p0)),
+            ))
+        scheme = FeedbackScheme(tuple(
+            (l, Operator(random_unitary(rng, 5))) for l in ("a", "b")
+        ))
+        want = np.zeros((5 * records.dim,) * 2, dtype=complex)
+        for l, u in scheme.branch_unitaries:
+            want += np.kron(u.entries, records.projector_for(l).entries)
+        assert np.array_equal(compose_feedback_unitary(scheme, records).entries, want)
 
     def test_composed_takes_its_controls_from_the_register(self):
         # a register rotated off the demon basis: each U_x is controlled by
@@ -173,6 +200,32 @@ class TestFormCheck:
         )
         assert rep.passed
         assert rep.block_residual <= EPS_ALG
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize(
+        "branch_dim", [_DENSE_UNITARY_DIM - 8, _DENSE_UNITARY_DIM + 8]
+    )
+    @pytest.mark.parametrize("where", ["in a block", "off the blocks", "off control"])
+    def test_non_finite_bare_array_fails(self, bad, branch_dim, where):
+        # a bare array skips Operator's finite check; the form check either
+        # reports failure or raises from the exact norm, on either route
+        rng = np.random.default_rng(branch_dim)
+        us = [np.eye(branch_dim, dtype=complex) for _ in range(2)]
+        for u in us:  # 2x2 rotations on disjoint planes, as a stroke has
+            for k in range(0, branch_dim - 1, 2):
+                u[k : k + 2, k : k + 2] = random_unitary(rng, 2)
+        scheme = FeedbackScheme((("0", Operator(us[0])), ("1", Operator(us[1]))))
+        v = np.array(compose_feedback_unitary(scheme, basis_records(2)).entries)
+        # V's index is 2 i + a for branch index i and demon index a
+        i, j, a, c = {"in a block": (0, 1, 0, 0), "off the blocks": (0, 3, 1, 1),
+                      "off control": (0, 0, 0, 1)}[where]
+        v[2 * i + a, 2 * j + c] = bad
+        try:
+            with np.errstate(invalid="ignore"):
+                report = check_feedback_form(v, basis_projectors(2), branch_dim)
+        except np.linalg.LinAlgError:
+            return
+        assert report.passed is False
 
     @pytest.mark.parametrize("branch_dim", [8, 248])  # a scan draw, the window
     def test_block_path_is_the_optimized_one(self, branch_dim):
@@ -261,6 +314,62 @@ class TestEnergyCheck:
         assert same is not rank_one
         want = [{"0", "1"}] if same else [{"0"}, {"1"}]
         assert self._stroke_groups(u1) == want
+
+    @staticmethod
+    def _kron_commutators(scheme, h_w, h_s, h_r=None) -> list[float]:
+        """Each branch commutator with the additive H formed by ``np.kron``,
+        the route the check takes for a non-diagonal factor."""
+        entries = lambda h: np.asarray(getattr(h, "entries", h), dtype=complex)
+        hw, hs = entries(h_w), entries(h_s)
+        h = np.kron(hw, np.eye(hs.shape[0])) + np.kron(np.eye(hw.shape[0]), hs)
+        if h_r is not None:
+            hr = entries(h_r)
+            h = np.kron(h, np.eye(hr.shape[0])) + np.kron(np.eye(h.shape[0]), hr)
+        return [commutator_norm(u.entries, h) for _, u in scheme.branch_unitaries]
+
+    def _assert_diagonal_route_is_exact(self, config):
+        got = [c for _, c in config.certification.feedback_energy.branch_commutators]
+        want = self._kron_commutators(
+            config.feedback, config.weight.hamiltonian, config.h_s, config.h_r
+        )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_library_commutators_equal_the_kron_route(self, name):
+        # reservoir_circumvention at the benchmark's dim_R = 4 (joint dim
+        # 544) instead of its default 16, to keep the test quick
+        params = {"dim_R": 4} if name == "reservoir_circumvention" else {}
+        self._assert_diagonal_route_is_exact(scenario_library(name, **params))
+
+    @pytest.mark.parametrize("thermal", [False, True])
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_scan_family_commutators_equal_the_kron_route(self, family, thermal):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            self._assert_diagonal_route_is_exact(SCAN_FAMILIES[family](rng, thermal))
+
+    @pytest.mark.parametrize("reservoir", [False, True])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_non_commuting_strokes_read_the_same_either_way(
+        self, diagonal, reservoir
+    ):
+        # nonzero commutators, so the exact norm is taken: the diagonal
+        # route and the kron route still agree bit for bit, and a
+        # non-diagonal factor takes the kron route
+        rng = np.random.default_rng(41)
+        h_w = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        h_s = np.diag([0.5, -0.5]) if diagonal else np.array([[0.0, 1.0], [1.0, 0.0]])
+        h_r = np.diag([0.0, 0.25]) if reservoir else None
+        n = 12 if reservoir else 6
+        scheme = FeedbackScheme(tuple(
+            (l, Operator(random_unitary(rng, n))) for l in ("0", "1")
+        ))
+        rep = check_feedback_energy(
+            scheme, basis_records(2), h_w, h_s, np.zeros((2, 2)), h_r
+        )
+        got = [c for _, c in rep.branch_commutators]
+        assert min(got) > 0.1
+        assert np.array_equal(got, self._kron_commutators(scheme, h_w, h_s, h_r))
 
     def test_nonconserving_branch_flagged(self):
         # raising the weight without lowering anything else costs energy

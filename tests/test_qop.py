@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,14 @@ from szilard import (
     PureState,
     SubsystemLayout,
     basis_state,
+    build_oscillator_weight,
+    build_shift_unitary,
     commutator_norm,
     dagger,
     operator_norm,
     partial_trace,
     projector_onto,
+    random_energy_conserving_unitary,
     relative_entropy,
     tensor_product,
     thermal_state,
@@ -454,6 +458,179 @@ class TestEnergySectors:
 
     def test_single_level(self):
         assert [s.tolist() for s in _energy_sectors(np.array([-1.0]))] == [[0]]
+
+
+# ---------------------------------------------------------------------------
+# unitarity, decided block by block
+
+DENSE_DIM = qop_mod._DENSE_UNITARY_DIM
+# dimensions below the dense-product size, and from it up
+sides = pytest.mark.parametrize(
+    "lo, hi", [(8, DENSE_DIM - 1), (DENSE_DIM, DENSE_DIM + 72)],
+    ids=["dense", "blocks"],
+)
+
+
+def permuted_block_sum(
+    rng: np.random.Generator, dim: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A random unitary direct sum of blocks of sizes 1 to 6, in a random
+    basis order, and the index group of each block in that order."""
+    u = np.zeros((dim, dim), dtype=complex)
+    blocks = []
+    start = 0
+    while start < dim:
+        s = min(int(rng.integers(1, 7)), dim - start)
+        u[start : start + s, start : start + s] = random_unitary(rng, s)
+        blocks.append(np.arange(start, start + s))
+        start += s
+    perm = rng.permutation(dim)
+    where = np.argsort(perm)  # the new position of each old index
+    return u[np.ix_(perm, perm)], [np.sort(where[b]) for b in blocks]
+
+
+def dense_conserving_unitary(rng: np.random.Generator, dim: int) -> Operator:
+    """``random_energy_conserving_unitary`` on a non-degenerate Hamiltonian
+    in a random basis: one sector per level, so every entry is nonzero."""
+    q = random_unitary(rng, dim)
+    h = (q * np.arange(1.0, dim + 1.0)) @ dagger(q)
+    return random_energy_conserving_unitary(h, rng)
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """``call()`` and the peak bytes ``tracemalloc`` saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestBlockUnitarity:
+    """``Operator.is_unitary`` against the dense oracle ``||U^dag U - 1||``."""
+
+    @staticmethod
+    def _verdict(u: np.ndarray) -> bool:
+        got = Operator(u).is_unitary
+        assert got is _dense.is_unitary(u)
+        return got
+
+    @sides
+    @given(seeds, st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_permuted_block_sums_are_unitary(self, lo, hi, seed, pick):
+        rng = np.random.default_rng(seed)
+        u, _ = permuted_block_sum(rng, lo + pick % (hi - lo + 1))
+        assert self._verdict(u)
+
+    @sides
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @given(seeds, st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_one_block_scaled_to_the_tolerance(self, lo, hi, factor, seed, pick):
+        # (1 + d) B for unitary B has ||B^dag B - 1|| = (1 + d)^2 - 1
+        rng = np.random.default_rng(seed)
+        u, blocks = permuted_block_sum(rng, lo + pick % (hi - lo + 1))
+        b = blocks[pick % len(blocks)]
+        u[np.ix_(b, b)] *= math.sqrt(1.0 + factor * EPS_ALG)
+        assert self._verdict(u) is (factor < 1.0)
+
+    @sides
+    @pytest.mark.parametrize("entry", [0.5 * EPS_ALG, 2.0 * EPS_ALG, 1e-6])
+    @given(seeds, st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_off_block_entry_joins_two_blocks(self, lo, hi, entry, seed, pick):
+        # an entry e outside the blocks adds a rank-two term of norm e
+        rng = np.random.default_rng(seed)
+        u, blocks = permuted_block_sum(rng, lo + pick % (hi - lo + 1))
+        first, second = rng.choice(len(blocks), size=2, replace=False)
+        u[blocks[first][0], blocks[second][-1]] = entry
+        assert self._verdict(u) is (entry < EPS_ALG)
+
+    @pytest.mark.parametrize("dim", [DENSE_DIM - 8, DENSE_DIM + 8])
+    def test_one_dense_block(self, dim):
+        u = dense_conserving_unitary(np.random.default_rng(dim), dim).entries
+        assert np.count_nonzero(u) == dim * dim
+        assert self._verdict(u)
+        bad = u.copy()
+        bad[3, 5] += 2.0 * EPS_ALG
+        assert not self._verdict(bad)
+
+    @pytest.mark.parametrize(
+        "dim, sparse, split",
+        [(DENSE_DIM - 1, True, False), (DENSE_DIM, True, True),
+         (DENSE_DIM + 8, False, False)],
+    )
+    def test_route_follows_size_and_pattern(self, monkeypatch, dim, sparse, split):
+        calls = []
+        components = qop_mod._components
+        monkeypatch.setattr(
+            qop_mod, "_components",
+            lambda *a: calls.append(a) or components(*a),
+        )
+        rng = np.random.default_rng(dim)
+        if sparse:
+            u = permuted_block_sum(rng, dim)[0]
+        else:
+            u = dense_conserving_unitary(rng, dim).entries
+        assert Operator(u).is_unitary
+        assert bool(calls) is split
+
+    def test_transposed_input_reads_the_same_pattern(self):
+        u, _ = permuted_block_sum(np.random.default_rng(1), DENSE_DIM + 5)
+        assert qop_mod._is_unitary(dagger(u))
+        u[0, :] *= 1.0 + 4.0 * EPS_ALG
+        assert not qop_mod._is_unitary(dagger(u))
+        assert not qop_mod._is_unitary(np.asfortranarray(u))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("dim", [DENSE_DIM - 1, DENSE_DIM + 1])
+    def test_non_finite_entry_is_never_unitary(self, dim, bad):
+        u, blocks = permuted_block_sum(np.random.default_rng(dim), dim)
+        for i, j in ((blocks[0][0], blocks[0][0]), (blocks[0][0], blocks[1][0])):
+            m = u.copy()
+            m[i, j] = bad
+            try:
+                with np.errstate(invalid="ignore"):
+                    verdict = qop_mod._is_unitary(m)
+            except np.linalg.LinAlgError:
+                continue
+            assert verdict is False
+
+
+class TestUnitarityFootprint:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_example_ii_n1000_strokes_need_no_dense_product(self, sign):
+        # the two strokes of example_II at N = 1000: 2008 x 2008, where the
+        # dense route allocates three arrays of 64 MB each
+        s = 1.0 / math.sqrt(2.0)
+        u = build_shift_unitary(
+            build_oscillator_weight(1.0, 1000), np.array([s, sign * s])
+        )
+        assert u.dim == 2008
+        ok, peak = traced_peak(lambda: u.is_unitary)
+        assert ok is True
+        assert peak < 16 * 2**20, peak
+        # an entry between two planes, off every block of the stroke
+        m = np.array(u.entries)
+        assert m[0, 7] == 0.0
+        m[0, 7] = 1e-6
+        bad = Operator(m)
+        ok, peak = traced_peak(lambda: bad.is_unitary)
+        assert ok is False
+        assert peak < 16 * 2**20, peak
+
+    def test_dense_matrix_allocates_no_more_than_the_dense_product(self):
+        m = dense_conserving_unitary(np.random.default_rng(7), 256).entries
+        op = Operator(m)
+        ok, peak = traced_peak(lambda: op.is_unitary)
+        want, dense_peak = traced_peak(
+            lambda: operator_norm(dagger(m) @ m - np.eye(256)) <= EPS_ALG
+        )
+        assert ok is want is True
+        assert peak <= dense_peak, (peak, dense_peak)
 
 
 def test_tolerances_live_in_one_table():
