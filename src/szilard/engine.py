@@ -34,6 +34,7 @@ from .feedback import (
     FeedbackScheme,
     OscillatorWeight,
     _plane_stroke,
+    _register_form,
     build_oscillator_weight,
     build_shift_unitary,
     check_feedback_energy,
@@ -292,7 +293,8 @@ class EngineConfig:
             self.feedback, records, self.weight.hamiltonian, self.h_s,
             self._h_d, self.h_r,
         )
-        fb_form = check_feedback_form(
+        # a register off the 0/1 diagonals takes the dense route
+        fb_form = _register_form(records) or check_feedback_form(
             compose_feedback_unitary(self.feedback, records),
             [(x, p) for x, _, p in records.outcomes], self.feedback.branch_dim,
         )
@@ -1280,6 +1282,8 @@ def impossibility_scan(
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     names = tuple(SCAN_FAMILIES)
     rng = np.random.default_rng(seed)
     records = []

@@ -111,6 +111,9 @@ class Observable:
                     )
         if gap > EPS_ALG:
             raise ValueError("projectors do not sum to the identity")
+        for label, _, p in outs:
+            if p.rank_estimate() == 0:
+                raise ValueError(f"outcome {label!r}: projector is zero")
         object.__setattr__(self, "outcomes", outs)
 
     @property

@@ -288,8 +288,9 @@ def complete_unitary(pairs, dim: int, hamiltonian) -> np.ndarray:
 def observable_fault(outcomes) -> str | None:
     """The first fault of a labelled projector family, in the order an
     observable checks them, or ``None`` for a valid family: ``"projector
-    <label>"`` (not Hermitian or not idempotent), ``"orthogonal <a> <b>"``
-    or ``"identity"``, each decided on the exact spectral norm."""
+    <label>"`` (not Hermitian or not idempotent), ``"orthogonal <a> <b>"``,
+    ``"identity"`` or ``"zero <label>"``, each decided on the exact spectral
+    norm (a projector is zero when that norm is below 1/2)."""
     mats = [np.asarray(p, dtype=complex) for _, p in outcomes]
     for (label, _), m in zip(outcomes, mats):
         if _norm(m - m.conj().T) > 1e-10 or _norm(m @ m - m) > 1e-10:
@@ -300,4 +301,7 @@ def observable_fault(outcomes) -> str | None:
                 return f"orthogonal {la} {outcomes[j][0]}"
     if _norm(sum(mats) - np.eye(mats[0].shape[0])) > 1e-10:
         return "identity"
+    for (label, _), m in zip(outcomes, mats):
+        if _norm(m) < 0.5:
+            return f"zero {label}"
     return None

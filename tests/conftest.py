@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,14 @@ SCAN_SEED = 20260814
 SCAN_COUNT = 500
 THERMAL_SEED = 7151
 THERMAL_COUNT = 100
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_document(name: str) -> dict:
+    """The scenario document ``golden/library.json`` lists under ``name``."""
+    library = json.loads((GOLDEN / "library.json").read_text(encoding="utf-8"))
+    (doc,) = [e["document"] for e in library if e["document"]["name"] == name]
+    return doc
 
 
 def assert_refused_before_allocating(build) -> None:

@@ -77,6 +77,18 @@ def _explicit_block(**extra):
     return block
 
 
+def _zero_outcome_block(field):
+    """The explicit block with a third outcome ``z`` of zero projector in
+    ``field``, and (for the pointer) identity feedback for all three."""
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    eye = [[[float(i == j), 0.0] for j in range(20)] for i in range(20)]
+    block = _explicit_block()
+    block[field].append({"label": "z", "value": 7.0, "projector": zero})
+    if field == "pointer":
+        block["feedback"] = [{"label": l, "unitary": eye} for l in "+-z"]
+    return block
+
+
 class TestParseScenario:
     def test_library_reference(self):
         runs = parse_scenario(_library_doc())
@@ -519,6 +531,12 @@ class TestRunCommand:
             ({"scenario": "null_engine", "params": {"kb": "warm"}},
              "parameter 'kb'"),
             ({"config": _explicit_block(tol_s=-1)}, "field 'config.tol_s'"),
+            # a zero projector passed every observable check: in the pointer
+            # it ended in "SVD did not converge", in the target it ran
+            ({"config": _zero_outcome_block("pointer")},
+             "field 'config.pointer': outcome 'z': projector is zero"),
+            ({"config": _zero_outcome_block("target")},
+             "field 'config.target': outcome 'z': projector is zero"),
         ],
     )
     def test_malformed_field_exit_code(self, tmp_path, capsys, doc, named):
@@ -742,6 +760,17 @@ class TestScanCommand:
     def test_bad_count_exit_code(self, capsys):
         assert main(["scan", "--count", "0"]) == 1
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_negative_seed_exit_code(self, capsys, monkeypatch, source):
+        # numpy's own refusal named neither the flag nor the variable
+        argv = ["scan", "--count", "1"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("SZILARD_SEED", "-1")
+        assert main(argv) == 1
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

@@ -53,8 +53,8 @@ import szilard.engine as engine_mod
 import szilard.thermo as thermo_mod
 from szilard.qop import _check_joint_dim, _read
 import _dense
-from _oracles import harvest_works
-from conftest import assert_refused_before_allocating
+from _oracles import harvest_works, superposed_post_work
+from conftest import assert_refused_before_allocating, golden_document
 from szilard.cli import parse_scenario
 from test_cli import _explicit_block
 
@@ -763,6 +763,35 @@ class TestScenarioLibrary:
             config = scenario_library(name)
             assert config.label == name
 
+    def test_no_library_build_composes_v(self, monkeypatch):
+        # every library register is 0/1 diagonal, so the form is certified
+        # from the scheme; the window and reservoir workloads included
+        calls = []
+        for name in ("compose_feedback_unitary", "check_feedback_form"):
+            monkeypatch.setattr(
+                engine_mod, name, lambda *a, _n=name, **k: calls.append(_n)
+            )
+        for name in SCENARIO_NAMES:
+            scenario_library(name)
+        scenario_library("example_II", N=120)
+        scenario_library("reservoir_circumvention", dim_R=4)
+        assert calls == []
+
+    def test_largest_window_builds_without_v(self):
+        # at N = 1000 the joint dimension is 4016: a dense V is 246 MiB,
+        # and composing and checking it peaked near 1,000 MiB
+        tracemalloc.start()
+        try:
+            config = scenario_library("example_II", N=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 2**20, peak
+        want = superposed_post_work(1000, 1.0, 1.0)
+        works = [b.work for b in run_cycle(config).branches]
+        assert len(works) == 2
+        assert all(abs(w - want) <= 1e-9 for w in works), works
+
     @pytest.mark.parametrize(
         "name,params",
         [
@@ -1233,6 +1262,10 @@ class TestImpossibilityScan:
         with pytest.raises(ValueError, match="positive"):
             impossibility_scan(0, seed=0)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            impossibility_scan(1, seed=-1)
+
     def test_each_engine_is_certified_once(self, monkeypatch):
         import szilard.measurement as measurement_mod
 
@@ -1252,13 +1285,23 @@ class TestImpossibilityScan:
         # the build reaches both through measurement.way_witness
         for name in ("check_repeatable", "check_energy_conserving_measurement"):
             counted(measurement_mod, name)
-        counted(engine_mod, "compose_feedback_unitary")
+        # a register of 0/1 diagonal records certifies the form without V
+        for name in ("compose_feedback_unitary", "check_feedback_form"):
+            counted(engine_mod, name)
         impossibility_scan(8, seed=1)
         assert calls == {
             "__init__": 8,
             "check_repeatable": 8,
             "check_energy_conserving_measurement": 8,
-            "compose_feedback_unitary": 8,
+        }
+        calls.clear()
+        parse_scenario(golden_document("explicit_rotated_pointer"))
+        assert calls == {
+            "__init__": 1,
+            "check_repeatable": 1,
+            "check_energy_conserving_measurement": 1,
+            "compose_feedback_unitary": 1,
+            "check_feedback_form": 1,
         }
         rng = np.random.default_rng(0)
         assert SCAN_FAMILIES["eigenstate_posts"](rng, False).label == (

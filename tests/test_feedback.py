@@ -30,7 +30,9 @@ from szilard import (
     random_energy_conserving_unitary,
     scenario_library,
 )
-from szilard.feedback import _BLOCK_PATH, _plane_stroke
+from conftest import golden_document
+from szilard.cli import parse_scenario
+from szilard.feedback import _plane_stroke, _register_form
 from szilard.qop import _DENSE_UNITARY_DIM, EPS_ALG, _ptrace_nd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -227,14 +229,85 @@ class TestFormCheck:
             return
         assert report.passed is False
 
-    @pytest.mark.parametrize("branch_dim", [8, 248])  # a scan draw, the window
-    def test_block_path_is_the_optimized_one(self, branch_dim):
-        # the fixed path reproduces what optimize=True plans, so the blocks
-        # are contracted in the same order and come out bit for bit the same
-        pe = np.zeros((2, 2), dtype=complex)
-        t = np.zeros((branch_dim, 2, branch_dim, 2), dtype=complex)
-        planned = np.einsum_path("ab,ibjc,ca->ij", pe, t, pe, optimize=True)[0]
-        assert _BLOCK_PATH == planned
+
+def _dense_form(scheme, records):
+    """The form report of the dense route: compose V, then recover each U_x."""
+    return check_feedback_form(
+        compose_feedback_unitary(scheme, records),
+        [(x, p) for x, _, p in records.outcomes],
+        scheme.branch_dim,
+    )
+
+
+def _shipped_engines():
+    for name in SCENARIO_NAMES:
+        yield name, scenario_library(name)
+    for n in (5, 20, 120):
+        yield f"example_II N={n}", scenario_library("example_II", N=n)
+    yield "reservoir dim_R=4", scenario_library(
+        "reservoir_circumvention", dim_R=4
+    )
+    rng = np.random.default_rng(41)
+    for thermal in (False, True):
+        for family in sorted(SCAN_FAMILIES):
+            for _ in range(3):
+                yield family, SCAN_FAMILIES[family](rng, thermal)
+
+
+class TestRegisterRoute:
+    """A register of 0/1 diagonal records certifies the controlled form
+    without V; the dense route is the oracle it is compared against."""
+
+    def test_every_shipped_engine_takes_it_and_agrees_bit_for_bit(self):
+        # every shipped register has outcomes of rank 1, where the dense
+        # route is exact: the two reports are equal, not merely close
+        for label, config in _shipped_engines():
+            register = _register_form(config.records)
+            assert register is not None, label
+            assert register == _dense_form(config.feedback, config.records), label
+            assert config.certification.feedback_form == register, label
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_hand_built_register_agrees(self, rank):
+        # outcome "a" holds `rank` scattered demon levels, "b" the others
+        rng = np.random.default_rng(rank)
+        dim = rank + 2
+        owned = rng.permutation(dim)[:rank]
+        d = np.zeros(dim)
+        d[owned] = 1.0
+        records = Observable((
+            ("a", 1.0, Operator(np.diag(d))), ("b", 0.0, Operator(np.diag(1 - d))),
+        ))
+        scheme = FeedbackScheme(tuple(
+            (l, Operator(random_unitary(rng, 6))) for l in ("a", "b")
+        ))
+        register = _register_form(records)
+        dense = _dense_form(scheme, records)
+        assert register.passed is dense.passed is True
+        if rank in (1, 2, 4):  # sums of `rank` copies of U_x divide exactly
+            assert register == dense
+        else:
+            assert dense.block_residual <= 1e-15
+            assert dense.probe_residual <= 1e-15
+
+    def test_other_registers_take_the_dense_route(self):
+        s = 1.0 / math.sqrt(2.0)
+        rotated = Observable((
+            ("a", 1.0, Operator(np.outer([s, s], [s, s]))),
+            ("b", -1.0, Operator(np.outer([s, -s], [s, -s]))),
+        ))
+        near = Observable((
+            ("a", 1.0, Operator(np.diag([1.0, 1e-13]))),
+            ("b", -1.0, Operator(np.diag([0.0, 1.0 - 1e-13]))),
+        ))
+        assert _register_form(rotated) is None
+        assert _register_form(near) is None
+        (run,) = parse_scenario(golden_document("explicit_rotated_pointer"))
+        config = run.config
+        assert _register_form(config.records) is None
+        want = _dense_form(config.feedback, config.records)
+        assert config.certification.feedback_form == want
+        assert want.passed and 0.0 < want.block_residual <= EPS_ALG
 
 
 class TestEnergyCheck:

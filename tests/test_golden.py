@@ -11,23 +11,27 @@ family label and count must be identical.
 ``golden/library.json`` holds, for each scenario document it lists, the
 document ``szilard run --format json`` wrote for it: the five library
 scenarios at their defaults, ``example_II`` at N = 5, 20 and 120,
-``reservoir_circumvention`` at dim_R = 4, and the explicit qubit block of
-``test_cli._explicit_block`` with Landauer-optimal and with swap erasure.
-The same gate applies to every record, so neither the scenario builders
-nor the explicit-config parser can move a number unnoticed.
+``reservoir_circumvention`` at dim_R = 4, the explicit qubit block of
+``test_cli._explicit_block`` with Landauer-optimal and with swap erasure,
+and an explicit block whose pointer records are ``|+>`` and ``|->`` (a
+demon starting in ``|+>``).  That last register is the only one whose
+feedback form is certified on the composed dense V, so its nonzero
+``block_residual`` pins that route.  The same gate applies to every record,
+so neither the scenario builders nor the explicit-config parser can move a
+number unnoticed.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from conftest import SCAN_COUNT, SCAN_SEED, THERMAL_COUNT, THERMAL_SEED
+from conftest import (
+    GOLDEN, SCAN_COUNT, SCAN_SEED, THERMAL_COUNT, THERMAL_SEED,
+)
 from szilard.cli import _scan_payload, parse_scenario, run_records
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
 
 

@@ -129,7 +129,8 @@ def diagonal_families(draw):
     """Diagonal projector families on 1-6 levels, each level owned by one
     of 1-4 outcomes, with up to three entries nudged: by rounding-sized
     real or imaginary amounts that keep the family valid, or by amounts
-    that break idempotence, Hermiticity, orthogonality or completeness."""
+    that break idempotence, Hermiticity, orthogonality or completeness.  An
+    outcome that owns no level has a zero projector."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, 4))
     owner = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
@@ -157,6 +158,8 @@ def _observable_fault(family) -> str | None:
             return "projector " + msg.split("'")[1]
         if msg.endswith("not orthogonal"):
             return "orthogonal " + " ".join(msg.split("'")[1:4:2])
+        if msg.endswith("projector is zero"):
+            return "zero " + msg.split("'")[1]
         assert msg == "projectors do not sum to the identity"
         return "identity"
     return None
@@ -179,6 +182,7 @@ class TestDiagonalObservable:
             "projector a": [("a", np.diag([0.5, 0.0])), ("b", zero)],
             "orthogonal a b": [("a", np.eye(2)), ("b", zero)],
             "identity": [("a", one), ("b", np.zeros((2, 2)))],
+            "zero b": [("a", np.eye(2)), ("b", np.zeros((2, 2)))],
         }
         for fault, family in cases.items():
             assert _dense.observable_fault(family) == fault
