@@ -187,10 +187,10 @@ def _parse_explicit_config(
     scheme = c["feedback"]
     if scheme is None:
         posts = model.post_states
-        if posts is None:
+        if posts is None or set(posts) != set(c["pointer"].labels):
             raise _fail(
                 "config.feedback",
-                "required when outcomes have several transition rows",
+                "required unless each pointer outcome has exactly one transition row",
             )
         if c["h_s"].dim != 2:
             raise _fail(

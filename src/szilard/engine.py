@@ -68,9 +68,10 @@ from .qop import (
     HardAssertionError,
     Operator,
     PureState,
+    _additive_hamiltonian,
     _check_hermitian,
     _check_joint_dim,
-    _diagonal_of,
+    _conservation_residual,
     _energy_sectors,
     _factor,
     _kron,
@@ -79,7 +80,6 @@ from .qop import (
     _ptrace_nd,
     _read,
     basis_state,
-    commutator_norm,
     dagger,
     operator_norm,
     projector_onto,
@@ -406,7 +406,7 @@ class CycleResult:
 
 def _measure(config: EngineConfig) -> tuple[DensityMatrix | None, Gemenge, dict]:
     """Measurement stage: correlated state (when it exists), the branch
-    mixture on the system, and the per-outcome demon records."""
+    mixture on the system, and each outcome's demon record matrix."""
     if isinstance(config.measurement, MeasurementModel):
         model = config.measurement
         sigma, gem_sd = premeasure_and_objectify(model, config.rho_s)
@@ -425,14 +425,11 @@ def _measure(config: EngineConfig) -> tuple[DensityMatrix | None, Gemenge, dict]
                     DensityMatrix._derived(_ptrace_nd(joint, [ds, dd], [0])),
                 )
             )
-            demon_records[b.outcome] = DensityMatrix._derived(
-                _ptrace_nd(joint, [ds, dd], [1])
-            )
+            demon_records[b.outcome] = _ptrace_nd(joint, [ds, dd], [1])
         gem = Gemenge(tuple(sys_branches))
         return sigma, gem, demon_records
     gem = apply_instrument(config.measurement, config.rho_s)
-    records = zip(config.outcome_labels, config.record_projectors)
-    return None, gem, {x: DensityMatrix._derived(p) for x, p in records}
+    return None, gem, dict(zip(config.outcome_labels, config.record_projectors))
 
 
 def run_cycle(config: EngineConfig) -> CycleResult:
@@ -516,7 +513,7 @@ def run_cycle(config: EngineConfig) -> CycleResult:
         )
         rho_s_after += b.probability * out.rho_system.entries
         w_after_factor.append(math.sqrt(b.probability) * _factor(out.rho_weight)[0])
-        rho_d_after += b.probability * demon_records[b.outcome].entries
+        rho_d_after += b.probability * demon_records[b.outcome]
         if rho_r_after is not None:
             rho_r_after += b.probability * out.rho_reservoir.entries
 
@@ -795,28 +792,27 @@ def _record_model(
     ``H_D``, only through the order and the sector partition of that sum's
     diagonal.  With the posts and the demon's initial amplitudes, those
     determine the model, so engines that share them share one model from a
-    bounded memo; a non-diagonal or complex ``H_S`` or ``H_D`` skips it.
+    bounded memo; a non-diagonal or complex conservation law skips it.
     A shared model still meets the completion's hard assertion against
     this engine's Hamiltonians, and each engine certifies it itself."""
     records, basis = _record_register()
     posts = [np.asarray(p, dtype=complex) for p in posts]
     psi = np.asarray(demon_initial, dtype=complex)
-    ds, dd = _diagonal_of(h_s), _diagonal_of(h_d)
+    law = _additive_hamiltonian(h_s, h_d)
     key = None
-    if ds is not None and dd is not None and not (ds.imag.any() or dd.imag.any()):
-        e = (ds.real[:, None] + dd.real[None, :]).ravel()
-        order = _eigh_order(e)
+    if law.ndim == 1 and not law.imag.any():
+        order = _eigh_order(law.real)
         key = (
             tuple(p.tobytes() for p in posts),
             psi.tobytes(),
-            (ds.size, dd.size),
+            (h_s.dim, h_d.dim),
             order.tobytes(),
-            tuple(s.size for s in _energy_sectors(e[order])),
+            tuple(s.size for s in _energy_sectors(law.real[order])),
         )
         model = _MODELS.get(key)
         if model is not None:
             _MODELS.move_to_end(key)
-            if commutator_norm(model.premeasurement, np.diag(e)) > EPS_ALG:
+            if _conservation_residual(model.premeasurement, law) > EPS_ALG:
                 raise HardAssertionError("blockwise completion failed to commute")
             return model
     transitions = [

@@ -26,8 +26,8 @@ from .qop import (
     DensityMatrix,
     Operator,
     PureState,
-    _diagonal_commutator_norm,
-    _diagonal_of,
+    _additive_hamiltonian,
+    _conservation_residual,
     _energy_sectors,
     _entries_of,
     _factor,
@@ -261,36 +261,16 @@ def check_feedback_energy(
     every maximal group of outcomes sharing the same branch unitary the
     summed record projector must commute with the memory Hamiltonian.
     Together these certify that the composed controlled operation conserves
-    total energy.
-
-    When every factor Hamiltonian is diagonal, the sum's diagonal is built
-    from theirs and each branch commutator is taken entrywise, with the
-    same additions and products as through the dense sum.
+    total energy.  The branch residuals are taken against
+    ``qop._additive_hamiltonian``: entrywise when every factor is diagonal.
     """
     _check_labels(scheme, records)
-    factors = (h_w, h_s) if h_r is None else (h_w, h_s, h_r)
-    diagonals = [_diagonal_of(h) for h in factors]
-    if all(d is not None for d in diagonals):
-        dsum = functools.reduce(
-            lambda a, b: (a[:, None] + b[None, :]).ravel(), diagonals
-        )
-        commutator = functools.partial(_diagonal_commutator_norm, d=dsum)
-    else:
-        hw = _entries_of(h_w)
-        hs = _entries_of(h_s)
-        dw, ds = hw.shape[0], hs.shape[0]
-        hadd = _kron(hw, np.eye(ds)) + _kron(np.eye(dw), hs)
-        if h_r is not None:
-            hr = _entries_of(h_r)
-            hadd = _kron(hadd, np.eye(hr.shape[0])) + _kron(
-                np.eye(dw * ds), hr
-            )
-        commutator = functools.partial(commutator_norm, b=hadd)
+    law = _additive_hamiltonian(*((h_w, h_s) if h_r is None else (h_w, h_s, h_r)))
     hd = _entries_of(h_d)
     branch = []
     ok = True
     for label, u in scheme.branch_unitaries:
-        c = commutator(u.entries)
+        c = _conservation_residual(u.entries, law)
         branch.append((label, c))
         if c > EPS_ALG:
             ok = False

@@ -33,10 +33,11 @@ from .qop import (
     HardAssertionError,
     Operator,
     PureState,
+    _additive_hamiltonian,
     _check_hermitian,
+    _conservation_residual,
     _diagonal_of,
     _energy_sectors,
-    _entries_of,
     _kron,
     commutator_norm,
     dagger,
@@ -459,10 +460,8 @@ def build_transition_model(
         src = _kron(t.sys_in.amplitudes, psi)
         dst = _kron(t.sys_out.amplitudes, t.pointer_out.amplitudes)
         pairs.append((src, dst))
-    hs = _entries_of(hamiltonians[0])
-    hd = _entries_of(hamiltonians[1])
-    h = _kron(hs, np.eye(dd)) + _kron(np.eye(ds), hd)
-    u = complete_unitary(pairs, ds * dd, h)
+    law = _additive_hamiltonian(*hamiltonians, dims=(ds, dd))
+    u = complete_unitary(pairs, ds * dd, np.diag(law) if law.ndim == 1 else law)
     return MeasurementModel(
         demon_initial=demon_initial,
         premeasurement=Operator(u),
@@ -529,14 +528,9 @@ def check_energy_conserving_measurement(
 ) -> EnergyReport:
     """Both conditions: the coupling conserves ``H_S + H_D`` and the pointer
     observable commutes with ``H_D``."""
-    hs = _entries_of(h_s)
-    hd = _entries_of(h_d)
-    htot = _kron(hs, np.eye(model.demon_dim)) + _kron(
-        np.eye(model.system_dim), hd
-    )
-    c1 = commutator_norm(model.premeasurement.entries, htot)
-    zd = model.pointer.operator()
-    c2 = commutator_norm(zd, hd)
+    law = _additive_hamiltonian(h_s, h_d, dims=(model.system_dim, model.demon_dim))
+    c1 = _conservation_residual(model.premeasurement.entries, law)
+    c2 = commutator_norm(model.pointer.operator(), h_d)
     return EnergyReport(
         passed=(c1 <= EPS_ALG and c2 <= EPS_ALG),
         premeasurement_commutator=c1,

@@ -88,7 +88,7 @@ EPS_SUPPORT = 1e-12
 EPS_PHASE = 1e-8
 # default weight-entropy invariance tolerance per nat of log-dimension
 EPS_ENTROPY = 1e-9
-# positive-work floor per unit of max(weight energy scale, temperature)
+# positive-work floor per unit of max(weight energy scale, kT)
 EPS_WORK = 1e-9
 
 
@@ -319,6 +319,30 @@ def commutator_norm(a: object, b: object) -> float:
 def _diagonal_commutator_norm(a: np.ndarray, d: np.ndarray) -> float:
     """``commutator_norm(a, diag(d))``, taken entrywise."""
     return operator_norm(a * (d[None, :] - d[:, None]))
+
+
+def _additive_hamiltonian(*hs: object, dims: Sequence[int] | None = None) -> np.ndarray:
+    """The conservation law ``L = sum_i 1 (x) .. (x) H_i (x) .. (x) 1`` of
+    the factor Hamiltonians ``hs``, in tensor order, built as
+    ``L (x) 1 + 1 (x) H_i`` one factor at a time: its diagonal when every
+    ``H_i`` is diagonal, else the dense n x n sum.  ``dims``, when given,
+    are the factor dimensions the ``H_i`` must have."""
+    ms = [_entries_of(h) for h in hs]
+    if dims is not None and (got := tuple(m.shape[0] for m in ms)) != tuple(dims):
+        raise ValueError(f"Hamiltonian dimensions {got} != factor dimensions {dims}")
+    ds = [_diagonal_of(h) for h in hs]
+    if all(d is not None for d in ds):
+        return functools.reduce(lambda a, b: (a[:, None] + b[None, :]).ravel(), ds)
+    return functools.reduce(
+        lambda a, b: _kron(a, np.eye(b.shape[0])) + _kron(np.eye(a.shape[0]), b), ms
+    )
+
+
+def _conservation_residual(u: object, law: np.ndarray) -> float:
+    """``||[U, L]||`` for ``law``, a result of :func:`_additive_hamiltonian`."""
+    if law.ndim == 1:
+        return _diagonal_commutator_norm(_entries_of(u), law)
+    return commutator_norm(u, law)
 
 
 def _entries_of(x: object) -> np.ndarray:

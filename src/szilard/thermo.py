@@ -77,6 +77,11 @@ class ThermoContext:
                 raise ValueError(
                     f"{name} must be finite and positive, got {value}"
                 )
+        if not (0.0 < self.kt < math.inf and 1.0 / self.kt < math.inf):
+            raise ValueError(
+                f"kb * temperature = {self.kt!r} must be a positive finite "
+                "energy with a finite inverse"
+            )
 
     @property
     def beta(self) -> float:
@@ -164,7 +169,7 @@ def feature2_test(
 
 def work_threshold(omega: float, ctx: ThermoContext) -> float:
     """Floor above which a branch work counts as strictly positive."""
-    return EPS_WORK * max(omega, ctx.temperature)
+    return EPS_WORK * max(omega, ctx.kt)
 
 
 # ---------------------------------------------------------------------------

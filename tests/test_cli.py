@@ -361,6 +361,38 @@ class TestRunCommand:
         assert named in out.err and "finite" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"scenario": "null_engine",
+          "params": {"kb": 1e-200, "temperature": 1e-200}},
+         {"scenario": "degenerate_circumvention",
+          "params": {"temperature": 1e-320}},
+         {"scenario": "example_I", "params": {"kb": 1e200, "temperature": 1e200}}],
+        ids=["kt-underflows", "beta-overflows", "kt-overflows"],
+    )
+    def test_degenerate_thermal_energy_exit_code(self, tmp_path, capsys, doc):
+        # each factor is finite and positive, but their product was not: a
+        # zero kT divided by zero, an infinite beta met non-finite entries
+        # and an infinite kT wrote NaN
+        assert main(["run", _write(tmp_path, doc)]) == 1
+        out = capsys.readouterr()
+        assert "kb * temperature" in out.err and "Traceback" not in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("scenario", szilard.SCENARIO_NAMES)
+    def test_output_depends_on_kb_and_temperature_through_kt(
+        self, tmp_path, capsys, scenario
+    ):
+        # (kb, T) -> (kb / 2^k, 2^k T) keeps kT exactly; the work floor
+        # once read T alone
+        outs = []
+        for k in (0, 1, 30):
+            params = {"kb": 2.0**-k, "temperature": 2.0**k}
+            path = _write(tmp_path, {"scenario": scenario, "params": params})
+            assert main(["run", path]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
     def test_json_output_rejects_non_finite_numbers(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -571,6 +603,27 @@ class TestRunCommand:
         monkeypatch.setattr("szilard.cli.run_records", boom)
         assert main(["run", path]) == 2
         assert "hard assertion failed" in capsys.readouterr().err
+
+    def test_pointer_outcome_without_a_transition_needs_feedback(
+        self, tmp_path, capsys
+    ):
+        # a qutrit pointer whose outcome z no transition writes: building
+        # the ladder strokes once ended in KeyError: 'z'
+        re = lambda x: [float(x), 0.0]
+        basis = lambda i: [re(j == i) for j in range(3)]
+        block = _explicit_block(
+            h_d=[[re(0)] * 3 for _ in range(3)],
+            demon_initial=basis(0),
+            pointer=[
+                {"label": l, "value": float(i),
+                 "projector": [[re(i == j == k) for k in range(3)] for j in range(3)]}
+                for i, l in enumerate("+-z")
+            ],
+        )
+        for t, i in zip(block["transitions"], (0, 1)):
+            t["pointer_out"] = basis(i)
+        assert main(["run", _write(tmp_path, {"config": block})]) == 1
+        assert "field 'config.feedback'" in capsys.readouterr().err
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1

@@ -22,6 +22,7 @@ from szilard import (
     build_transition_model,
     check_energy_conserving_measurement,
     check_repeatable,
+    commutator_norm,
     complete_unitary,
     dagger,
     instrument_from_model,
@@ -30,6 +31,7 @@ from szilard import (
     way_witness,
 )
 from szilard.measurement import MeasurementModel
+import szilard.qop as qop_mod
 from szilard.qop import EPS_ALG, EPS_SECTOR, _ptrace_nd
 import _dense
 
@@ -459,6 +461,51 @@ class TestEnergyCertificate:
         )
         rep = check_energy_conserving_measurement(model, h_s, h_d)
         assert rep.pointer_commutator > 1e-3
+
+    def test_equals_the_dense_kron_route_bit_for_bit(self):
+        # the certificate once formed H_S (x) 1 + 1 (x) H_D densely with a
+        # Kronecker sum; it now reads the law (its diagonal when both
+        # factors are diagonal) from qop._additive_hamiltonian, same bits
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        cases = [  # (H_S, H_D, whether the law is diagonal)
+            (np.diag([0.5, -0.5]).astype(complex), ZERO2, True),
+            (np.diag([0.5, -0.5]), np.diag([0.3, -0.7]), True),
+            (Operator(np.diag([1.0, 0.25])), Operator(np.diag([0.0, 2.0])), True),
+            (np.diag([0.5, -0.5]).astype(complex), a + dagger(a), False),
+            (Operator(a + dagger(a)), ZERO2, False),
+        ]
+        models = [
+            record_write_model([basis_state(2, 0), basis_state(2, 1)]),
+            record_write_model([basis_state(2, 0), np.array([0.6, 0.8j])]),
+        ]
+        for model in models:
+            for h_s, h_d, diagonal in cases:
+                hs = np.asarray(getattr(h_s, "entries", h_s), dtype=complex)
+                hd = np.asarray(getattr(h_d, "entries", h_d), dtype=complex)
+                htot = np.kron(hs, np.eye(2)) + np.kron(np.eye(2), hd)
+                u = model.premeasurement.entries
+                rep = check_energy_conserving_measurement(model, h_s, h_d)
+                assert rep.premeasurement_commutator == commutator_norm(u, htot)
+                assert rep.pointer_commutator == commutator_norm(
+                    model.pointer.operator(), hd
+                )
+                law = qop_mod._additive_hamiltonian(h_s, h_d)
+                assert law.ndim == (1 if diagonal else 2)
+                assert rep.premeasurement_commutator == (
+                    qop_mod._conservation_residual(u, law)
+                )
+
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3), (4, 1)])
+    def test_hamiltonians_must_match_the_factors(self, dims):
+        # a mismatch used to surface as a numpy broadcast error, and a pair
+        # whose product matched the joint dimension went unnoticed
+        h_s, h_d = (np.diag(np.arange(d, dtype=float)) for d in dims)
+        model = record_write_model([basis_state(2, 0), basis_state(2, 1)])
+        with pytest.raises(ValueError, match="!= factor dimensions"):
+            check_energy_conserving_measurement(model, h_s, h_d)
+        with pytest.raises(ValueError, match="!= factor dimensions"):
+            record_write_model([basis_state(2, 0), basis_state(2, 1)], h=(h_s, h_d))
 
 
 class TestRepeatability:

@@ -163,6 +163,90 @@ class TestKron:
         assert not strays, "np.kron outside qop._kron: " + ", ".join(strays)
 
 
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + dagger(a)) / 2.0
+
+
+class TestAdditiveHamiltonian:
+    """``qop._additive_hamiltonian`` is the one builder of the conservation
+    law ``sum_i 1 (x) .. (x) H_i (x) .. (x) 1``; ``SubsystemLayout`` keeps
+    the embedding route as its reference."""
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (4, 1), (3, 2, 4), (2, 2, 2)])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_matches_the_layout_sum(self, sizes, diagonal):
+        rng = np.random.default_rng(sum(sizes) + 7 * diagonal)
+        hs = [
+            np.diag(rng.normal(size=d)).astype(complex) if diagonal
+            else random_hermitian(rng, d)
+            for d in sizes
+        ]
+        layout = SubsystemLayout(tuple(
+            Factor(f"F{i}", d, Operator(h)) for i, (d, h) in enumerate(zip(sizes, hs))
+        ))
+        want = layout.total_hamiltonian()
+        for factors in (hs, [f.hamiltonian for f in layout.factors]):
+            law = qop_mod._additive_hamiltonian(*factors)
+            # a diagonal law comes back as its diagonal: no n x n array
+            assert law.ndim == (1 if diagonal else 2)
+            assert np.array_equal(np.diag(law) if diagonal else law, want)
+            u = random_unitary(rng, layout.total_dim)
+            assert qop_mod._conservation_residual(u, law) == commutator_norm(u, want)
+
+    def test_one_non_diagonal_factor_makes_it_dense(self):
+        rng = np.random.default_rng(3)
+        hs = [np.diag([0.0, 1.0]), random_hermitian(rng, 3), np.diag([2.0, -1.0])]
+        law = qop_mod._additive_hamiltonian(*hs)
+        want = SubsystemLayout(tuple(
+            Factor(f"F{i}", h.shape[0], Operator(h)) for i, h in enumerate(hs)
+        )).total_hamiltonian()
+        assert law.shape == (12, 12) and np.array_equal(law, want)
+
+    def test_factor_dimensions_are_checked(self):
+        h = np.diag([0.0, 1.0])
+        assert qop_mod._additive_hamiltonian(h, h, dims=(2, 2)).shape == (4,)
+        want = r"Hamiltonian dimensions \(2, 2\) != factor dimensions \(4, 1\)"
+        with pytest.raises(ValueError, match=want):
+            qop_mod._additive_hamiltonian(h, h, dims=(4, 1))
+
+    def test_one_owner_of_the_additive_sum(self):
+        """No module outside ``qop`` adds ``A (x) 1 + 1 (x) B`` itself,
+        densely (two Kronecker products with an identity) or on diagonals
+        (``a[:, None] + b[None, :]``)."""
+
+        def is_call(node, *names):
+            f = getattr(node, "func", None)
+            return isinstance(node, ast.Call) and (
+                getattr(f, "id", None) in names or getattr(f, "attr", None) in names
+            )
+
+        def kron_with_eye(node):
+            return is_call(node, "_kron", "kron") and any(
+                is_call(a, "eye", "identity") for a in node.args
+            )
+
+        def axis_slot(node, where):
+            s = getattr(node, "slice", None)
+            return isinstance(node, ast.Subscript) and isinstance(s, ast.Tuple) and (
+                isinstance(s.elts[where], ast.Constant) and s.elts[where].value is None
+            )
+
+        strays = []
+        for path in sorted(Path(qop_mod.__file__).parent.glob("*.py")):
+            if path.name == "qop.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+                    continue
+                l, r = node.left, node.right
+                if (kron_with_eye(l) and kron_with_eye(r)) or (
+                    axis_slot(l, 1) and axis_slot(r, 0)
+                ):
+                    strays.append(f"{path.name}:{node.lineno}")
+        assert not strays, "additive sums outside qop: " + ", ".join(strays)
+
+
 # ---------------------------------------------------------------------------
 # partial traces
 

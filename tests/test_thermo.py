@@ -80,6 +80,17 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ThermoContext(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kb, temperature",
+        [(1e-200, 1e-200), (1e-160, 1e-160), (1e200, 1e200)],
+        ids=["kt-zero", "beta-infinite", "kt-infinite"],
+    )
+    def test_context_needs_a_usable_thermal_energy(self, kb, temperature):
+        # finite positive factors whose product kT is zero or infinite, or a
+        # subnormal kT whose beta = 1 / kT overflows
+        with pytest.raises(ValueError, match=r"kb \* temperature"):
+            ThermoContext(temperature, kb)
+
     def test_kb_scales_entropy_term(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
         h = np.zeros((2, 2), dtype=complex)
@@ -142,6 +153,9 @@ class TestBranchWork:
     def test_work_threshold_scales(self):
         assert work_threshold(1.0, ThermoContext(1.0)) == pytest.approx(1e-9)
         assert work_threshold(0.1, ThermoContext(5.0)) == pytest.approx(5e-9)
+        # the floor is set by the thermal energy kT, not by T alone
+        assert work_threshold(0.1, ThermoContext(5.0, kb=0.5)) == pytest.approx(2.5e-9)
+        assert work_threshold(1.0, ThermoContext(2.0**30, kb=2.0**-30)) == 1e-9
 
 
 class TestFeature2:
