@@ -1002,8 +1002,7 @@ def _degenerate_circumvention(
     for label, t in zip(labels, tops):
         # every top is at least 1: trade |n, top> with |n + top, ground>
         n = np.arange(dw - t)
-        u = _plane_stroke(dw * d, n * d + t, (n + t) * d, swap)
-        unitaries.append((label, Operator(u)))
+        unitaries.append((label, _plane_stroke(dw * d, n * d + t, (n + t) * d, swap)))
     rho_s = thermal_state(h_s.entries, ctx.beta)
     return EngineConfig(
         rho_s=rho_s,
@@ -1051,7 +1050,7 @@ def _reservoir_circumvention(
     for s_in in (0, 1):
         i = (n * 2 + s_in) * dim_R + k  # |n, s_in, k>
         j = ((n + 1) * 2 + (1 - s_in)) * dim_R + (k - 1)  # |n+1, 1-s_in, k-1>
-        strokes.append(Operator(_plane_stroke(dw * 2 * dim_R, i, j, block)))
+        strokes.append(_plane_stroke(dw * 2 * dim_R, i, j, block))
     zero = Operator(np.zeros((2, 2)))
     posts = (basis_state(2, 0), basis_state(2, 1))
     return _record_write_engine(
@@ -1214,7 +1213,7 @@ def _family_entropy_harvest(
     # rung purifies the weight on both branches, harvesting its mixing
     # entropy as work; the plane is span{|m, excited>, |m+1, ground>}
     swap = [[0.0, 1.0], [1.0, 0.0]]
-    stroke = Operator(_plane_stroke(dim_w * 2, [m * 2], [(m + 1) * 2 + 1], swap))
+    stroke = _plane_stroke(dim_w * 2, [m * 2], [(m + 1) * 2 + 1], swap)
     posts = (basis_state(2, 0), basis_state(2, 1))
     return _record_write_engine(
         "entropy_harvest",

@@ -123,16 +123,20 @@ def compose_feedback_unitary(
     branch unitary and the register the orthogonal completeness of its
     projectors, which force the sum to be unitary.  Each nonzero entry
     ``P_x[a, b]`` adds ``U_x P_x[a, b]`` into the ``(branch, demon, branch,
-    demon)`` view of V, so no ``U_x (x) P_x`` is formed."""
+    demon)`` view of V, so no ``U_x (x) P_x`` is formed, and it adds a
+    sixteenth of the rows at a time, so each scratch product is at most
+    ``1/16`` of one ``U_x``.  V is frozen as it is built, not copied."""
     _check_labels(scheme, records)
     bd, dd = scheme.branch_dim, records.dim
     v = np.zeros((bd * dd, bd * dd), dtype=complex)
     t = v.reshape(bd, dd, bd, dd)
+    step = -(-bd // 16)
     for label, u in scheme.branch_unitaries:
         p = records.projector_for(label).entries
         for a, b in zip(*np.nonzero(p)):
-            t[:, a, :, b] += u.entries * p[a, b]
-    return Operator(v)
+            for r in range(0, bd, step):
+                t[r : r + step, a, :, b] += u.entries[r : r + step] * p[a, b]
+    return Operator._wrap(v)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,20 @@ def _within_eps(d: np.ndarray) -> bool:
     return operator_norm(d) <= EPS_ALG
 
 
+def _same_stroke(u: Operator, g: Operator) -> bool:
+    """``operator_norm(u - g) <= EPS_ALG``.  Two strokes on the same planes
+    differ by the direct sum of their blocks' difference, so that 2x2
+    difference decides it (with no plane they are both the identity);
+    other strokes take the dense difference."""
+    pu, pg = u._planes, g._planes
+    # plane indices are 1-d intp arrays, equal exactly when their bytes are
+    if pu is not None and pg is not None and all(
+        a.tobytes() == b.tobytes() for a, b in zip(pu[:2], pg[:2])
+    ):
+        return pu[0].size == 0 or _within_eps(pu[2] - pg[2])
+    return _within_eps(u.entries - g.entries)
+
+
 def check_feedback_energy(
     scheme: FeedbackScheme,
     records: Observable,
@@ -262,15 +280,21 @@ def check_feedback_energy(
     summed record projector must commute with the memory Hamiltonian.
     Together these certify that the composed controlled operation conserves
     total energy.  The branch residuals are taken against
-    ``qop._additive_hamiltonian``: entrywise when every factor is diagonal.
+    ``qop._additive_hamiltonian``: entrywise when every factor is diagonal,
+    and plane by plane on a stroke built from planes.
     """
     _check_labels(scheme, records)
     law = _additive_hamiltonian(*((h_w, h_s) if h_r is None else (h_w, h_s, h_r)))
+    if law.shape[0] != scheme.branch_dim:
+        raise ValueError(
+            f"Hamiltonian dimension {law.shape[0]} != branch dimension "
+            f"{scheme.branch_dim}"
+        )
     hd = _entries_of(h_d)
     branch = []
     ok = True
     for label, u in scheme.branch_unitaries:
-        c = _conservation_residual(u.entries, law)
+        c = _conservation_residual(u, law)
         branch.append((label, c))
         if c > EPS_ALG:
             ok = False
@@ -278,7 +302,7 @@ def check_feedback_energy(
     groups: list[list[object]] = []
     for label, u in scheme.branch_unitaries:
         for g in groups:
-            if _within_eps(u.entries - scheme.unitary_for(g[0]).entries):
+            if _same_stroke(u, scheme.unitary_for(g[0])):
                 g.append(label)
                 break
         else:
@@ -428,20 +452,8 @@ def build_oscillator_weight(
     return OscillatorWeight(omega=float(omega), levels=int(levels), dim=int(dim))
 
 
-def _plane_stroke(dim: int, i: object, j: object, block: object) -> np.ndarray:
-    """The identity on ``dim`` states with the 2x2 ``block`` acting on each
-    plane ``span{|i_k>, |j_k>}``, in that basis order; planes are disjoint.
-
-    A stroke that conserves an additive Hamiltonian is a direct sum of such
-    rotations inside its degenerate total-energy sectors."""
-    i, j = np.asarray(i), np.asarray(j)
-    b = np.asarray(block, dtype=complex)
-    u = np.eye(dim, dtype=complex)
-    u[i, i] = b[0, 0]
-    u[i, j] = b[0, 1]
-    u[j, i] = b[1, 0]
-    u[j, j] = b[1, 1]
-    return u
+# a stroke built from planes keeps them, so its certificates read 2x2 blocks
+_plane_stroke = Operator._from_planes
 
 
 def build_shift_unitary(
@@ -472,7 +484,7 @@ def build_shift_unitary(
     # rung), orthogonal complement -> excited (weight unchanged)
     g = np.outer([0.0, 1.0], np.conj(vpost)) + np.outer([1.0, 0.0], np.conj(vperp))
     k = np.arange(1, dw - 1)
-    return Operator(_plane_stroke(2 * dw, 2 * k, 2 * (k + 1) + 1, g))
+    return _plane_stroke(2 * dw, 2 * k, 2 * (k + 1) + 1, g)
 
 
 # ---------------------------------------------------------------------------

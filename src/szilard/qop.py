@@ -339,8 +339,21 @@ def _additive_hamiltonian(*hs: object, dims: Sequence[int] | None = None) -> np.
 
 
 def _conservation_residual(u: object, law: np.ndarray) -> float:
-    """``||[U, L]||`` for ``law``, a result of :func:`_additive_hamiltonian`."""
+    """``||[U, L]||`` for ``law``, a result of :func:`_additive_hamiltonian`.
+
+    On a diagonal ``L`` a stroke built from planes is read plane by plane:
+    ``[U, L]`` is the direct sum of the 2x2 blocks with off-diagonal
+    entries ``b01 (L_j - L_i)`` and ``b10 (L_i - L_j)``.  Their Frobenius
+    norm is returned when it is within ``EPS_ALG``, as ``operator_norm``
+    does, and otherwise the exact spectral norm, the largest
+    ``max(|b01|, |b10|) |L_j - L_i|``."""
     if law.ndim == 1:
+        if (planes := getattr(u, "_planes", None)) is not None:
+            i, j, b = planes
+            d = np.abs(law[j] - law[i])
+            x, y = abs(b[0, 1]), abs(b[1, 0])
+            f = math.sqrt((x * x + y * y) * float(d @ d))
+            return f if f <= EPS_ALG else max(x, y) * float(d.max())
         return _diagonal_commutator_norm(_entries_of(u), law)
     return commutator_norm(u, law)
 
@@ -473,13 +486,55 @@ class Operator:
     """Square complex matrix with tolerance-based structural predicates.
 
     The entries are frozen, so the diagonal (``None`` unless diagonal) and
-    the Hermiticity verdict are computed on first use and kept."""
+    the Hermiticity verdict are computed on first use and kept.  A stroke
+    built by :meth:`_from_planes` also keeps its planes as ``_planes``,
+    ``(i, j, block)``; every other operator has ``_planes = None``."""
 
     entries: np.ndarray
+
+    _planes = None
 
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.entries)
         object.__setattr__(self, "entries", _freeze(m))
+
+    @classmethod
+    def _wrap(cls, m: np.ndarray) -> Operator:
+        """An operator on ``m``, a finite complex square array the package
+        built from validated parts and no one else holds: frozen in place,
+        with no copy and no finite scan."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "entries", _freeze(m))
+        return op
+
+    @classmethod
+    def _from_planes(cls, dim: int, i: object, j: object, block: object) -> Operator:
+        """The identity on ``dim`` states with the 2x2 ``block`` acting on
+        each plane ``span{|i_k>, |j_k>}``, in that basis order.
+
+        A stroke that conserves an additive Hamiltonian is a direct sum of
+        such rotations inside its degenerate total-energy sectors.  The
+        planes must be disjoint and in range, so that ``U^dag U - 1``,
+        ``[U, L]`` and the difference of two strokes on the same planes are
+        direct sums of 2x2 blocks; other input raises ``ValueError``."""
+        i, j = np.asarray(i), np.asarray(j)
+        b = np.array(block, dtype=complex)
+        if b.shape != (2, 2) or not np.isfinite(b).all():
+            raise ValueError(f"plane block must be a finite 2x2 matrix, got {block!r}")
+        if i.shape != j.shape or i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
+            raise ValueError("plane indices must be two integer arrays of one length")
+        i, j = i.astype(np.intp).ravel(), j.astype(np.intp).ravel()
+        s = np.sort(np.concatenate((i, j)))
+        if s.size and (s[0] < 0 or s[-1] >= dim or (s[1:] == s[:-1]).any()):
+            raise ValueError(f"planes must be disjoint and within 0..{dim - 1}")
+        u = np.eye(dim, dtype=complex)
+        u[i, i] = b[0, 0]
+        u[i, j] = b[0, 1]
+        u[j, i] = b[1, 0]
+        u[j, j] = b[1, 1]
+        op = cls._wrap(u)
+        object.__setattr__(op, "_planes", (_freeze(i), _freeze(j), _freeze(b)))
+        return op
 
     @property
     def dim(self) -> int:
@@ -495,9 +550,14 @@ class Operator:
 
     @property
     def is_unitary(self) -> bool:
-        """``||U^dag U - 1|| <= EPS_ALG``, decided on the diagonal blocks of
-        U's nonzero pattern, whose largest norm is the dense one; a small
-        ``U`` or one whose pattern cannot split takes the dense product."""
+        """``||U^dag U - 1|| <= EPS_ALG``.  On a stroke built from planes
+        that norm is the block's ``||b^dag b - 1||`` (or 0 with no plane);
+        otherwise it is decided on the diagonal blocks of U's nonzero
+        pattern, whose largest norm is the dense one, and a small ``U`` or
+        one whose pattern cannot split takes the dense product."""
+        if self._planes is not None:
+            i, _, b = self._planes
+            return i.size == 0 or _is_unitary(b)
         return _is_unitary(self.entries)
 
     @property

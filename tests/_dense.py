@@ -11,7 +11,8 @@ replaced with a factored one, and ``entropy`` / ``free_energy`` price its
 outputs from a fresh ``eigvalsh``.  ``shift_stroke``, ``top_swap``,
 ``reservoir_swap`` and ``harvest_plane`` are the element-by-element loops
 that built the feedback strokes before they went through
-``szilard.feedback._plane_stroke``.  ``complete_unitary`` is the
+``szilard.feedback._plane_stroke``, and ``plane_stroke`` is that loop for
+any planes.  ``complete_unitary`` is the
 premeasurement completion through ``eigh`` that
 ``szilard.measurement.complete_unitary`` replaced on diagonal Hamiltonians,
 ``observable_fault`` judges a projector family on dense products, and
@@ -200,6 +201,15 @@ def reservoir_swap(dw: int, dim_r: int, theta: float, s_in: int) -> np.ndarray:
             j = ((n + 1) * 2 + (1 - s_in)) * dim_r + (k - 1)
             u[i, i] = u[j, j] = c
             u[i, j] = u[j, i] = -1j * s
+    return u
+
+
+def plane_stroke(dim: int, i, j, block) -> np.ndarray:
+    """The identity with the 2x2 ``block`` set on each plane
+    ``(i[k], j[k])`` in turn."""
+    u = np.eye(dim, dtype=complex)
+    for a, b in zip(i, j):
+        u[np.ix_([a, b], [a, b])] = block
     return u
 
 

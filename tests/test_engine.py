@@ -777,6 +777,21 @@ class TestScenarioLibrary:
         scenario_library("reservoir_circumvention", dim_R=4)
         assert calls == []
 
+    def test_window_build_allocates_less_than_one_stroke(self):
+        # the strokes are formed in place and certified from their planes:
+        # beyond what the engine keeps, the build allocates less than one
+        # 248 x 248 complex stroke
+        scenario_library("example_II", N=120)  # warm the model memo
+        tracemalloc.start()
+        try:
+            config = scenario_library("example_II", N=120)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stroke = config.feedback.unitary_for("+").entries.nbytes
+        assert stroke == 248**2 * 16
+        assert peak - held < stroke, (peak - held, stroke)
+
     def test_largest_window_builds_without_v(self):
         # at N = 1000 the joint dimension is 4016: a dense V is 246 MiB,
         # and composing and checking it peaked near 1,000 MiB

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from szilard import (
     SCAN_FAMILIES,
     SCENARIO_NAMES,
+    ConstructionError,
     DensityMatrix,
     FeedbackScheme,
     Observable,
@@ -30,8 +33,11 @@ from szilard import (
     random_energy_conserving_unitary,
     scenario_library,
 )
+import _dense
 from conftest import golden_document
 from szilard.cli import parse_scenario
+import szilard.feedback as feedback_mod
+import szilard.qop as qop_mod
 from szilard.feedback import _plane_stroke, _register_form
 from szilard.qop import _DENSE_UNITARY_DIM, EPS_ALG, _ptrace_nd
 
@@ -644,7 +650,224 @@ class TestPlaneStroke:
         for i, j in ((0, 5), (3, 1)):
             want[i, i], want[i, j] = block[0]
             want[j, i], want[j, j] = block[1]
-        assert np.array_equal(u, want)
+        assert np.array_equal(u.entries, want)
+
+
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+
+
+def _dense_scheme(scheme):
+    """``scheme`` with each stroke copied into an ``Operator`` that carries
+    no planes, so every certificate of it takes the dense route."""
+    return FeedbackScheme(tuple(
+        (l, Operator(u.entries)) for l, u in scheme.branch_unitaries
+    ))
+
+
+def _branch_law(config):
+    hs = (config.weight.hamiltonian, config.h_s)
+    return qop_mod._additive_hamiltonian(
+        *(hs if config.h_r is None else hs + (config.h_r,))
+    )
+
+
+def _energy_report(scheme, config):
+    return check_feedback_energy(
+        scheme, config.records, config.weight.hamiltonian, config.h_s,
+        config._h_d, config.h_r,
+    )
+
+
+def _assert_residual_bounds_dense(u, law):
+    """The plane residual is 0.0 exactly where the dense one is, agrees with
+    it to 1e-12, and is not below the dense spectral norm by more than the
+    rounding of the SVD that computes that norm."""
+    got = qop_mod._conservation_residual(u, law)
+    dense = qop_mod._diagonal_commutator_norm(u.entries, law)
+    if dense == 0.0:
+        assert got == 0.0
+        return
+    spectral = float(np.linalg.norm(u.entries * (law[None, :] - law[:, None]), 2))
+    assert got >= spectral - 4 * np.spacing(spectral), (got, spectral)
+    assert got == pytest.approx(dense, rel=1e-12)
+
+
+def _assert_same_report(got, want):
+    """Equal verdicts and groups; residuals equal up to the rounding of a
+    near-zero Frobenius norm summed in another order."""
+    assert got.passed is want.passed
+    assert got.pointer_group_commutators == want.pointer_group_commutators
+    assert [l for l, _ in got.branch_commutators] == [
+        l for l, _ in want.branch_commutators
+    ]
+    for (_, c), (_, d) in zip(got.branch_commutators, want.branch_commutators):
+        assert c == pytest.approx(d, rel=1e-12)
+
+
+def _shipped_configs():
+    yield from _shipped_engines()
+    for name in ("explicit", "explicit_swap", "explicit_rotated_pointer"):
+        for run in parse_scenario(golden_document(name)):
+            yield name, run.config
+
+
+class TestPlaneCertificates:
+    """Strokes built from planes are certified on their 2x2 blocks; the
+    dense route, on a plain copy of the same entries, is the oracle."""
+
+    def test_every_shipped_stroke_agrees_with_the_dense_route(self):
+        for label, config in _shipped_configs():
+            law = _branch_law(config)
+            assert law.ndim == 1, label
+            for _, u in config.feedback.branch_unitaries:
+                if label != "null_engine":  # its stroke is a dense identity
+                    assert u._planes is not None, label
+                assert u.is_unitary == qop_mod._is_unitary(u.entries), label
+                _assert_residual_bounds_dense(u, law)
+            got = _energy_report(config.feedback, config)
+            want = _energy_report(_dense_scheme(config.feedback), config)
+            _assert_same_report(got, want)
+            assert config.certification.feedback_energy == got, label
+
+    def test_random_planes_agree_with_the_dense_route(self):
+        # planes drawn across sectors or inside them, blocks unitary, near
+        # unitary or not, on a ladder times a qubit
+        rng = np.random.default_rng(2024)
+        law = (np.arange(9.0)[:, None] + np.array([0.5, -0.5])[None, :]).ravel()
+        for _ in range(300):
+            k = int(rng.integers(0, 10))
+            idx = rng.permutation(law.size)[: 2 * k]
+            block = random_unitary(rng, 2)
+            kind = rng.integers(3)
+            if kind == 1:
+                block = block + 1e-6 * rng.normal(size=(2, 2))
+            elif kind == 2:
+                block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            u = _plane_stroke(law.size, idx[:k], idx[k:], block)
+            want = _dense.plane_stroke(law.size, idx[:k], idx[k:], block)
+            assert np.array_equal(u.entries, want)
+            assert u.is_unitary == qop_mod._is_unitary(u.entries)
+            _assert_residual_bounds_dense(u, law)
+
+    def test_no_plane_is_the_identity(self):
+        none = np.arange(0)
+        u = _plane_stroke(4, none, none, [[2.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(u.entries, np.eye(4))
+        assert u.is_unitary and qop_mod._is_unitary(u.entries)
+        assert qop_mod._conservation_residual(u, np.arange(4.0)) == 0.0
+
+    def test_non_unitary_block_is_refused_by_the_scheme(self):
+        u = _plane_stroke(8, [1, 2], [6, 5], [[1.0, 0.0], [0.0, 0.5]])
+        assert not u.is_unitary and not qop_mod._is_unitary(u.entries)
+        with pytest.raises(ValueError, match="branch operator for '0' is not unitary"):
+            FeedbackScheme((("0", u),))
+
+    def test_plane_across_sectors_refuses_the_engine(self):
+        # |2m, e0> <-> |2m+1, e0> moves one rung of weight energy, which
+        # the qubit does not pay back
+        config = scenario_library("example_I")
+        m = np.arange(config.weight.dim // 2)
+        stroke = _plane_stroke(2 * config.weight.dim, 4 * m, 4 * m + 2, SWAP)
+        assert stroke._planes is not None  # the route under test
+        scheme = FeedbackScheme(tuple(
+            (l, stroke) for l in config.feedback.labels
+        ))
+        got = _energy_report(scheme, config)
+        _assert_same_report(got, _energy_report(_dense_scheme(scheme), config))
+        assert not got.passed
+        for _, c in got.branch_commutators:
+            assert c == config.weight.omega
+        with pytest.raises(
+            ConstructionError, match="^feedback violates energy conservation$"
+        ):
+            dataclasses.replace(config, feedback=scheme)
+
+    def test_strokes_on_other_planes_take_the_dense_grouping(self, monkeypatch):
+        shapes = []
+        real = feedback_mod._within_eps
+
+        def spy(d):
+            shapes.append(d.shape)
+            return real(d)
+
+        monkeypatch.setattr(feedback_mod, "_within_eps", spy)
+        near = np.array(SWAP) + 1e-13
+        strokes = (
+            ("a", _plane_stroke(6, [0], [5], SWAP)),
+            ("b", _plane_stroke(6, [5], [0], SWAP)),  # a's matrix, other planes
+            ("c", _plane_stroke(6, [0], [5], near)),  # a's planes
+            ("d", _plane_stroke(6, [1], [4], SWAP)),  # another stroke
+        )
+        scheme = FeedbackScheme(strokes)
+        records = basis_records(4, ["a", "b", "c", "d"])
+        args = (
+            records, np.diag([0.0, 1.0, 2.0]), np.diag([0.5, -0.5]), np.zeros((4, 4))
+        )
+        got = check_feedback_energy(scheme, *args)
+        assert shapes == [(6, 6), (2, 2), (6, 6)]
+        want = check_feedback_energy(_dense_scheme(scheme), *args)
+        groups = [g for g, _ in got.pointer_group_commutators]
+        assert groups == [g for g, _ in want.pointer_group_commutators]
+        assert groups == [("a", "b", "c"), ("d",)]
+
+    @pytest.mark.parametrize("dw", [2, 4])
+    def test_law_must_match_the_strokes(self, dw):
+        # a plane stroke reads the law only at its plane indices, so a law
+        # of the wrong length would otherwise pass unnoticed
+        scheme = FeedbackScheme((("a", _plane_stroke(6, [0], [5], SWAP)),))
+        with pytest.raises(ValueError, match="!= branch dimension 6"):
+            check_feedback_energy(
+                scheme, basis_records(1, ["a"]), np.diag(np.arange(dw, dtype=float)),
+                np.diag([0.5, -0.5]), np.zeros((1, 1)),
+            )
+
+    @pytest.mark.parametrize(
+        "i, j, block",
+        [
+            ([0, 1], [1, 2], SWAP),  # planes share index 1
+            ([0], [0], SWAP),  # a plane on one index
+            ([0], [4], SWAP),  # beyond the dimension
+            ([-1], [2], SWAP),  # negative
+            ([0, 1], [2], SWAP),  # unequal lengths
+            ([0.0], [2.0], SWAP),  # not integers
+            ([0], [2], [[1.0, 0.0, 0.0]]),  # not 2x2
+            ([0], [2], [[np.nan, 0.0], [0.0, 1.0]]),  # not finite
+        ],
+    )
+    def test_unsound_planes_are_refused(self, i, j, block):
+        with pytest.raises(ValueError):
+            _plane_stroke(4, i, j, block)
+
+
+class TestComposedV:
+    def test_rotated_register_is_built_in_place(self):
+        # V holds 1 MiB; the parts it is built from are held outside
+        rng = np.random.default_rng(5)
+        s = 1.0 / math.sqrt(2.0)
+        records = Observable((
+            ("a", 1.0, Operator(np.outer([s, s], [s, s]))),
+            ("b", -1.0, Operator(np.outer([s, -s], [s, -s]))),
+        ))
+        assert _register_form(records) is None
+        scheme = FeedbackScheme(tuple(
+            (l, Operator(random_unitary(rng, 128))) for l in ("a", "b")
+        ))
+        tracemalloc.start()
+        try:
+            v = compose_feedback_unitary(scheme, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * v.entries.nbytes, (peak, v.entries.nbytes)
+        assert not v.entries.flags.writeable
+        # the additions of one U_x P_x[a, b] at a time, in the same order
+        want = np.zeros((256, 256), dtype=complex)
+        t = want.reshape(128, 2, 128, 2)
+        for label, u in scheme.branch_unitaries:
+            p = records.projector_for(label).entries
+            for a, b in zip(*np.nonzero(p)):
+                t[:, a, :, b] += u.entries * p[a, b]
+        assert np.array_equal(v.entries, want)
 
 
 class TestRandomConservingUnitary:
