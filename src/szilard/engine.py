@@ -439,7 +439,9 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     ``rho = X X^dag`` through the feedback map, and the averaged weight
     state is built from the branches' stacked factors, so entropies come
     from singular values and no state of the joint dimension is formed.
-    The results are ordinary :class:`DensityMatrix` objects.
+    Each stroke acts through ``Operator._apply``, so a stroke built from
+    planes moves only its plane rows and its n x n entries are never
+    formed.  The results are ordinary :class:`DensityMatrix` objects.
 
     Every marginal is cross-checked against the joint evolution of the
     weight-system-demon(-reservoir) state, carried as a low-rank factor
@@ -588,8 +590,11 @@ def _joint_consistency(
 
     The joint state has rank at most a few columns, so ``X`` goes through
     the controlled feedback, each ``U_x`` acting on its record's slice
-    ``(1 (x) P_x) X``, and the gap is taken on the small QR core of the
-    two pinched factors; no n x n array exists.  Populations the
+    ``(1 (x) P_x) X`` through ``Operator._apply`` (plane by plane on a
+    stroke built from planes), and the gap is taken on the small QR core of
+    the two pinched factors; no n x n array exists.  A register of 0/1
+    diagonal projectors pinches by multiplying with the diagonals, and any
+    other register by contracting with the projectors.  Populations the
     factorization drops are added back in trace norm, once to the
     deviation and twice to the gap; pinching, unitary conjugation and the
     partial trace do not increase the trace norm, so both stay upper
@@ -633,15 +638,18 @@ def _joint_consistency(
     n = x.shape[0]
     nb = n // dd
     records = config.records.outcomes
-    units = [config.feedback.unitary_for(l).entries for l, _, _ in records]
-    projs = [p.entries for _, _, p in records]
+    units = [config.feedback.unitary_for(l) for l, _, _ in records]
+    diags = config.records._zero_one_diagonals
 
     def pinch(y: np.ndarray) -> list[np.ndarray]:
         # (1 (x) P_x) y for each x, rows (branch, demon)
-        return [np.einsum("ab,ibk->iak", p, y.reshape(nb, dd, -1)) for p in projs]
+        y = y.reshape(nb, dd, -1)
+        if diags is not None:
+            return [y * d[:, None] for d in diags]
+        return [np.einsum("ab,ibk->iak", p.entries, y) for _, _, p in records]
 
     # V = sum_x U_x (x) P_x: each U_x acts on its own record's slice only
-    moved = [u @ s.reshape(nb, -1) for u, s in zip(units, pinch(x))]
+    moved = [u._apply(s.reshape(nb, -1)) for u, s in zip(units, pinch(x))]
     first = np.hstack([m.reshape(n, -1) for m in moved])
     last = np.hstack([s.reshape(n, -1) for s in pinch(sum(moved))])
     gap = _outer_difference_norm(first, last) + 2.0 * dropped

@@ -157,10 +157,8 @@ def _register_form(records: Observable) -> FormReport | None:
     (each ``rank P_x`` times), so it is controlled by construction, and the
     scheme judged each ``U_x`` on ``||U^dag U - 1||``, which equals the
     ``||U U^dag - 1||`` the dense check judges.  No V is formed."""
-    for _, _, p in records.outcomes:
-        d = p._diagonal
-        if d is None or not np.all((d == 0) | (d == 1)):
-            return None
+    if records._zero_one_diagonals is None:
+        return None
     return FormReport(passed=True, block_residual=0.0, probe_residual=0.0)
 
 
@@ -250,17 +248,41 @@ def _within_eps(d: np.ndarray) -> bool:
     return operator_norm(d) <= EPS_ALG
 
 
+def _plane_columns(u: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every column ``c`` of a stroke built from planes, which holds at most
+    two nonzeros: its diagonal entry, the other row of ``c``'s plane (``c``
+    itself off every plane) and the entry there (0 off every plane)."""
+    i, j, b = u._planes
+    diag = np.ones(u.dim, dtype=complex)
+    diag[i], diag[j] = b[0, 0], b[1, 1]
+    row = np.arange(u.dim)
+    row[i], row[j] = j, i
+    off = np.zeros(u.dim, dtype=complex)
+    off[i], off[j] = b[1, 0], b[0, 1]
+    return diag, row, off
+
+
 def _same_stroke(u: Operator, g: Operator) -> bool:
     """``operator_norm(u - g) <= EPS_ALG``.  Two strokes on the same planes
     differ by the direct sum of their blocks' difference, so that 2x2
-    difference decides it (with no plane they are both the identity);
-    other strokes take the dense difference."""
+    difference decides it (with no plane they are both the identity).
+
+    Two strokes on other planes are told apart in O(n) where they can be:
+    each column of ``u - g`` is the difference of the aligned entries of
+    two columns with at most two nonzeros each, and the largest column
+    norm bounds the operator norm from below.  Strokes it does not tell
+    apart, and dense strokes, take the dense difference."""
     pu, pg = u._planes, g._planes
-    # plane indices are 1-d intp arrays, equal exactly when their bytes are
-    if pu is not None and pg is not None and all(
-        a.tobytes() == b.tobytes() for a, b in zip(pu[:2], pg[:2])
-    ):
-        return pu[0].size == 0 or _within_eps(pu[2] - pg[2])
+    if pu is not None and pg is not None:
+        # plane indices are 1-d intp arrays, equal exactly when their bytes are
+        if all(a.tobytes() == b.tobytes() for a, b in zip(pu[:2], pg[:2])):
+            return pu[0].size == 0 or _within_eps(pu[2] - pg[2])
+        du, ru, ou = _plane_columns(u)
+        dg, rg, og = _plane_columns(g)
+        same = ru == rg  # the off entries share a row, or both are 0
+        cols = np.stack((du - dg, np.where(same, ou - og, ou), np.where(same, 0, -og)))
+        if float(np.linalg.norm(cols, axis=0).max()) > EPS_ALG:
+            return False
     return _within_eps(u.entries - g.entries)
 
 
@@ -347,19 +369,21 @@ def conditional_feedback_map(
     keeps every positive population, and ``U (X_W (x) X_S [(x) X_R])`` is
     only as wide as the product of their ranks.  Each marginal is ``A A^dag``
     with ``A`` the evolved factor reshaped with that factor's axis first, and
-    the returned states carry ``A``.
+    the returned states carry ``A``.  ``U`` acts through
+    ``Operator._apply``: a stroke built from planes moves only the rows of
+    its planes, and no n x n array is formed.
     """
-    u = scheme.unitary_for(outcome).entries
+    u = scheme.unitary_for(outcome)
     states = [rho_weight, rho_system]
     if rho_reservoir is not None:
         states.append(rho_reservoir)
     dims = [r.dim for r in states]
-    if u.shape[0] != math.prod(dims):
+    if u.dim != math.prod(dims):
         raise ValueError(
-            f"branch unitary dimension {u.shape[0]} != joint {math.prod(dims)}"
+            f"branch unitary dimension {u.dim} != joint {math.prod(dims)}"
         )
     x = functools.reduce(_kron, (_factor(r, floor=0.0)[0] for r in states))
-    t = (u @ x).reshape(*dims, -1)
+    t = u._apply(x).reshape(*dims, -1)
     out = [
         DensityMatrix._from_factor(np.moveaxis(t, ax, 0).reshape(d, -1))
         for ax, d in enumerate(dims)
@@ -426,7 +450,14 @@ class OscillatorWeight:
 
     @functools.cached_property
     def hamiltonian(self) -> Operator:
-        return Operator(np.diag(self.omega * np.arange(self.dim, dtype=float)))
+        # built complex in place, with no float copy: only the diagonal
+        # needs the finite scan
+        d = self.omega * np.arange(self.dim, dtype=float)
+        if not np.isfinite(d).all():
+            raise ValueError("entries contains non-finite values")
+        h = np.zeros((self.dim, self.dim), dtype=complex)
+        np.fill_diagonal(h, d)
+        return Operator._wrap(h)
 
     @property
     def initial_state(self) -> PureState:

@@ -16,6 +16,7 @@ conservation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,6 +139,18 @@ class Observable:
     @property
     def is_nondegenerate(self) -> bool:
         return all(p.rank_estimate() == 1 for _, _, p in self.outcomes)
+
+    @functools.cached_property
+    def _zero_one_diagonals(self) -> tuple[np.ndarray, ...] | None:
+        """The real diagonal of each projector, in outcome order, when every
+        one is a diagonal of exact 0s and 1s, else ``None``."""
+        out = []
+        for _, _, p in self.outcomes:
+            d = p._diagonal
+            if d is None or not np.all((d == 0) | (d == 1)):
+                return None
+            out.append(d.real)  # a read-only view, as the diagonal is
+        return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -487,8 +487,10 @@ class Operator:
 
     The entries are frozen, so the diagonal (``None`` unless diagonal) and
     the Hermiticity verdict are computed on first use and kept.  A stroke
-    built by :meth:`_from_planes` also keeps its planes as ``_planes``,
-    ``(i, j, block)``; every other operator has ``_planes = None``."""
+    built by :meth:`_from_planes` is held as its planes, ``_planes = (i, j,
+    block)``: it forms its n x n ``entries`` only when they are read, and
+    :meth:`_apply` acts on the planes alone.  Every other operator has
+    ``_planes = None``."""
 
     entries: np.ndarray
 
@@ -516,7 +518,10 @@ class Operator:
         such rotations inside its degenerate total-energy sectors.  The
         planes must be disjoint and in range, so that ``U^dag U - 1``,
         ``[U, L]`` and the difference of two strokes on the same planes are
-        direct sums of 2x2 blocks; other input raises ``ValueError``."""
+        direct sums of 2x2 blocks; other input raises ``ValueError``.  The
+        stroke keeps the planes, its dimension and the ``(m, 2)`` array of
+        plane indices that :meth:`_apply` gathers by; no n x n array is
+        formed until ``entries`` is read."""
         i, j = np.asarray(i), np.asarray(j)
         b = np.array(block, dtype=complex)
         if b.shape != (2, 2) or not np.isfinite(b).all():
@@ -527,18 +532,19 @@ class Operator:
         s = np.sort(np.concatenate((i, j)))
         if s.size and (s[0] < 0 or s[-1] >= dim or (s[1:] == s[:-1]).any()):
             raise ValueError(f"planes must be disjoint and within 0..{dim - 1}")
-        u = np.eye(dim, dtype=complex)
-        u[i, i] = b[0, 0]
-        u[i, j] = b[0, 1]
-        u[j, i] = b[1, 0]
-        u[j, j] = b[1, 1]
-        op = cls._wrap(u)
+        op = object.__new__(_PlaneStroke)
+        object.__setattr__(op, "_dim", int(dim))
         object.__setattr__(op, "_planes", (_freeze(i), _freeze(j), _freeze(b)))
+        object.__setattr__(op, "_ij", _freeze(np.stack((i, j), axis=1)))
         return op
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """``entries @ x``."""
+        return self.entries @ x
 
     @functools.cached_property
     def _diagonal(self) -> np.ndarray | None:
@@ -550,14 +556,9 @@ class Operator:
 
     @property
     def is_unitary(self) -> bool:
-        """``||U^dag U - 1|| <= EPS_ALG``.  On a stroke built from planes
-        that norm is the block's ``||b^dag b - 1||`` (or 0 with no plane);
-        otherwise it is decided on the diagonal blocks of U's nonzero
-        pattern, whose largest norm is the dense one, and a small ``U`` or
-        one whose pattern cannot split takes the dense product."""
-        if self._planes is not None:
-            i, _, b = self._planes
-            return i.size == 0 or _is_unitary(b)
+        """``||U^dag U - 1|| <= EPS_ALG``, decided on the diagonal blocks of
+        U's nonzero pattern, whose largest norm is the dense one; a small
+        ``U`` or one whose pattern cannot split takes the dense product."""
         return _is_unitary(self.entries)
 
     @property
@@ -573,6 +574,44 @@ class Operator:
     def rank_estimate(self) -> int:
         """Rank of a projector, via its trace."""
         return int(round(float(np.trace(self.entries).real)))
+
+
+class _PlaneStroke(Operator):
+    """An operator built by :meth:`Operator._from_planes`, held as its
+    planes: the identity with ``_planes[2]`` on each plane ``(i_k, j_k)``."""
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, formed on first read and kept frozen."""
+        i, j, b = self._planes
+        u = np.eye(self._dim, dtype=complex)
+        u[i, i] = b[0, 0]
+        u[i, j] = b[0, 1]
+        u[j, i] = b[1, 0]
+        u[j, j] = b[1, 1]
+        return _freeze(u)
+
+    @property
+    def is_unitary(self) -> bool:
+        """``||U^dag U - 1|| <= EPS_ALG``: the block's ``||b^dag b - 1||``,
+        or 0 with no plane."""
+        i, _, b = self._planes
+        return i.size == 0 or _is_unitary(b)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """``entries @ x`` on a copy of ``x``: rows off every plane are kept,
+        and the rows of each plane are gathered, multiplied by the block in
+        one stacked product and scattered back."""
+        y = np.array(x, dtype=complex, order="C")
+        if y.shape[0] != self._dim:
+            raise ValueError(f"operand has {y.shape[0]} rows, stroke dim {self._dim}")
+        t = y.reshape(self._dim, -1)
+        t[self._ij] = self._planes[2] @ t[self._ij]
+        return y
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -590,6 +590,22 @@ class TestOscillatorWeight:
             w.hamiltonian.entries - np.diag(0.3 * np.arange(6))
         ) < 1e-12
 
+    def test_hamiltonian_is_built_in_place(self):
+        # the ladder at N = 1000 (1004 levels) is one 15.4 MiB complex array;
+        # a float diagonal matrix and its complex copy left a 9.61 MiB
+        # transient, writing the diagonal in place leaves less than 1 MiB
+        w = build_oscillator_weight(0.3, 1000)
+        tracemalloc.start()
+        try:
+            h = w.hamiltonian.entries
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < w.dim**2 * 16 / 16, peak - held
+        want = np.array(np.diag(0.3 * np.arange(w.dim, dtype=float)), dtype=complex)
+        assert np.array_equal(h.view(float), want.view(float))
+        assert not h.flags.writeable
+
     def test_facts_are_built_once(self):
         # the engine reads the Hamiltonian and the initial state on every
         # build and cycle; the weight builds each on first use and keeps it
@@ -651,6 +667,60 @@ class TestPlaneStroke:
             want[i, i], want[i, j] = block[0]
             want[j, i], want[j, j] = block[1]
         assert np.array_equal(u.entries, want)
+
+    def test_entries_are_formed_on_first_read_and_kept(self):
+        u = _plane_stroke(6, [0, 3], [5, 1], SWAP)
+        assert u.dim == 6 and "entries" not in vars(u)
+        e = u.entries
+        assert u.entries is e and not e.flags.writeable
+
+
+def _random_block(rng, kind):
+    block = random_unitary(rng, 2)
+    if kind == "near_unitary":
+        return block + 1e-6 * rng.normal(size=(2, 2))
+    if kind == "arbitrary":
+        return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return block
+
+
+class TestPlaneApplication:
+    """``Operator._apply`` on a stroke built from planes against the dense
+    product with the element-wise loop's matrix (``tests/_dense.py``)."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    @pytest.mark.parametrize(
+        "kind", ["unitary", "near_unitary", "arbitrary", "no_plane"]
+    )
+    def test_agrees_with_the_dense_product(self, kind, width, real):
+        rng = np.random.default_rng([width, len(kind), real])
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            dim = int(rng.integers(2, 60))
+            k = 0 if kind == "no_plane" else int(rng.integers(1, dim // 2 + 1))
+            idx = rng.permutation(dim)[: 2 * k]
+            block = _random_block(rng, kind)
+            u = _plane_stroke(dim, idx[:k], idx[k:], block)
+            x = rng.normal(size=(dim, width))
+            if not real:
+                x = x + 1j * rng.normal(size=(dim, width))
+            before = x.copy()
+            got = u._apply(x)
+            dense = _dense.plane_stroke(dim, idx[:k], idx[k:], block)
+            want = dense @ x
+            assert np.array_equal(x, before) and not np.shares_memory(got, x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            # each entry sums at most two products: a few ulps of their size
+            assert np.all(np.abs(got - want) <= 8 * eps * (np.abs(dense) @ np.abs(x)))
+            off = np.setdiff1d(np.arange(dim), idx)
+            assert np.array_equal(got[off], x[off])
+            assert "entries" not in vars(u)
+
+    def test_wrong_operand_is_refused(self):
+        u = _plane_stroke(4, [0], [3], SWAP)
+        with pytest.raises(ValueError, match="stroke dim 4"):
+            u._apply(np.ones((8, 1)))
 
 
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
@@ -804,11 +874,59 @@ class TestPlaneCertificates:
             records, np.diag([0.0, 1.0, 2.0]), np.diag([0.5, -0.5]), np.zeros((4, 4))
         )
         got = check_feedback_energy(scheme, *args)
-        assert shapes == [(6, 6), (2, 2), (6, 6)]
+        # b is a's matrix, so only the dense difference settles it; c takes
+        # the 2x2 difference, and d is told apart by its column bound
+        assert shapes == [(6, 6), (2, 2)]
         want = check_feedback_energy(_dense_scheme(scheme), *args)
         groups = [g for g, _ in got.pointer_group_commutators]
         assert groups == [g for g, _ in want.pointer_group_commutators]
         assert groups == [("a", "b", "c"), ("d",)]
+
+    def test_grouping_agrees_with_the_dense_difference(self):
+        # pairs on other planes: a's matrix with each plane listed the other
+        # way round and the planes reordered, then moved by a difference
+        # that straddles EPS_ALG in one entry or in the whole block (whose
+        # columns stay within EPS_ALG while its norm does not); unrelated
+        # planes and blocks; strokes near the identity; and a block
+        # diag(1, p), which acts on the j side alone, so that other i
+        # partners give the same matrix
+        rng = np.random.default_rng(1805)
+        deltas = [0.0, 0.5e-10, 2e-10, -2e-10]
+        seen = set()
+        for trial in range(750):
+            dim = int(rng.integers(2, 24))
+            k = int(rng.integers(0, dim // 2 + 1))
+            idx = rng.permutation(dim)[: 2 * k]
+            i, j = idx[:k], idx[k:]
+            case = trial % 5
+            block = _random_block(rng, "unitary")
+            if case == 0:
+                d = np.zeros((2, 2), dtype=complex)
+                d[tuple(rng.integers(2, size=2))] = deltas[trial // 5 % 4]
+                other = (j[::-1], i[::-1], block[::-1, ::-1] + d)
+            elif case == 1:
+                d = np.full((2, 2), 0.6e-10 * (trial // 5 % 2))
+                other = (j[::-1], i[::-1], block[::-1, ::-1] + d)
+            elif case == 2:
+                o = rng.permutation(dim)[: 2 * k]
+                other = (o[:k], o[k:], _random_block(rng, "unitary"))
+            elif case == 3:
+                block = np.eye(2) + 1e-11 * rng.normal(size=(2, 2))
+                o = rng.permutation(dim)[: 2 * k]
+                other = (o[:k], o[k:], block)
+            else:
+                block = np.diag([1.0, np.exp(1j * rng.uniform(0.1, 6.0))])
+                free = rng.permutation(np.setdiff1d(np.arange(dim), j))
+                other = (free[:k], j, block)
+            u = _plane_stroke(dim, i, j, block)
+            g = _plane_stroke(dim, *other)
+            want = feedback_mod._within_eps(
+                _dense.plane_stroke(dim, i, j, block) - _dense.plane_stroke(dim, *other)
+            )
+            assert feedback_mod._same_stroke(u, g) is want, (trial, dim, k)
+            seen.add((case, want))
+        assert seen >= {(0, True), (0, False), (1, True), (1, False), (2, False),
+                        (3, True), (4, True)}, seen
 
     @pytest.mark.parametrize("dw", [2, 4])
     def test_law_must_match_the_strokes(self, dw):
