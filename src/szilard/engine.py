@@ -566,9 +566,14 @@ def _dropped_mass(parts: Sequence[tuple[float, float]]) -> float:
 def _outer_difference_norm(f: np.ndarray, g: np.ndarray) -> float:
     """``operator_norm(F F^dag - G G^dag)`` without forming either product.
 
-    The reduced QR ``[F G] = Q [R1 R2]`` has an isometry ``Q``, so the
-    difference equals ``Q (R1 R1^dag - R2 R2^dag) Q^dag`` and shares its
-    norm with a core as wide as ``F`` and ``G`` together."""
+    Equal factors give the zero matrix, so the norm is exactly 0; this is
+    the joint check's case whenever the record register is classical (0/1
+    diagonal projectors), where pinching commutes with the feedback.
+    Otherwise the reduced QR ``[F G] = Q [R1 R2]`` has an isometry ``Q``,
+    so the difference equals ``Q (R1 R1^dag - R2 R2^dag) Q^dag`` and shares
+    its norm with a core as wide as ``F`` and ``G`` together."""
+    if np.array_equal(f, g):
+        return 0.0
     r = np.linalg.qr(np.hstack([f, g]), mode="r")
     r1, r2 = r[:, : f.shape[1]], r[:, f.shape[1] :]
     return operator_norm(r1 @ dagger(r1) - r2 @ dagger(r2))
@@ -592,13 +597,13 @@ def _joint_consistency(
     the controlled feedback, each ``U_x`` acting on its record's slice
     ``(1 (x) P_x) X`` through ``Operator._apply`` (plane by plane on a
     stroke built from planes), and the gap is taken on the small QR core of
-    the two pinched factors; no n x n array exists.  A register of 0/1
-    diagonal projectors pinches by multiplying with the diagonals, and any
-    other register by contracting with the projectors.  Populations the
-    factorization drops are added back in trace norm, once to the
-    deviation and twice to the gap; pinching, unitary conjugation and the
-    partial trace do not increase the trace norm, so both stay upper
-    bounds of their dense values.
+    the two pinched factors, or is exactly 0 where they are equal; no n x n
+    array exists.  A register of 0/1 diagonal projectors pinches by
+    multiplying with the diagonals, and any other register by contracting
+    with the projectors.  Populations the factorization drops are added
+    back in trace norm, once to the deviation and twice to the gap;
+    pinching, unitary conjugation and the partial trace do not increase the
+    trace norm, so both stay upper bounds of their dense values.
     """
     dw = rho_w.dim
     ds = config.rho_s.dim
@@ -1129,10 +1134,12 @@ _NAMED_KINDS = {
 }
 
 
+@functools.cache
 def _param_table(fn: Callable[..., EngineConfig]) -> dict:
     """A scenario builder's parameters as a reader block: name -> (kind,
-    default).  An annotation without a kind raises ``KeyError``, so no
-    scenario parameter goes unchecked."""
+    default), built once per builder and shared: ``_read`` only reads it.
+    An annotation without a kind raises ``KeyError``, so no scenario
+    parameter goes unchecked."""
     return {
         key: (_NAMED_KINDS.get(key) or _PARAM_KINDS[p.annotation], p.default)
         for key, p in inspect.signature(fn).parameters.items()

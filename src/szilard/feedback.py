@@ -267,11 +267,13 @@ def _same_stroke(u: Operator, g: Operator) -> bool:
     differ by the direct sum of their blocks' difference, so that 2x2
     difference decides it (with no plane they are both the identity).
 
-    Two strokes on other planes are told apart in O(n) where they can be:
+    Two strokes on other planes are settled in O(n) where they can be:
     each column of ``u - g`` is the difference of the aligned entries of
-    two columns with at most two nonzeros each, and the largest column
-    norm bounds the operator norm from below.  Strokes it does not tell
-    apart, and dense strokes, take the dense difference."""
+    two columns with at most two nonzeros each, so these columns give the
+    largest column norm, which bounds the operator norm from below, and the
+    Frobenius norm, which bounds it from above (as in :func:`_within_eps`).
+    Strokes with EPS_ALG between the two, and dense strokes, take the dense
+    difference."""
     pu, pg = u._planes, g._planes
     if pu is not None and pg is not None:
         # plane indices are 1-d intp arrays, equal exactly when their bytes are
@@ -283,6 +285,8 @@ def _same_stroke(u: Operator, g: Operator) -> bool:
         cols = np.stack((du - dg, np.where(same, ou - og, ou), np.where(same, 0, -og)))
         if float(np.linalg.norm(cols, axis=0).max()) > EPS_ALG:
             return False
+        if float(np.linalg.norm(cols)) <= EPS_ALG:
+            return True
     return _within_eps(u.entries - g.entries)
 
 
@@ -369,9 +373,10 @@ def conditional_feedback_map(
     keeps every positive population, and ``U (X_W (x) X_S [(x) X_R])`` is
     only as wide as the product of their ranks.  Each marginal is ``A A^dag``
     with ``A`` the evolved factor reshaped with that factor's axis first, and
-    the returned states carry ``A``.  ``U`` acts through
-    ``Operator._apply``: a stroke built from planes moves only the rows of
-    its planes, and no n x n array is formed.
+    the returned states carry ``A``, or a thin factor of ``A A^dag`` where
+    ``A`` is wider than its dimension (``DensityMatrix._from_factor``).
+    ``U`` acts through ``Operator._apply``: a stroke built from planes moves
+    only the rows of its planes, and no n x n array is formed.
     """
     u = scheme.unitary_for(outcome)
     states = [rho_weight, rho_system]

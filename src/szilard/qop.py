@@ -624,7 +624,8 @@ class DensityMatrix:
     keeps its spectrum and entropy, and its ``eigh`` once one is needed, so
     nothing diagonalises the same state twice.  A state built from a factor
     ``X`` with ``rho = X X^dag`` also carries ``X``, and takes its spectrum
-    from the singular values of ``X``.
+    from the singular values of ``X``; one wider than ``rho`` carries a thin
+    factor from ``rho``'s ``eigh`` instead.
     """
 
     entries: np.ndarray
@@ -652,16 +653,28 @@ class DensityMatrix:
         """``X X^dag``, with its spectrum taken from ``X``: the nonzero
         eigenvalues of ``X X^dag`` are the squared singular values of ``X``,
         so no eigendecomposition of the (possibly large) product is needed.
-        Checked as a derived state is, plus the Hermiticity residual."""
+        Checked as a derived state is, plus the Hermiticity residual.
+
+        A factor wider than its dimension is not carried: the spectrum comes
+        from one ``eigh`` of the product, and ``V sqrt(lambda)`` over its
+        positive eigenvalues is carried instead, so factors fed from cycle to
+        cycle stay no wider than their state.  The trace norm of the
+        eigenpairs left out is carried with it (see :func:`_factor`)."""
         x = np.asarray(x, dtype=complex)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError(f"factor must be a 2-d array, shape {x.shape}")
         m = x @ dagger(x)
-        sv = np.linalg.svd(x, compute_uv=False)
-        ev = np.zeros(m.shape[0])
-        ev[m.shape[0] - sv.size :] = np.sort(sv * sv)
+        d = m.shape[0]
+        if x.shape[1] > d:
+            ev, vec = np.linalg.eigh(m)
+            factor = _eigen_factor(ev, vec, 0.0)
+        else:
+            sv = np.linalg.svd(x, compute_uv=False)
+            ev = np.zeros(d)
+            ev[d - sv.size :] = np.sort(sv * sv)
+            factor = (x, (float(ev.sum()), 0.0))
         _validate(m, ev)
-        return _keep(object.__new__(cls), m, ev, x)
+        return _keep(object.__new__(cls), m, ev, factor)
 
     @functools.cached_property
     def _entropy(self) -> float:
@@ -677,11 +690,18 @@ class DensityMatrix:
 
 
 def _keep(
-    rho: DensityMatrix, m: np.ndarray, ev: np.ndarray, x: np.ndarray | None
+    rho: DensityMatrix,
+    m: np.ndarray,
+    ev: np.ndarray,
+    factor: tuple[np.ndarray, tuple[float, float]] | None,
 ) -> DensityMatrix:
+    """Hold ``m``, its spectrum and, for a state built from a factor, that
+    factor with the trace norms it keeps and drops."""
     object.__setattr__(rho, "entries", _freeze(m))
     object.__setattr__(rho, "_spectrum", _freeze(ev))
-    object.__setattr__(rho, "_carried_factor", None if x is None else _freeze(x))
+    if factor is not None:
+        factor = (_freeze(factor[0]), factor[1])
+    object.__setattr__(rho, "_carried_factor", factor)
     return rho
 
 
@@ -704,12 +724,21 @@ def _factor(
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """``X`` with ``rho = X X^dag`` and the trace norms it keeps and drops.
 
-    A carried factor is returned as it is and drops nothing.  Otherwise
-    ``X`` comes from ``eigh`` and drops the populations at or below
-    ``floor``; ``floor=0`` keeps every positive population."""
+    A carried factor is returned as it is, with the norms it was carried
+    with: it drops nothing, or, when it replaced a wider factor, the
+    eigenvalues at or below 0.  Otherwise ``X`` comes from ``eigh`` and
+    drops the populations at or below ``floor``; ``floor=0`` keeps every
+    positive population."""
     if rho._carried_factor is not None:
-        return rho._carried_factor, (float(rho._spectrum.sum()), 0.0)
-    ev, vec = rho._eigh
+        return rho._carried_factor
+    return _eigen_factor(*rho._eigh, floor)
+
+
+def _eigen_factor(
+    ev: np.ndarray, vec: np.ndarray, floor: float
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """``V sqrt(lambda)`` over the eigenvalues above ``floor``, and the trace
+    norms of the eigenpairs it keeps and drops."""
     keep = ev > floor
     norms = (float(ev[keep].sum()), float(np.abs(ev[~keep]).sum()))
     return vec[:, keep] * np.sqrt(ev[keep]), norms

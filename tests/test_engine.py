@@ -36,11 +36,13 @@ from szilard import (
     build_shift_unitary,
     build_swap_erasure,
     build_transition_model,
+    check_feedback_energy,
     compose_feedback_unitary,
     erase_demon,
     evaluate_features,
     impossibility_scan,
     objectification_order_gap,
+    operator_norm,
     projector_onto,
     run_cycle,
     scenario_library,
@@ -51,7 +53,7 @@ from szilard import (
 
 import szilard.engine as engine_mod
 import szilard.thermo as thermo_mod
-from szilard.qop import _check_joint_dim, _read
+from szilard.qop import _check_joint_dim, _factor, _read
 import _dense
 from _oracles import harvest_works, superposed_post_work
 from conftest import assert_refused_before_allocating, golden_document
@@ -507,6 +509,50 @@ class TestOuterDifferenceNorm:
         assert engine_mod._outer_difference_norm(f, g) < 1e-13
         assert engine_mod._outer_difference_norm(f, f) < 1e-13
 
+    @staticmethod
+    def _qr_route(f, g):
+        r = np.linalg.qr(np.hstack([f, g]), mode="r")
+        r1, r2 = r[:, : f.shape[1]], r[:, f.shape[1] :]
+        return operator_norm(r1 @ r1.conj().T - r2 @ r2.conj().T)
+
+    @pytest.mark.parametrize("rows, cols", [(544, 32), (40, 3), (3, 4), (1, 1)])
+    def test_identical_factors_give_exactly_zero(self, rows, cols):
+        # F F^dag - F F^dag is the zero matrix; the QR route reads only
+        # rounding there
+        rng = np.random.default_rng(rows * cols)
+        f = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        f /= np.linalg.norm(f)
+        assert engine_mod._outer_difference_norm(f, f.copy()) == 0.0
+        assert self._qr_route(f, f) < 1e-14
+
+    @pytest.mark.parametrize("delta", [1e-15, 1e-12, 1e-6])
+    def test_perturbed_factors_take_the_qr_route(self, delta):
+        rng = np.random.default_rng(23)
+        f = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        f /= np.linalg.norm(f)
+        g = f.copy()
+        g[7, 2] += delta
+        got = engine_mod._outer_difference_norm(f, g)
+        assert got > 0.0
+        assert got == self._qr_route(f, g)
+        dense = operator_norm(f @ f.conj().T - g @ g.conj().T)
+        assert got == pytest.approx(dense, rel=1e-9, abs=1e-15)
+
+    def test_gap_is_exactly_zero_on_classical_registers(self):
+        # pinching a 0/1 record commutes with feedback it controls, so both
+        # pinched factors are the same array; a rotated register is not
+        configs = [scenario_library(name) for name in SCENARIO_NAMES]
+        rng = np.random.default_rng(23)
+        for thermal in (False, True):
+            configs += [family(rng, thermal) for family in SCAN_FAMILIES.values()]
+        for config in configs:
+            assert config.records._zero_one_diagonals is not None, config.label
+            assert run_cycle(config).objectification_order_gap == 0.0, config.label
+        rotated = _pm_record_engine()
+        assert rotated.records._zero_one_diagonals is None
+        gap = run_cycle(rotated).objectification_order_gap
+        assert 0.0 < gap < 1e-12
+
 
 class TestFactoredBranchMap:
     """Every branch of the factored cycle against the dense branch map in
@@ -875,6 +921,7 @@ class TestScenarioLibrary:
                 defaults[param.name] = param.default
             table = engine_mod._param_table(fn)
             assert _read(defaults, table, "", "parameter") == defaults, name
+            assert engine_mod._param_table(fn) is table  # built once
 
     def test_unknown_annotation_is_an_error(self):
         def builder(erasure: str | ExplicitReservoir = "swap"):  # noqa: F821
@@ -1092,6 +1139,46 @@ class TestStrokesStayPlanes:
             for u in strokes:
                 want = _dense.plane_stroke(u.dim, *u._planes)
                 assert np.array_equal(u.entries.view(float), want.view(float))
+
+    def test_identity_strokes_on_other_planes_form_no_stroke(self):
+        # at theta = 0 both reservoir strokes are the identity, held on
+        # different planes: the Frobenius norm of their aligned columns
+        # groups them, as the dense difference does, with no n x n stroke
+        config = scenario_library("reservoir_circumvention", theta=0.0)
+        strokes = config.feedback.branch_unitaries
+        assert not any("entries" in vars(u) for _, u in strokes)
+        got = config.certification.feedback_energy.pointer_group_commutators
+        dense = FeedbackScheme(tuple((x, Operator(u.entries)) for x, u in strokes))
+        assert all(u._planes is None for _, u in dense.branch_unitaries)
+        want = check_feedback_energy(
+            dense, config.records, config.weight.hamiltonian, config.h_s,
+            config.demon_hamiltonian, config.h_r,
+        ).pointer_group_commutators
+        assert got == want
+        assert len(got) == 1 and len(got[0][0]) == 2
+
+
+class TestWeightTrajectory:
+    """Each cycle's ``rho_w_after`` fed back as the next cycle's weight:
+    the factor it carries stays no wider than the weight, and every
+    cycle's works match a cycle fed the same state without a factor."""
+
+    def test_carried_factor_stays_thin(self):
+        config = scenario_library("example_II", N=40)
+        h_w = config.weight.hamiltonian
+        for cycle in range(8):
+            result = run_cycle(config)
+            fresh = dataclasses.replace(config, weight=GenericWeight(
+                h_w, DensityMatrix(config.weight.initial.entries)
+            ))
+            want = [b.work for b in run_cycle(fresh).branches]
+            assert [b.work for b in result.branches] == pytest.approx(
+                want, abs=1e-10
+            ), cycle
+            rho = result.rho_w_after
+            width = _factor(rho)[0].shape[1]
+            assert width <= rho.dim == h_w.dim, (cycle, width)
+            config = dataclasses.replace(config, weight=GenericWeight(h_w, rho))
 
 
 class TestHarvestFamily:

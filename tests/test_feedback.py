@@ -862,25 +862,32 @@ class TestPlaneCertificates:
 
         monkeypatch.setattr(feedback_mod, "_within_eps", spy)
         near = np.array(SWAP) + 1e-13
+        # a phase 0.6e-10 off 1 on each of six columns: the largest column
+        # norm is within EPS_ALG and the Frobenius norm (1.5e-10) is not
+        phased = np.eye(2) * np.exp(0.6e-10j)
         strokes = (
             ("a", _plane_stroke(6, [0], [5], SWAP)),
             ("b", _plane_stroke(6, [5], [0], SWAP)),  # a's matrix, other planes
             ("c", _plane_stroke(6, [0], [5], near)),  # a's planes
             ("d", _plane_stroke(6, [1], [4], SWAP)),  # another stroke
+            ("e", _plane_stroke(6, [0, 1, 2], [3, 4, 5], phased)),
+            ("f", _plane_stroke(6, [3, 4, 5], [0, 1, 2], np.eye(2))),  # 1
         )
         scheme = FeedbackScheme(strokes)
-        records = basis_records(4, ["a", "b", "c", "d"])
+        labels = ["a", "b", "c", "d", "e", "f"]
+        records = basis_records(6, labels)
         args = (
-            records, np.diag([0.0, 1.0, 2.0]), np.diag([0.5, -0.5]), np.zeros((4, 4))
+            records, np.diag([0.0, 1.0, 2.0]), np.diag([0.5, -0.5]), np.zeros((6, 6))
         )
         got = check_feedback_energy(scheme, *args)
-        # b is a's matrix, so only the dense difference settles it; c takes
-        # the 2x2 difference, and d is told apart by its column bound
-        assert shapes == [(6, 6), (2, 2)]
+        # b is a's matrix, settled by the Frobenius norm of the aligned
+        # columns; c takes the 2x2 difference; d and e are told apart by
+        # their column bound; only f against e needs the dense difference
+        assert shapes == [(2, 2), (6, 6)]
         want = check_feedback_energy(_dense_scheme(scheme), *args)
         groups = [g for g, _ in got.pointer_group_commutators]
         assert groups == [g for g, _ in want.pointer_group_commutators]
-        assert groups == [("a", "b", "c"), ("d",)]
+        assert groups == [("a", "b", "c"), ("d",), ("e", "f")]
 
     def test_grouping_agrees_with_the_dense_difference(self):
         # pairs on other planes: a's matrix with each plane listed the other

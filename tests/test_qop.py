@@ -429,12 +429,15 @@ class TestKeptSpectrum:
         assert rho.entries.flags.writeable is False
         assert np.abs(rho._spectrum - np.linalg.eigvalsh(rho.entries)).max() < 1e-12
 
-    def test_factor_constructor_checks_the_trace(self):
-        x = self._unit_factor(np.random.default_rng(3), 5, 2)
+    # a thin factor takes the SVD route, a wide one the eigh route
+    @pytest.mark.parametrize("cols", [2, 9])
+    def test_factor_constructor_checks_the_trace(self, cols):
+        x = self._unit_factor(np.random.default_rng(3), 5, cols)
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix._from_factor(x * math.sqrt(1.0 + 1e-6))
 
-    def test_factor_constructor_checks_hermiticity(self, monkeypatch):
+    @pytest.mark.parametrize("cols", [1, 7])
+    def test_factor_constructor_checks_hermiticity(self, monkeypatch, cols):
         # X X^dag is Hermitian in exact arithmetic; a product that comes out
         # otherwise (here: an adjoint off by 1e-6 in one entry) is refused
         def skewed(a):
@@ -444,13 +447,59 @@ class TestKeptSpectrum:
             return out
 
         monkeypatch.setattr(qop_mod, "dagger", skewed)
-        x = self._unit_factor(np.random.default_rng(4), 5, 1)
+        x = self._unit_factor(np.random.default_rng(4), 5, cols)
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityMatrix._from_factor(x)
 
-    def test_factor_constructor_rejects_non_finite_input(self):
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_factor_constructor_rejects_non_finite_input(self, cols):
+        x = np.zeros((2, cols))
+        x[:, 0] = [np.nan, 1.0]
         with pytest.raises(ValueError):
-            DensityMatrix._from_factor(np.array([[np.nan], [1.0]]))
+            DensityMatrix._from_factor(x)
+
+
+class TestWideFactors:
+    """A factor wider than its dimension is carried as a thin one, taken
+    from one ``eigh`` of the product: the entries stay ``X X^dag`` bit for
+    bit, the spectrum matches ``X``'s squared singular values, and the
+    eigenpairs left out are reported as dropped trace norm."""
+
+    @staticmethod
+    def _trace_norm(a: np.ndarray) -> float:
+        return float(np.abs(np.linalg.eigvalsh(a)).sum())
+
+    @pytest.mark.parametrize(
+        "rows, cols, rank", [(1, 2, 1), (5, 6, 5), (6, 40, 6), (12, 300, 12),
+                             (8, 64, 3), (44, 256, 19)],
+    )
+    def test_matches_the_svd_route(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * cols + rank)
+        x = TestKeptSpectrum._unit_factor(rng, rows, rank) @ (
+            rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+        )
+        x /= np.linalg.norm(x)
+        rho = DensityMatrix._from_factor(x)
+        assert np.array_equal(rho.entries, x @ dagger(x))
+        assert rho.entries.flags.writeable is False
+        sv = np.linalg.svd(x, compute_uv=False)
+        assert np.abs(rho._spectrum - np.sort(sv * sv)).max() < 1e-13
+        thin, (kept, dropped) = qop_mod._factor(rho)
+        assert thin.shape[0] == rows and thin.shape[1] <= rows
+        assert thin.flags.writeable is False
+        assert kept == pytest.approx(1.0, abs=1e-13)
+        assert dropped == float(np.abs(rho._spectrum[rho._spectrum <= 0.0]).sum())
+        # the thin factor's product misses rho by what it drops, up to rounding
+        miss = self._trace_norm(thin @ dagger(thin) - rho.entries)
+        assert miss <= dropped + 1e-13
+
+    def test_thin_and_square_factors_are_carried_as_given(self):
+        rng = np.random.default_rng(8)
+        for cols in (1, 4):
+            x = TestKeptSpectrum._unit_factor(rng, 4, cols)
+            rho = DensityMatrix._from_factor(x)
+            carried, norms = qop_mod._factor(rho)
+            assert np.array_equal(carried, x) and norms[1] == 0.0
 
 
 class TestDerivedStates:
