@@ -71,6 +71,7 @@ from .qop import (
     _additive_hamiltonian,
     _check_hermitian,
     _check_joint_dim,
+    _coerce,
     _conservation_residual,
     _energy_sectors,
     _factor,
@@ -136,13 +137,13 @@ class GenericWeight:
     initial: DensityMatrix
 
     def __post_init__(self) -> None:
-        h = self.hamiltonian if isinstance(self.hamiltonian, Operator) else Operator(
-            self.hamiltonian
-        )
+        h = _coerce(Operator, self.hamiltonian)
+        initial = _coerce(DensityMatrix, self.initial)
         object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "initial", initial)
         if not h.is_hermitian:
             raise ValueError("weight Hamiltonian must be Hermitian")
-        if h.dim != self.initial.dim:
+        if h.dim != initial.dim:
             raise ValueError("weight Hamiltonian and state dimensions differ")
 
     @functools.cached_property
@@ -1093,11 +1094,12 @@ def _null_engine(
     instr = Instrument((("0", (Operator(np.eye(2)),)),))
     weight = build_oscillator_weight(omega, 4)
     rho_s = thermal_state(h_s.entries, ctx.beta)
+    identity = _plane_stroke(weight.dim * 2, np.arange(0), np.arange(0), np.eye(2))
     return EngineConfig(
         rho_s=rho_s,
         h_s=h_s,
         measurement=instr,
-        feedback=FeedbackScheme((("0", Operator(np.eye(weight.dim * 2))),)),
+        feedback=FeedbackScheme((("0", identity),)),
         weight=weight,
         thermo=ctx,
         tol_s=tol_s,

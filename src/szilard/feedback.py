@@ -27,6 +27,7 @@ from .qop import (
     Operator,
     PureState,
     _additive_hamiltonian,
+    _coerce,
     _conservation_residual,
     _energy_sectors,
     _entries_of,
@@ -73,8 +74,7 @@ class FeedbackScheme:
 
     def __post_init__(self) -> None:
         bu = tuple(
-            (l, u if isinstance(u, Operator) else Operator(u))
-            for l, u in self.branch_unitaries
+            (l, _coerce(Operator, u)) for l, u in self.branch_unitaries
         )
         if not bu:
             raise ValueError("scheme needs branch unitaries")
@@ -123,19 +123,27 @@ def compose_feedback_unitary(
     branch unitary and the register the orthogonal completeness of its
     projectors, which force the sum to be unitary.  Each nonzero entry
     ``P_x[a, b]`` adds ``U_x P_x[a, b]`` into the ``(branch, demon, branch,
-    demon)`` view of V, so no ``U_x (x) P_x`` is formed, and it adds a
-    sixteenth of the rows at a time, so each scratch product is at most
-    ``1/16`` of one ``U_x``.  V is frozen as it is built, not copied."""
+    demon)`` view of V, so no ``U_x (x) P_x`` is formed.  A stroke held as
+    planes adds the two entries of each of its columns, so its n x n entries
+    are never formed; a dense ``U_x`` adds a sixteenth of its rows at a
+    time, so each scratch product is at most ``1/16`` of it.  V is frozen as
+    it is built, not copied."""
     _check_labels(scheme, records)
     bd, dd = scheme.branch_dim, records.dim
     v = np.zeros((bd * dd, bd * dd), dtype=complex)
     t = v.reshape(bd, dd, bd, dd)
-    step = -(-bd // 16)
+    k, step = np.arange(bd), -(-bd // 16)
     for label, u in scheme.branch_unitaries:
         p = records.projector_for(label).entries
+        cols = None if u._planes is None else _plane_columns(u)
         for a, b in zip(*np.nonzero(p)):
-            for r in range(0, bd, step):
-                t[r : r + step, a, :, b] += u.entries[r : r + step] * p[a, b]
+            if cols is not None:
+                diag, row, off = cols
+                t[k, a, k, b] += diag * p[a, b]
+                t[row, a, k, b] += off * p[a, b]
+            else:
+                for r in range(0, bd, step):
+                    t[r : r + step, a, :, b] += u.entries[r : r + step] * p[a, b]
     return Operator._wrap(v)
 
 
@@ -177,22 +185,17 @@ def check_feedback_form(
     close with unitary blocks; the probe is reported as an independent
     diagnostic.
 
-    Each ``B_x`` is judged unitary as ``Operator.is_unitary`` judges a
-    matrix: block by block on the connected components of its nonzero
-    pattern, which gives the dense ``||B_x B_x^dag - 1||`` verdict exactly,
-    or by that dense product when ``B_x`` is small or its pattern cannot
-    split.  A non-finite entry fails the check: the verdict is
-    ``False`` or the exact norm raises ``LinAlgError``.
+    Each ``B_x`` is judged unitary as ``Operator.is_unitary`` judges a dense
+    matrix, by the one product ``||B_x B_x^dag - 1|| <= EPS_ALG``.  A
+    non-finite entry fails the check: the verdict is ``False`` or the exact
+    norm raises ``LinAlgError``.
 
     All contractions ride on the demon being the (small) final factor.  The
     reconstruction is finished and dropped before the probes start, and each
     probe subtracts in place, so at most three n x n arrays are held at once.
     """
     m = _entries_of(v)
-    dps = [
-        (l, p if isinstance(p, Operator) else Operator(p))
-        for l, p in demon_projectors
-    ]
+    dps = [(l, _coerce(Operator, p)) for l, p in demon_projectors]
     dd = dps[0][1].dim
     if m.shape[0] != branch_dim * dd:
         raise ValueError(
@@ -441,8 +444,8 @@ class OscillatorWeight:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if self.levels < 1:
             raise ValueError("need at least one window level")
         # one rung of headroom on each side of the window, so a single raise

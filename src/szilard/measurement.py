@@ -36,6 +36,7 @@ from .qop import (
     PureState,
     _additive_hamiltonian,
     _check_hermitian,
+    _coerce,
     _conservation_residual,
     _diagonal_of,
     _energy_sectors,
@@ -78,7 +79,7 @@ class Observable:
 
     def __post_init__(self) -> None:
         outs = tuple(
-            (label, float(val), p if isinstance(p, Operator) else Operator(p))
+            (label, float(val), _coerce(Operator, p))
             for (label, val, p) in self.outcomes
         )
         if not outs:
@@ -243,7 +244,7 @@ class Instrument:
 
     def __post_init__(self) -> None:
         groups = tuple(
-            (label, tuple(k if isinstance(k, Operator) else Operator(k) for k in ops))
+            (label, tuple(_coerce(Operator, k) for k in ops))
             for label, ops in self.kraus
         )
         if not groups:

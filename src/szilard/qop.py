@@ -181,82 +181,9 @@ def operator_norm(a: object) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-# Below this dimension one dense U^dag U costs less than finding the blocks
-# of U's nonzero pattern.  Over three runs on one CPU the two broke even at
-# n = 96-110 for a ladder stroke (2x2 planes and fixed points) and at
-# n = 112-128 for a permuted direct sum of blocks of sizes 1 to 6.
-_DENSE_UNITARY_DIM = 112
-
-
 def _is_unitary(m: np.ndarray) -> bool:
-    """``operator_norm(m^dag m - 1) <= EPS_ALG`` for a square matrix.
-
-    Indices ``i`` and ``j`` are joined when ``m[i, j]`` is nonzero, and the
-    connected components split ``m`` into diagonal blocks up to one
-    permutation: every entry outside them is exactly zero.  Then
-    ``m^dag m - 1`` is block diagonal on the same blocks, and its operator
-    norm is the largest block's, so deciding each block decides the dense
-    predicate exactly.  Blocks of one size are stacked and decided together:
-    a block whose Frobenius norm is within the tolerance passes, and the
-    others take the exact norm.  Small matrices, and patterns that cannot
-    split, take the dense product."""
-    n = m.shape[0]
-    if n >= _DENSE_UNITARY_DIM and (at := _sparse_pattern(m)) is not None:
-        labels = _components(at // n, at % n, n)
-        if labels.any():  # one component would be labelled 0 throughout
-            return _blocks_unitary(m, labels)
-    return operator_norm(dagger(m) @ m - np.eye(n)) <= EPS_ALG
-
-
-def _sparse_pattern(m: np.ndarray) -> np.ndarray | None:
-    """The flat indices of the nonzero entries of ``m`` or of ``m^T``, which
-    join the same indices, once per nonzero real or imaginary part; ``None``
-    when more than ``n^2 / 2`` parts are nonzero, a pattern too full to
-    split.  A transpose is read through its float view with no copy."""
-    p = m.T if m.flags.f_contiguous else np.ascontiguousarray(m)
-    nonzero = p.view(float) != 0
-    if 2 * np.count_nonzero(nonzero) > m.size:
-        return None
-    return np.flatnonzero(nonzero) >> 1
-
-
-def _blocks_unitary(m: np.ndarray, labels: np.ndarray) -> bool:
-    """``_is_unitary`` on the diagonal blocks that ``labels`` marks out."""
-    order = np.argsort(labels, kind="stable")
-    _, starts, sizes = np.unique(labels[order], return_index=True,
-                                 return_counts=True)
-    for s in np.unique(sizes):
-        idx = order[starts[sizes == s][:, None] + np.arange(s)]
-        b = m[idx[:, :, None], idx[:, None, :]]
-        d = np.conj(np.swapaxes(b, 1, 2)) @ b
-        d[:, np.arange(s), np.arange(s)] -= 1.0
-        big = ~(np.linalg.norm(d, axis=(1, 2)) <= EPS_ALG)
-        if big.any() and not np.all(
-            np.linalg.norm(d[big], 2, axis=(1, 2)) <= EPS_ALG
-        ):
-            return False
-    return True
-
-
-def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """The smallest index of each index's connected component, in the graph
-    on ``0 .. n-1`` with an edge ``rows[k] - cols[k]`` for every ``k``.
-
-    Each round hooks every root to the smallest root it shares an edge with
-    and then jumps pointers until every index points at its root.  A round
-    that leaves an edge between two trees hooks one of them, so the trees
-    only merge, and the loop ends when none does.  A ladder stroke takes two
-    rounds, a path through 4,000 indices in random order nine."""
-    f = np.arange(n)
-    while True:
-        fr, fc = f[rows], f[cols]
-        g = f.copy()
-        np.minimum.at(g, np.maximum(fr, fc), np.minimum(fr, fc))
-        while not np.array_equal(h := g[g], g):
-            g = h
-        if np.array_equal(g, f):
-            return f
-        f = g
+    """``operator_norm(m^dag m - 1) <= EPS_ALG`` for a square matrix."""
+    return operator_norm(dagger(m) @ m - np.eye(m.shape[0])) <= EPS_ALG
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
@@ -362,6 +289,12 @@ def _entries_of(x: object) -> np.ndarray:
     """Accept wrapper types or bare arrays where a matrix is expected."""
     e = getattr(x, "entries", x)
     return np.asarray(e, dtype=complex)
+
+
+def _coerce(cls: type, x: object) -> object:
+    """``x`` when it is already a ``cls``, else ``cls(x)``: the one way a
+    public dataclass accepts a bare array where a wrapper is declared."""
+    return x if isinstance(x, cls) else cls(x)
 
 
 class FieldError(ValueError):
@@ -556,9 +489,8 @@ class Operator:
 
     @property
     def is_unitary(self) -> bool:
-        """``||U^dag U - 1|| <= EPS_ALG``, decided on the diagonal blocks of
-        U's nonzero pattern, whose largest norm is the dense one; a small
-        ``U`` or one whose pattern cannot split takes the dense product."""
+        """``||U^dag U - 1|| <= EPS_ALG`` by one dense product; a stroke
+        built from its planes decides on its 2x2 block instead."""
         return _is_unitary(self.entries)
 
     @property
@@ -948,8 +880,8 @@ def thermal_state(h: object, beta: float) -> DensityMatrix:
     """Gibbs state ``exp(-beta H) / Z``; ``beta = 0`` is maximally mixed."""
     m = _entries_of(h)
     _check_hermitian(m, "thermal_state requires a Hermitian Hamiltonian")
-    if not (beta >= 0.0):
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     ev, vec = np.linalg.eigh(m)
     w = np.exp(-beta * (ev - ev.min()))
     w /= w.sum()

@@ -32,6 +32,7 @@ from .qop import (
     Operator,
     PureState,
     _check_hermitian,
+    _coerce,
     _diagonal_of,
     _entries_of,
     _kron,
@@ -186,6 +187,8 @@ class ExplicitReservoir:
     u_r: Operator
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "h_r", _coerce(Operator, self.h_r))
+        object.__setattr__(self, "u_r", _coerce(Operator, self.u_r))
         if not self.u_r.is_unitary:
             raise ValueError("reset operator is not unitary")
         if self.u_r.dim % self.h_r.dim != 0:
@@ -317,7 +320,7 @@ def build_swap_erasure(
     core = _kron(swap, np.eye(SWAP_SPECTATOR_LEVELS))
     rot = _kron(b, np.eye(dd * SWAP_SPECTATOR_LEVELS))
     u_r = rot @ core @ dagger(rot)
-    return ExplicitReservoir(h_r=Operator(h_r), u_r=Operator(u_r))
+    return ExplicitReservoir(h_r, u_r)
 
 
 # ---------------------------------------------------------------------------

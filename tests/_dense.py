@@ -16,9 +16,8 @@ any planes.  ``complete_unitary`` is the
 premeasurement completion through ``eigh`` that
 ``szilard.measurement.complete_unitary`` replaced on diagonal Hamiltonians,
 ``observable_fault`` judges a projector family on dense products, and
-``is_unitary`` is the one dense product ``U^dag U`` that
-``szilard.qop._is_unitary`` splits into sector blocks.  The arithmetic is
-numpy only, with no package helpers, so each is an independent route for
+``is_unitary`` forms the full product ``U^dag U``, the verdict a plane
+stroke reaches on its 2x2 block.  The arithmetic is numpy only, with no package helpers, so each is an independent route for
 differential tests.
 """
 

@@ -1070,6 +1070,14 @@ class TestWeightsOwnTheirFacts:
             1 if config.h_r is None else config.h_r.dim
         )
 
+    def test_generic_weight_accepts_arrays(self):
+        w = GenericWeight(np.diag([0.0, 1.0]), np.eye(2) / 2)
+        assert isinstance(w.hamiltonian, Operator)
+        assert isinstance(w.initial, DensityMatrix)
+        assert w.scale == 1.0
+        with pytest.raises(ValueError, match="dimensions differ"):
+            GenericWeight(np.eye(3), np.eye(2) / 2)
+
     def test_every_weight_kind_is_covered(self):
         kinds = {type(c.weight) for c in _library_and_family_configs()}
         assert kinds == {OscillatorWeight, GenericWeight}
@@ -1117,9 +1125,9 @@ class TestPlaneStrokes:
 
 
 class TestStrokesStayPlanes:
-    """No shipped path forms the n x n entries of a stroke built from
-    planes: the build certifies the planes, and the cycle and the features
-    apply them.  Asked for, the entries are the element-wise loop's
+    """Every shipped stroke is built from planes, and no shipped path forms
+    its n x n entries: the build certifies the planes, and the cycle and the
+    features apply them.  Asked for, the entries are the element-wise loop's
     matrix."""
 
     def test_build_cycle_and_features_form_no_stroke(self):
@@ -1127,12 +1135,12 @@ class TestStrokesStayPlanes:
         rng = np.random.default_rng(22)
         for thermal in (False, True):
             configs += [family(rng, thermal) for family in SCAN_FAMILIES.values()]
+        for name in ("explicit", "explicit_swap", "explicit_rotated_pointer"):
+            configs += [run.config for run in parse_scenario(golden_document(name))]
         for config in configs:
             evaluate_features(run_cycle(config), config)
             strokes = [u for _, u in config.feedback.branch_unitaries]
-            if config.label == "null_engine":  # its stroke is a dense identity
-                assert strokes[0]._planes is None
-                continue
+            assert all(u._planes is not None for u in strokes), config.label
             # entropy_harvest shares one stroke between its outcomes, so
             # every stroke is checked before any entries are read
             assert not any("entries" in vars(u) for u in strokes), config.label

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from szilard.cli import parse_scenario
 import szilard.feedback as feedback_mod
 import szilard.qop as qop_mod
 from szilard.feedback import _plane_stroke, _register_form
-from szilard.qop import _DENSE_UNITARY_DIM, EPS_ALG, _ptrace_nd
+from szilard.qop import EPS_ALG, _ptrace_nd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -101,10 +102,12 @@ class TestScheme:
         assert operator_norm(v.entries - want) < 1e-12
         assert v.is_unitary
 
+    @pytest.mark.parametrize("planes", [False, True])
     @pytest.mark.parametrize("rotated", [False, True])
-    def test_composed_is_the_kron_sum_bit_for_bit(self, rotated):
+    def test_composed_is_the_kron_sum_bit_for_bit(self, rotated, planes):
         # adding U_x P_x[a, b] for each nonzero P_x[a, b] makes the same
-        # products and sums as adding U_x (x) P_x, in the same order
+        # products and sums as adding U_x (x) P_x, in the same order; a
+        # stroke held as planes is added from its planes
         rng = np.random.default_rng(23)
         if rotated:
             s = 1.0 / math.sqrt(2.0)
@@ -118,12 +121,17 @@ class TestScheme:
                 ("a", 1.0, Operator(p0)), ("b", -1.0, Operator(np.eye(3) - p0)),
             ))
         scheme = FeedbackScheme(tuple(
-            (l, Operator(random_unitary(rng, 5))) for l in ("a", "b")
+            (l, _plane_stroke(5, [0, 3], [2, 1], random_unitary(rng, 2)) if planes
+             else Operator(random_unitary(rng, 5)))
+            for l in ("a", "b")
         ))
+        got = compose_feedback_unitary(scheme, records).entries
+        if planes:
+            assert not any("entries" in vars(u) for _, u in scheme.branch_unitaries)
         want = np.zeros((5 * records.dim,) * 2, dtype=complex)
         for l, u in scheme.branch_unitaries:
             want += np.kron(u.entries, records.projector_for(l).entries)
-        assert np.array_equal(compose_feedback_unitary(scheme, records).entries, want)
+        assert np.array_equal(got, want)
 
     def test_composed_takes_its_controls_from_the_register(self):
         # a register rotated off the demon basis: each U_x is controlled by
@@ -210,13 +218,11 @@ class TestFormCheck:
         assert rep.block_residual <= EPS_ALG
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-    @pytest.mark.parametrize(
-        "branch_dim", [_DENSE_UNITARY_DIM - 8, _DENSE_UNITARY_DIM + 8]
-    )
+    @pytest.mark.parametrize("branch_dim", [104, 120])
     @pytest.mark.parametrize("where", ["in a block", "off the blocks", "off control"])
     def test_non_finite_bare_array_fails(self, bad, branch_dim, where):
         # a bare array skips Operator's finite check; the form check either
-        # reports failure or raises from the exact norm, on either route
+        # reports failure or raises from the exact norm
         rng = np.random.default_rng(branch_dim)
         us = [np.eye(branch_dim, dtype=complex) for _ in range(2)]
         for u in us:  # 2x2 rotations on disjoint planes, as a stroke has
@@ -584,6 +590,15 @@ class TestOscillatorWeight:
         with pytest.raises(ValueError):
             build_oscillator_weight(1.0, 5, dim=7)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_omega_must_be_finite_and_positive(self, omega):
+        # refused at construction, naming the field, before any ladder is
+        # built: an infinite omega once warned from the multiply first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega must be finite and positive"):
+                build_oscillator_weight(omega, 3)
+
     def test_hamiltonian_is_ladder(self):
         w = build_oscillator_weight(0.3, 2, dim=6)
         assert operator_norm(
@@ -790,8 +805,7 @@ class TestPlaneCertificates:
             law = _branch_law(config)
             assert law.ndim == 1, label
             for _, u in config.feedback.branch_unitaries:
-                if label != "null_engine":  # its stroke is a dense identity
-                    assert u._planes is not None, label
+                assert u._planes is not None, label
                 assert u.is_unitary == qop_mod._is_unitary(u.entries), label
                 _assert_residual_bounds_dense(u, law)
             got = _energy_report(config.feedback, config)

@@ -244,6 +244,21 @@ class TestErasure:
         with pytest.raises(ErasureError):
             erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, lazy)
 
+    def test_arrays_are_accepted_as_operators(self):
+        ctx = ThermoContext(1.0)
+        blank = PureState(basis_state(2, 0))
+        template = build_swap_erasure(blank, ctx)
+        bare = ExplicitReservoir(
+            h_r=np.array(template.h_r.entries), u_r=np.array(template.u_r.entries)
+        )
+        assert isinstance(bare.h_r, Operator) and isinstance(bare.u_r, Operator)
+        rho_d = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        got = erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, bare)
+        want = erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, template)
+        assert (got.q, got.w_r) == (want.q, want.w_r)
+        with pytest.raises(ValueError, match="not unitary"):
+            ExplicitReservoir(h_r=np.eye(2), u_r=2.0 * np.eye(4))
+
     def test_pure_record_erases_for_free(self):
         ctx = ThermoContext(1.0)
         rho_d = DensityMatrix(np.diag([1.0, 0j]))
