@@ -395,38 +395,20 @@ def _format_float(x: Any) -> str:
 
 
 def _records_to_csv(records: Sequence[dict], plot_data: bool) -> str:
+    """One row per branch.  Plot data leaves out the probability and always
+    leads with the sweep value; the plain table leads with it only when a
+    record was swept."""
+    columns = ["outcome", "work", "weight_entropy_change"]
+    if not plot_data:
+        columns.insert(1, "probability")
+    sweeping = plot_data or any("sweep" in r for r in records)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    sweeping = any("sweep" in r for r in records)
-    if plot_data:
-        writer.writerow(["sweep_value", "outcome", "work", "weight_entropy_change"])
-        for r in records:
-            value = r.get("sweep", {}).get("value", "")
-            for b in r["branches"]:
-                writer.writerow(
-                    [
-                        _format_float(value),
-                        b["outcome"],
-                        _format_float(b["work"]),
-                        _format_float(b["weight_entropy_change"]),
-                    ]
-                )
-        return buf.getvalue()
-    header = ["outcome", "probability", "work", "weight_entropy_change"]
-    if sweeping:
-        header = ["sweep_value"] + header
-    writer.writerow(header)
+    writer.writerow((["sweep_value"] if sweeping else []) + columns)
     for r in records:
+        lead = [r.get("sweep", {}).get("value", "")] if sweeping else []
         for b in r["branches"]:
-            row = [
-                b["outcome"],
-                _format_float(b["probability"]),
-                _format_float(b["work"]),
-                _format_float(b["weight_entropy_change"]),
-            ]
-            if sweeping:
-                row = [_format_float(r.get("sweep", {}).get("value", ""))] + row
-            writer.writerow(row)
+            writer.writerow([_format_float(x) for x in lead + [b[k] for k in columns]])
     return buf.getvalue()
 
 
@@ -444,34 +426,27 @@ def _emit(text: str, path: str | None) -> None:
 # commands
 
 
-def _env_float(name: str) -> float | None:
+def _env(name: str, kind: type) -> float | int | None:
+    """The environment variable ``name`` read as ``kind`` (``float`` or
+    ``int``), or ``None`` when it is unset or empty."""
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ValueError(f"environment variable {name} is not a number: {raw!r}") from exc
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name} is not an integer: {raw!r}") from exc
+        noun = "a number" if kind is float else "an integer"
+        raise ValueError(f"environment variable {name} is not {noun}: {raw!r}") from exc
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
     with open(ns.file, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     overrides = {
-        "kb": ns.kb if ns.kb is not None else _env_float("SZILARD_KB"),
-        "tol_s": ns.tol_s if ns.tol_s is not None else _env_float("SZILARD_TOL_S"),
+        "kb": ns.kb if ns.kb is not None else _env("SZILARD_KB", float),
+        "tol_s": ns.tol_s if ns.tol_s is not None else _env("SZILARD_TOL_S", float),
     }
-    seed = ns.seed if ns.seed is not None else _env_int("SZILARD_SEED")
+    seed = ns.seed if ns.seed is not None else _env("SZILARD_SEED", int)
     runs = parse_scenario(doc, overrides)
     output = _read(doc.get("output") or {}, _OUTPUT, "output")
     records = run_records(runs)
@@ -488,7 +463,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
-    seed = ns.seed if ns.seed is not None else _env_int("SZILARD_SEED")
+    seed = ns.seed if ns.seed is not None else _env("SZILARD_SEED", int)
     if seed is None:
         seed = 0
     report = impossibility_scan(ns.count, seed, thermal_system=ns.thermal)

@@ -35,6 +35,9 @@ from .qop import (
     _fix_phase,
     _is_unitary,
     _kron,
+    _norm_bracket,
+    _read,
+    _within_eps,
     commutator_norm,
     dagger,
     operator_norm,
@@ -238,19 +241,6 @@ class FeedbackEnergyReport:
     pointer_group_commutators: tuple[tuple[tuple[object, ...], float], ...]
 
 
-def _within_eps(d: np.ndarray) -> bool:
-    """``operator_norm(d) <= EPS_ALG``, settled by bounds where they agree.
-
-    The largest column 2-norm bounds the spectral norm from below and the
-    Frobenius norm bounds it from above, so the exact norm (an SVD) is
-    needed only when EPS_ALG lies between the two."""
-    if float(np.linalg.norm(d, axis=0).max()) > EPS_ALG:
-        return False
-    if float(np.linalg.norm(d)) <= EPS_ALG:
-        return True
-    return operator_norm(d) <= EPS_ALG
-
-
 def _plane_columns(u: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every column ``c`` of a stroke built from planes, which holds at most
     two nonzeros: its diagonal entry, the other row of ``c``'s plane (``c``
@@ -272,11 +262,9 @@ def _same_stroke(u: Operator, g: Operator) -> bool:
 
     Two strokes on other planes are settled in O(n) where they can be:
     each column of ``u - g`` is the difference of the aligned entries of
-    two columns with at most two nonzeros each, so these columns give the
-    largest column norm, which bounds the operator norm from below, and the
-    Frobenius norm, which bounds it from above (as in :func:`_within_eps`).
-    Strokes with EPS_ALG between the two, and dense strokes, take the dense
-    difference."""
+    two columns with at most two nonzeros each, and ``qop._norm_bracket``
+    reads its bounds off these columns.  Strokes it leaves open, and dense
+    strokes, take :func:`_within_eps` on the dense difference."""
     pu, pg = u._planes, g._planes
     if pu is not None and pg is not None:
         # plane indices are 1-d intp arrays, equal exactly when their bytes are
@@ -286,10 +274,8 @@ def _same_stroke(u: Operator, g: Operator) -> bool:
         dg, rg, og = _plane_columns(g)
         same = ru == rg  # the off entries share a row, or both are 0
         cols = np.stack((du - dg, np.where(same, ou - og, ou), np.where(same, 0, -og)))
-        if float(np.linalg.norm(cols, axis=0).max()) > EPS_ALG:
-            return False
-        if float(np.linalg.norm(cols)) <= EPS_ALG:
-            return True
+        if (verdict := _norm_bracket(cols, EPS_ALG)) is not None:
+            return verdict
     return _within_eps(u.entries - g.entries)
 
 
@@ -446,6 +432,8 @@ class OscillatorWeight:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        for name in ("levels", "dim"):
+            object.__setattr__(self, name, _read(getattr(self, name), int, name))
         if self.levels < 1:
             raise ValueError("need at least one window level")
         # one rung of headroom on each side of the window, so a single raise
@@ -488,7 +476,7 @@ def build_oscillator_weight(
 ) -> OscillatorWeight:
     if dim is None:
         dim = levels + 4
-    return OscillatorWeight(omega=float(omega), levels=int(levels), dim=int(dim))
+    return OscillatorWeight(omega=float(omega), levels=levels, dim=dim)
 
 
 # a stroke built from planes keeps them, so its certificates read 2x2 blocks

@@ -41,6 +41,7 @@ from .qop import (
     _diagonal_of,
     _energy_sectors,
     _kron,
+    _within_eps,
     commutator_norm,
     dagger,
     operator_norm,
@@ -98,21 +99,19 @@ class Observable:
             # the products and the sum of diagonal projectors are diagonal,
             # and a diagonal matrix's operator norm is its largest |entry|
             d = np.array(diagonals)
-            overlaps = [np.abs(a * d[i + 1 :]).max(axis=1) for i, a in enumerate(d)]
-            gap = float(np.abs(d.sum(axis=0) - 1.0).max())
+            orth = [np.abs(a * d[i + 1 :]).max(1) <= EPS_ALG for i, a in enumerate(d)]
+            complete = float(np.abs(d.sum(axis=0) - 1.0).max()) <= EPS_ALG
         else:
             m = [p.entries for _, _, p in outs]
-            overlaps = [
-                [operator_norm(a @ b) for b in m[i + 1 :]] for i, a in enumerate(m)
-            ]
-            gap = operator_norm(sum(m) - np.eye(dim))
-        for i, row in enumerate(overlaps):
-            for j, overlap in enumerate(row, start=i + 1):
-                if overlap > EPS_ALG:
+            orth = [[_within_eps(a @ b) for b in m[i + 1 :]] for i, a in enumerate(m)]
+            complete = _within_eps(sum(m) - np.eye(dim))
+        for i, row in enumerate(orth):
+            for j, ok in enumerate(row, start=i + 1):
+                if not ok:
                     raise ValueError(
                         f"projectors {outs[i][0]!r} and {outs[j][0]!r} not orthogonal"
                     )
-        if gap > EPS_ALG:
+        if not complete:
             raise ValueError("projectors do not sum to the identity")
         for label, _, p in outs:
             if p.rank_estimate() == 0:
@@ -259,9 +258,11 @@ class Instrument:
                 if k.dim != dim:
                     raise ValueError("Kraus dimensions inconsistent")
                 total += dagger(k.entries) @ k.entries
-        dev = operator_norm(total - np.eye(dim))
-        if dev > EPS_ALG:
-            raise ValueError(f"Kraus completeness violated by {dev:.3e}")
+        total -= np.eye(dim)
+        if not _within_eps(total):
+            raise ValueError(
+                f"Kraus completeness violated by {operator_norm(total):.3e}"
+            )
         object.__setattr__(self, "kraus", groups)
 
     @property
@@ -434,7 +435,7 @@ def complete_unitary(
         )
         xs = cx[sector][:, keep]
         ys = cy[sector][:, keep]
-        if operator_norm(dagger(xs) @ xs - dagger(ys) @ ys) > EPS_GRAM:
+        if not _within_eps(dagger(xs) @ xs - dagger(ys) @ ys, EPS_GRAM):
             raise ConstructionError(
                 "transition table moves amplitude between energy sectors; "
                 "no energy-conserving completion exists"

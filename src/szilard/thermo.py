@@ -37,8 +37,8 @@ from .qop import (
     _entries_of,
     _kron,
     _ptrace_nd,
+    _within_eps,
     dagger,
-    operator_norm,
     projector_onto,
     thermal_state,
     von_neumann_entropy,
@@ -189,6 +189,7 @@ class ExplicitReservoir:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_r", _coerce(Operator, self.h_r))
         object.__setattr__(self, "u_r", _coerce(Operator, self.u_r))
+        _check_hermitian(self.h_r, "reservoir Hamiltonian h_r must be Hermitian")
         if not self.u_r.is_unitary:
             raise ValueError("reset operator is not unitary")
         if self.u_r.dim % self.h_r.dim != 0:
@@ -480,7 +481,7 @@ def reservoir_assisted_bound(
     inputs did not come from a conforming branch.
     """
     gibbs = thermal_state(h_r, ctx.beta)
-    if operator_norm(gibbs.entries - _entries_of(tau_r)) > EPS_THERMAL:
+    if not _within_eps(gibbs.entries - _entries_of(tau_r), EPS_THERMAL):
         raise ValueError(
             "reservoir input state is not thermal at the context temperature"
         )

@@ -310,6 +310,19 @@ class TestRunCommand:
         assert "SZILARD_KB" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name, value, noun",
+        [("SZILARD_KB", "warm", "a number"), ("SZILARD_TOL_S", "1e-9x", "a number"),
+         ("SZILARD_SEED", "1.5", "an integer")],
+    )
+    def test_bad_env_value_names_its_kind(self, tmp_path, capsys, monkeypatch,
+                                          name, value, noun):
+        path = _write(tmp_path, _library_doc())
+        monkeypatch.setenv(name, value)
+        assert main(["run", path]) == 1
+        want = f"environment variable {name} is not {noun}: {value!r}"
+        assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "doc", [_library_doc(), {"config": _explicit_block()}],
         ids=["library", "explicit"],
     )

@@ -19,6 +19,7 @@ from szilard import (
     FeedbackScheme,
     Observable,
     Operator,
+    OscillatorWeight,
     PureState,
     basis_state,
     build_oscillator_weight,
@@ -598,6 +599,31 @@ class TestOscillatorWeight:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="omega must be finite and positive"):
                 build_oscillator_weight(omega, 3)
+
+    @pytest.mark.parametrize(
+        "levels, dim, field",
+        [(2.7, 10, "levels"), (True, 10, "levels"), ("3", 10, "levels"),
+         (3, 7.5, "dim"), (3, False, "dim")],
+    )
+    def test_levels_and_dim_must_be_integers(self, levels, dim, field):
+        # refused at construction, naming the field: int() once truncated
+        # a 2.7-level window to 2, and a float count reached a slice later
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            OscillatorWeight(1.0, levels, dim)
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            build_oscillator_weight(1.0, levels, dim=dim)
+
+    def test_build_does_not_truncate(self):
+        with pytest.raises(ValueError, match="field 'levels'.*2.7"):
+            build_oscillator_weight(1.0, 2.7)
+
+    @pytest.mark.parametrize("levels, dim", [(3, 7), (np.int64(3), np.int64(7)),
+                                             (3.0, 7.0)])
+    def test_integral_counts_are_kept_as_ints(self, levels, dim):
+        w = OscillatorWeight(1.0, levels, dim)
+        assert (w.levels, w.dim) == (3, 7)
+        assert type(w.levels) is int and type(w.dim) is int
+        assert np.allclose(w.initial_state.amplitudes[2:5], 1.0 / math.sqrt(3.0))
 
     def test_hamiltonian_is_ladder(self):
         w = build_oscillator_weight(0.3, 2, dim=6)

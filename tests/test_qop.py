@@ -33,7 +33,15 @@ from szilard import (
     von_neumann_entropy,
 )
 import szilard.qop as qop_mod
-from szilard.qop import EPS_ALG, EPS_SECTOR, SizeError, _energy_sectors, _ptrace_nd
+from szilard.qop import (
+    EPS_ALG,
+    EPS_GRAM,
+    EPS_SECTOR,
+    EPS_THERMAL,
+    SizeError,
+    _energy_sectors,
+    _ptrace_nd,
+)
 from szilard.thermo import ThermoContext, free_energy
 
 import _dense
@@ -437,19 +445,30 @@ class TestKeptSpectrum:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix._from_factor(x * math.sqrt(1.0 + 1e-6))
 
-    @pytest.mark.parametrize("cols", [1, 7])
-    def test_factor_constructor_checks_hermiticity(self, monkeypatch, cols):
-        # X X^dag is Hermitian in exact arithmetic; a product that comes out
-        # otherwise (here: an adjoint off by 1e-6 in one entry) is refused
-        def skewed(a):
-            out = np.asarray(a).conj().T.copy()
-            if out.shape[0] == out.shape[1]:
-                out[0, -1] += 1e-6
-            return out
+    @pytest.mark.parametrize(
+        "dim, width",
+        sorted({(d, k) for d in (2, 34, 124, 500) for k in (1, d // 2, d, 2 * d)}),
+    )
+    def test_factor_product_meets_the_rounding_bound(self, dim, width):
+        # X X^dag takes no Hermiticity residual: its mirror entries differ by
+        # rounding alone, within the bound the constructor's docstring
+        # derives, 6 k u tr(rho), which stays below EPS_ALG up to MAX_DIM
+        assert 6 * qop_mod.MAX_DIM * 2.0**-53 < EPS_ALG
+        x = self._unit_factor(np.random.default_rng(dim * 4099 + width), dim, width)
+        rho = DensityMatrix._from_factor(x)
+        m = rho.entries
+        assert np.array_equal(m, x @ dagger(x))
+        tr = float(np.trace(m).real)
+        assert float(np.linalg.norm(m - dagger(m))) <= 6 * width * 2.0**-53 * tr
+        assert rho._carried_factor[0].shape[1] <= dim
 
-        monkeypatch.setattr(qop_mod, "dagger", skewed)
-        x = self._unit_factor(np.random.default_rng(4), 5, cols)
-        with pytest.raises(ValueError, match="not Hermitian"):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("cols", [1, 4, 9])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_factor_constructor_refuses_nan_and_inf(self, bad, cols):
+        x = self._unit_factor(np.random.default_rng(cols), 4, cols)
+        x[1, -1] = bad
+        with pytest.raises(ValueError):
             DensityMatrix._from_factor(x)
 
     @pytest.mark.parametrize("cols", [1, 3])
@@ -568,6 +587,7 @@ class TestHermiticity:
             raise AssertionError("dense Hermiticity check on a diagonal H")
 
         monkeypatch.setattr(qop_mod, "operator_norm", dense)
+        monkeypatch.setattr(qop_mod, "_within_eps", dense)
         assert h.is_hermitian
         assert free_energy(rho, h, ThermoContext(1.0)) == pytest.approx(
             2.5 - math.log(6)
@@ -705,6 +725,72 @@ class TestBlockUnitarity:
             except np.linalg.LinAlgError:
                 continue
             assert verdict is False
+
+
+def count_svd_calls(monkeypatch) -> list:
+    """A list that gains one entry per ``np.linalg.svd`` call, ``norm(a, 2)``'s
+    included: ``norm`` looks ``svd`` up in its own module."""
+    calls = []
+    real = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", spy)
+    return calls
+
+
+class TestWithinEps:
+    """``qop._within_eps``: the Frobenius norm passes, the largest column
+    norm refuses, and the exact norm decides only in between."""
+
+    @pytest.mark.parametrize("tol", [EPS_ALG, EPS_GRAM, EPS_THERMAL])
+    @pytest.mark.parametrize(
+        "make, want",
+        [(lambda t: 0.5 * t * np.eye(16), True),  # exact norm 0.5 t
+         (lambda t: np.full((16, 16), 0.2 * t), False)],  # exact norm 3.2 t
+    )
+    def test_straddling_bounds_take_the_exact_norm(self, monkeypatch, tol, make, want):
+        d = make(tol)
+        assert np.linalg.norm(d) > tol >= np.linalg.norm(d, axis=0).max()
+        assert qop_mod._norm_bracket(d, tol) is None
+        assert (_dense._norm(d) <= tol) is want
+        calls = count_svd_calls(monkeypatch)
+        got = qop_mod._within_eps(d, tol) if tol != EPS_ALG else qop_mod._within_eps(d)
+        assert (got, calls) == (want, [1])
+
+    @pytest.mark.parametrize(
+        "d, want",
+        [(np.full((25, 25), 0.03 * EPS_ALG), True),  # Frobenius norm 0.75 t
+         (np.outer(np.full(25, 0.4 * EPS_ALG), np.eye(25)[3]), False)],  # column 2 t
+    )
+    def test_bounds_settle_without_an_svd(self, monkeypatch, d, want):
+        assert (_dense._norm(d) <= EPS_ALG) is want
+        calls = count_svd_calls(monkeypatch)
+        assert (qop_mod._within_eps(d), calls) == (want, [])
+
+    def test_dense_refusals_take_no_svd(self, monkeypatch):
+        # a 200 x 200 failing input of each dense predicate is refused on
+        # its largest column norm
+        rng = np.random.default_rng(200)
+        u = random_unitary(rng, 200)
+        u[0, 7] += 1e-6
+        h = random_hermitian(rng, 200)
+        h[3, 5] += 1e-6
+        q = random_unitary(rng, 200)[:, :80]
+        p = (q @ dagger(q)) * (1.0 + 1e-6)
+        assert not (_dense.is_unitary(u) or _dense._norm(h - dagger(h)) <= EPS_ALG)
+        assert _dense._norm(p @ p - p) > EPS_ALG
+        calls = count_svd_calls(monkeypatch)
+        verdicts = (
+            qop_mod._is_unitary(u),
+            qop_mod._is_hermitian(h),
+            Operator(p).is_hermitian,
+            Operator(p).is_projector,
+        )
+        assert (verdicts, calls) == ((False, False, True, False), [])
 
 
 class TestUnitarityFootprint:

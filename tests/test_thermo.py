@@ -259,6 +259,16 @@ class TestErasure:
         with pytest.raises(ValueError, match="not unitary"):
             ExplicitReservoir(h_r=np.eye(2), u_r=2.0 * np.eye(4))
 
+    @pytest.mark.parametrize(
+        "h_r", [[[0, 1j], [0, 1]], np.diag([0.0, 1e-3j]), np.ones((2, 2)) + 1e-6j]
+    )
+    def test_reservoir_hamiltonian_must_be_hermitian(self, h_r):
+        # refused where the reservoir is built, naming the field, not later
+        # by the Gibbs state of an engine build or an erasure
+        message = "^reservoir Hamiltonian h_r must be Hermitian$"
+        with pytest.raises(ValueError, match=message):
+            ExplicitReservoir(h_r, np.eye(4))
+
     def test_pure_record_erases_for_free(self):
         ctx = ThermoContext(1.0)
         rho_d = DensityMatrix(np.diag([1.0, 0j]))
