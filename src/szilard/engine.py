@@ -68,6 +68,7 @@ from .qop import (
     HardAssertionError,
     Operator,
     PureState,
+    _FactorState,
     _additive_hamiltonian,
     _check_hermitian,
     _check_joint_dim,
@@ -442,7 +443,9 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     from singular values and no state of the joint dimension is formed.
     Each stroke acts through ``Operator._apply``, so a stroke built from
     planes moves only its plane rows and its n x n entries are never
-    formed.  The results are ordinary :class:`DensityMatrix` objects.
+    formed.  The results are ordinary :class:`DensityMatrix` objects; the
+    weight states are held as their factors, so their n x n entries are
+    formed only if read.
 
     Every marginal is cross-checked against the joint evolution of the
     weight-system-demon(-reservoir) state, carried as a low-rank factor
@@ -580,6 +583,23 @@ def _outer_difference_norm(f: np.ndarray, g: np.ndarray) -> float:
     return operator_norm(r1 @ dagger(r1) - r2 @ dagger(r2))
 
 
+# a marginal held as its factor is compared with the joint's on their QR
+# core when the two stacked are at most 1 / _CORE_RATIO of its dimension wide
+_CORE_RATIO = 4
+
+
+def _marginal_deviation(a: np.ndarray, m: DensityMatrix) -> float:
+    """``operator_norm(A A^dag - m)``.  A marginal held as its factor ``Y``
+    takes the QR core of :func:`_outer_difference_norm` where ``[A Y]`` is
+    thin by ``_CORE_RATIO``, and so forms no array of its dimension
+    squared; any other marginal takes the dense difference."""
+    if isinstance(m, _FactorState):
+        y = m._carried_factor[0]
+        if _CORE_RATIO * (a.shape[1] + y.shape[1]) <= m.dim:
+            return _outer_difference_norm(a, y)
+    return operator_norm(a @ dagger(a) - m.entries)
+
+
 def _joint_consistency(
     config: EngineConfig,
     sigma_sd: DensityMatrix | None,
@@ -601,8 +621,11 @@ def _joint_consistency(
     the two pinched factors, or is exactly 0 where they are equal; no n x n
     array exists.  A register of 0/1 diagonal projectors pinches by
     multiplying with the diagonals, and any other register by contracting
-    with the projectors.  Populations the factorization drops are added
-    back in trace norm, once to the deviation and twice to the gap;
+    with the projectors.  A marginal held as its factor is compared with
+    the joint's marginal on their QR core where the two factors stacked are
+    thin (:func:`_marginal_deviation`), and densely otherwise.  Populations
+    the factorization drops are added back in trace norm, once to the
+    deviation and twice to the gap;
     pinching, unitary conjugation and the partial trace do not increase the
     trace norm, so both stay upper bounds of their dense values.
     """
@@ -673,7 +696,7 @@ def _joint_consistency(
     t = first.reshape(*dims, -1)
     for m, ax in zip(marginals, axes):
         a = np.moveaxis(t, ax, 0).reshape(dims[ax], -1)
-        dev = max(dev, operator_norm(a @ dagger(a) - m.entries))
+        dev = max(dev, _marginal_deviation(a, m))
     dev += dropped
     if dev > EPS_ASSERT:
         raise HardAssertionError(

@@ -36,6 +36,7 @@ from .qop import (
     _is_unitary,
     _kron,
     _norm_bracket,
+    _positive,
     _read,
     _within_eps,
     commutator_norm,
@@ -362,8 +363,9 @@ def conditional_feedback_map(
     keeps every positive population, and ``U (X_W (x) X_S [(x) X_R])`` is
     only as wide as the product of their ranks.  Each marginal is ``A A^dag``
     with ``A`` the evolved factor reshaped with that factor's axis first, and
-    the returned states carry ``A``, or a thin factor of ``A A^dag`` where
-    ``A`` is wider than its dimension (``DensityMatrix._from_factor``).
+    each returned state is held as ``A``, or carries a thin factor of
+    ``A A^dag`` where ``A`` is wider than its dimension
+    (``DensityMatrix._from_factor``).
     ``U`` acts through ``Operator._apply``: a stroke built from planes moves
     only the rows of its planes, and no n x n array is formed.
     """
@@ -430,8 +432,14 @@ class OscillatorWeight:
     dim: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        # a bool, a string or a complex is no rung, whatever it converts to
+        try:
+            omega = _positive(self.omega, "omega")
+        except ValueError:
+            raise ValueError(
+                f"omega must be finite and positive, got {self.omega!r}"
+            ) from None
+        object.__setattr__(self, "omega", omega)
         for name in ("levels", "dim"):
             object.__setattr__(self, name, _read(getattr(self, name), int, name))
         if self.levels < 1:
@@ -476,7 +484,7 @@ def build_oscillator_weight(
 ) -> OscillatorWeight:
     if dim is None:
         dim = levels + 4
-    return OscillatorWeight(omega=float(omega), levels=levels, dim=dim)
+    return OscillatorWeight(omega=omega, levels=levels, dim=dim)
 
 
 # a stroke built from planes keeps them, so its certificates read 2x2 blocks

@@ -579,13 +579,18 @@ class DensityMatrix:
     smallest-eigenvalue and non-finite checks alone (:meth:`_derived`,
     :meth:`_from_factor`).  Every state keeps its spectrum and entropy, and
     its ``eigh`` once one is needed, so nothing diagonalises the same state
-    twice.  A state built from a factor ``X`` with ``rho = X X^dag`` also
-    carries ``X``, and takes its spectrum from the singular values of
-    ``X``; one wider than ``rho`` carries a thin factor from ``rho``'s
-    ``eigh`` instead.
+    twice.  A state built from a factor ``X`` with ``rho = X X^dag`` is
+    held as ``X``: it takes its spectrum from the singular values of ``X``,
+    reads its dimension, trace and populations (``_populations``, the
+    squared row norms of ``X``, complex as ``entries`` are) from ``X``, and
+    forms ``entries`` on first read.  One wider than ``rho`` forms
+    ``entries`` at once and carries a thin factor from their ``eigh``
+    instead.  Every state not held as a factor has ``_populations = None``.
     """
 
     entries: np.ndarray
+
+    _populations = None
 
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.entries)
@@ -620,28 +625,44 @@ class DensityMatrix:
         width, and each misses it by at most ``sqrt(2) gamma_2k sum_l |x_il|
         |x_jl|`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
         2nd ed., ch. 3), so ``||m - m^dag||_F <= 2 sqrt(2) gamma_2k ||X||_F^2
-        <= 6 k u tr(rho)`` with ``u = 2^-53``: 2.7e-12 at ``k = MAX_DIM``.
+        <= 6 k u tr(rho)`` with ``u = 2^-53``.  That stays below EPS_ALG for
+        any ``k`` under ``EPS_ALG / (6 u)``, about 1.5e5 columns; a held
+        factor is no wider than its state, so ``k <= MAX_DIM`` and the bound
+        is at most 2.7e-12.
 
-        A factor wider than its dimension is not carried: the spectrum comes
-        from one ``eigh`` of the product, and ``V sqrt(lambda)`` over its
-        positive eigenvalues is carried instead, so factors fed from cycle to
-        cycle stay no wider than their state.  The trace norm of the
-        eigenpairs left out is carried with it (see :func:`_factor`)."""
+        A factor no wider than its dimension is held as the state
+        (:class:`DensityMatrix`).  Its populations are the squared row norms
+        of ``X``, and their sum, the trace, is checked before the SVD, so a
+        non-finite factor is refused there; ``entries`` is formed as the
+        same ``X @ dagger(X)`` on first read.
+
+        A factor wider than its dimension is not carried: the product is
+        formed at once, the spectrum comes from one ``eigh`` of it, and
+        ``V sqrt(lambda)`` over its positive eigenvalues is carried instead,
+        so factors fed from cycle to cycle stay no wider than their state.
+        The trace norm of the eigenpairs left out is carried with it (see
+        :func:`_factor`)."""
         x = np.asarray(x, dtype=complex)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError(f"factor must be a 2-d array, shape {x.shape}")
-        m = x @ dagger(x)
-        d = m.shape[0]
+        d = x.shape[0]
         if x.shape[1] > d:
+            m = x @ dagger(x)
             ev, vec = np.linalg.eigh(m)
-            factor = _eigen_factor(ev, vec, 0.0)
-        else:
-            sv = np.linalg.svd(x, compute_uv=False)
-            ev = np.zeros(d)
-            ev[d - sv.size :] = np.sort(sv * sv)
-            factor = (x, (float(ev.sum()), 0.0))
-        _validate(m, ev)
-        return _keep(object.__new__(cls), m, ev, factor)
+            _validate(m, ev)
+            return _keep(object.__new__(cls), m, ev, _eigen_factor(ev, vec, 0.0))
+        v = np.ascontiguousarray(x).view(float)
+        populations = np.add.reduce(v * v, axis=1)  # squared row norms
+        _check_trace(populations.sum())
+        sv = np.linalg.svd(x, compute_uv=False)
+        ev = np.zeros(d)
+        ev[d - sv.size :] = np.sort(sv * sv)
+        _check_spectrum(ev)
+        rho = object.__new__(_FactorState)
+        object.__setattr__(rho, "_spectrum", _freeze(ev))
+        object.__setattr__(rho, "_populations", _freeze(populations.astype(complex)))
+        object.__setattr__(rho, "_carried_factor", (_freeze(x), (float(ev.sum()), 0.0)))
+        return rho
 
     @functools.cached_property
     def _entropy(self) -> float:
@@ -656,14 +677,30 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+class _FactorState(DensityMatrix):
+    """A state built by :meth:`DensityMatrix._from_factor` from a factor
+    ``X`` no wider than its dimension, held as ``X``."""
+
+    @property
+    def dim(self) -> int:
+        return self._carried_factor[0].shape[0]
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """``X X^dag``, formed on first read and kept frozen."""
+        x = self._carried_factor[0]
+        return _freeze(x @ dagger(x))
+
+
 def _keep(
     rho: DensityMatrix,
     m: np.ndarray,
     ev: np.ndarray,
     factor: tuple[np.ndarray, tuple[float, float]] | None,
 ) -> DensityMatrix:
-    """Hold ``m``, its spectrum and, for a state built from a factor, that
-    factor with the trace norms it keeps and drops."""
+    """Hold ``m``, its spectrum and, for a state built from a wide factor,
+    the thin factor that replaced it with the trace norms it keeps and
+    drops."""
     object.__setattr__(rho, "entries", _freeze(m))
     object.__setattr__(rho, "_spectrum", _freeze(ev))
     if factor is not None:
@@ -676,9 +713,18 @@ def _validate(m: np.ndarray, spectrum: np.ndarray) -> None:
     """Trace and smallest eigenvalue, failing on non-finite input too.  The
     trace is read off the diagonal: ``eigvalsh`` may skip a diagonal NaN.
     The Hermiticity residual is the public constructor's alone."""
-    tr = complex(np.trace(m))
+    _check_trace(np.trace(m))
+    _check_spectrum(spectrum)
+
+
+def _check_trace(trace: complex) -> None:
+    """Refuse a trace other than 1; a non-finite one fails the comparison."""
+    tr = complex(trace)
     if not abs(tr - 1.0) <= EPS_ALG:
         raise ValueError(f"density matrix trace {tr} differs from 1")
+
+
+def _check_spectrum(spectrum: np.ndarray) -> None:
     mn = float(spectrum.min())
     if not mn >= -EPS_ALG:
         raise ValueError(f"density matrix has negative eigenvalue {mn:.3e}")

@@ -93,21 +93,43 @@ class ThermoContext:
         return self.kb * self.temperature
 
 
-def _energy(h: object, m: np.ndarray) -> float:
-    """``tr[H m]``; a diagonal ``H`` needs only the diagonal of ``m``."""
-    if (d := _diagonal_of(h)) is not None:
-        return float(np.sum(d * np.diagonal(m)).real)
-    return float(np.trace(_entries_of(h) @ m).real)
+def _energy(h: object, rho: object, minus: object = None) -> float:
+    """``tr[H (rho - minus)]`` of states or matrices, ``tr[H rho]`` without
+    ``minus``.  A diagonal ``H`` needs only their diagonals, and a state
+    held as its factor gives its populations from the factor's rows."""
+    if (d := _diagonal_of(h)) is None:
+        m = _entries_of(rho)
+        if minus is not None:
+            m = m - _entries_of(minus)
+        return float(np.trace(_entries_of(h) @ m).real)
+    p = _populations_of(rho)
+    if minus is not None:
+        p = p - _populations_of(minus)
+    return float(np.add.reduce(d * p).real)
+
+
+def _populations_of(rho: object) -> np.ndarray:
+    """The diagonal of a state or matrix; a state held as its factor reads
+    it from the factor."""
+    p = getattr(rho, "_populations", None)
+    return _entries_of(rho).diagonal() if p is None else p
+
+
+def _shape_of(rho: object) -> tuple[int, ...]:
+    """The shape of a state's matrix, read without forming the entries of a
+    state held as its factor."""
+    if isinstance(rho, DensityMatrix):
+        return (rho.dim, rho.dim)
+    return _entries_of(rho).shape
 
 
 def free_energy(rho: object, h: object, ctx: ThermoContext) -> float:
     """``tr[H rho] - K_B T S(rho)``."""
-    m = _entries_of(rho)
-    hm = _entries_of(h)
+    shape, hm = _shape_of(rho), _entries_of(h)
     _check_hermitian(h, "free_energy requires a Hermitian Hamiltonian")
-    if m.shape != hm.shape:
-        raise ValueError(f"dimension mismatch {m.shape} vs {hm.shape}")
-    return _energy(h, m) - ctx.kt * von_neumann_entropy(rho)
+    if shape != hm.shape:
+        raise ValueError(f"dimension mismatch {shape} vs {hm.shape}")
+    return _energy(h, rho) - ctx.kt * von_neumann_entropy(rho)
 
 
 def work_per_outcome(
@@ -128,7 +150,7 @@ def work_energy_entropy_form(
     """Branch work recomputed from the system's energy loss plus the weight's
     entropy change.  Agrees with :func:`work_per_outcome` whenever the branch
     dynamics conserve the summed weight+system energy."""
-    de_s = _energy(h_s, _entries_of(rho_s_before) - _entries_of(rho_s_after))
+    de_s = _energy(h_s, rho_s_before, rho_s_after)
     ds_w = von_neumann_entropy(rho_w_before) - von_neumann_entropy(rho_w_after)
     return de_s + ctx.kt * ds_w
 
@@ -152,7 +174,7 @@ def feature2_test(
     skipped.  Default tolerance scales with the weight's log-dimension.
     """
     s0 = von_neumann_entropy(rho_w)
-    dim = _entries_of(rho_w).shape[0]
+    dim = _shape_of(rho_w)[0]
     if tol_s is None:
         tol_s = EPS_ENTROPY * math.log(max(dim, 2))
     rows = []
@@ -245,7 +267,7 @@ def _erase_demon(
         raise ValueError("demon dimensions inconsistent")
     s_record = von_neumann_entropy(rho_d_prime)
     blank = projector_onto(demon_initial)
-    e_term = _energy(h_d, blank - rho_d_prime.entries)
+    e_term = _energy(h_d, blank, rho_d_prime)
 
     if reservoir is None:
         q = ctx.kt * s_record
@@ -272,7 +294,7 @@ def _erase_demon(
             f"reset restores the blank state with fidelity {fid:.9f} < 1 - 1e-6"
         )
     tau_after = _ptrace_nd(joint, [dd, dr], [1])
-    q = _energy(reservoir.h_r, tau_after - tau.entries)
+    q = _energy(reservoir.h_r, tau_after, tau)
     if q < ctx.kt * s_record - EPS_ASSERT:
         raise HardAssertionError(
             f"explicit erasure heat {q} beats the Landauer cost "
@@ -502,9 +524,9 @@ def _reservoir_chain(
     t = ctx.kt
     tau_after = _entries_of(tau_r_after)
     ds_w = von_neumann_entropy(rho_w_after) - von_neumann_entropy(rho_w)
-    de_w = _energy(h_w, _entries_of(rho_w_after) - _entries_of(rho_w))
-    de_s_drop = _energy(h_s, _entries_of(rho_s_branch) - _entries_of(rho_s_after))
-    energy_form = _energy(h_r, _entries_of(tau_r) - tau_after) + de_s_drop
+    de_w = _energy(h_w, rho_w_after, rho_w)
+    de_s_drop = _energy(h_s, rho_s_branch, rho_s_after)
+    energy_form = _energy(h_r, tau_r, tau_after) + de_s_drop
     if abs(de_w - energy_form) > EPS_ASSERT:
         raise HardAssertionError(
             f"weight energy gain {de_w} does not match the released energy "

@@ -40,6 +40,7 @@ from szilard import (
     compose_feedback_unitary,
     erase_demon,
     evaluate_features,
+    free_energy,
     impossibility_scan,
     objectification_order_gap,
     operator_norm,
@@ -53,7 +54,7 @@ from szilard import (
 
 import szilard.engine as engine_mod
 import szilard.thermo as thermo_mod
-from szilard.qop import _check_joint_dim, _factor, _read
+from szilard.qop import _FactorState, _check_joint_dim, _factor, _read
 import _dense
 from _oracles import harvest_works, superposed_post_work
 from conftest import assert_refused_before_allocating, golden_document
@@ -628,6 +629,114 @@ class TestFactoredBranchMap:
         assert all(n < dw for n in sizes), sizes
 
 
+def _weight_states(config, result) -> list[DensityMatrix]:
+    """The cycle's weight states: the initial one, each branch's and the
+    outcome average."""
+    return [
+        config.weight.initial,
+        *(b.post_weight for b in result.branches),
+        result.rho_w_after,
+    ]
+
+
+# _CORE_RATIO values that send every factor-held marginal to the QR core,
+# and none
+ALL_CORE, NO_CORE = 0, 10**9
+
+
+class TestFactorHeldStates:
+    """Weight states held as their factors against the dense references in
+    ``_dense``, on both sides of the joint check's marginal shape rule:
+    every engine runs once with every factor-held marginal on the QR core
+    and once with every marginal dense.  Works, free energies, entropies
+    and the marginal deviation agree within 1e-12, and a held state's
+    entries, asked for, are ``X X^dag`` bit for bit and pass the public
+    constructor."""
+
+    @staticmethod
+    def _assert_matches_dense(config):
+        result, (factored, dense) = _consistency_routes(config)
+        assert factored[1] == result.marginal_deviation
+        assert factored[1] == pytest.approx(dense[1], abs=1e-12)
+        h_w = config.weight.hamiltonian
+        ctx = config.thermo
+        f0 = _dense.free_energy(config.weight.initial.entries, h_w.entries, ctx.kt)
+        for br in result.branches:
+            f = _dense.free_energy(br.post_weight.entries, h_w.entries, ctx.kt)
+            assert br.work == pytest.approx(f - f0, abs=1e-12)
+        for rho in _weight_states(config, result):
+            m = rho.entries
+            if isinstance(rho, _FactorState):
+                x = rho._carried_factor[0]
+                assert np.array_equal(m, x @ x.conj().T)
+                DensityMatrix(m)
+            want = _dense.free_energy(m, h_w.entries, ctx.kt)
+            assert free_energy(rho, h_w, ctx) == pytest.approx(want, abs=1e-12)
+            assert von_neumann_entropy(rho) == pytest.approx(
+                _dense.entropy(m), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("ratio", [ALL_CORE, NO_CORE], ids=["core", "dense"])
+    @pytest.mark.parametrize(
+        "name, params", LIBRARY_CASES + [("example_II", {"N": 120})]
+    )
+    def test_library_matches_dense(self, name, params, ratio, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_CORE_RATIO", ratio)
+        self._assert_matches_dense(scenario_library(name, **params))
+
+    @pytest.mark.parametrize("ratio", [ALL_CORE, NO_CORE], ids=["core", "dense"])
+    @pytest.mark.parametrize("thermal", [False, True])
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_scan_families_match_dense(self, family, thermal, ratio, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_CORE_RATIO", ratio)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            self._assert_matches_dense(SCAN_FAMILIES[family](rng, thermal))
+
+    def test_default_rule_takes_the_core_on_the_window_only(self, monkeypatch):
+        # the weight marginal is compared on the core where the stacked
+        # factor is thin: example_II at N = 120 (124 rows, 20 columns), not
+        # a scan engine (at most 14 rows) or the reservoir (34 rows, 271
+        # columns)
+        rows = []
+        real = engine_mod._outer_difference_norm
+        monkeypatch.setattr(
+            engine_mod, "_outer_difference_norm",
+            lambda f, g: rows.append(f.shape[0]) or real(f, g),
+        )
+        cases = {
+            "window": scenario_library("example_II", N=120),
+            "reservoir": scenario_library("reservoir_circumvention", dim_R=4),
+        }
+        rng = np.random.default_rng(31)
+        for thermal in (False, True):
+            for name, family in SCAN_FAMILIES.items():
+                cases[f"{name} {thermal}"] = family(rng, thermal)
+        for label, config in cases.items():
+            rows.clear()
+            run_cycle(config)
+            dw = config.weight.hamiltonian.dim
+            assert (dw in rows) == (label == "window"), label
+
+    def test_shifted_factor_marginal_raises_on_the_core(self):
+        # 1e-6 of the least populated level mixed into the window's weight
+        # marginal, held as a factor: the core refuses it without forming
+        # its entries, and the dense oracle refuses it too
+        config = scenario_library("example_II", N=120)
+        result = run_cycle(config)
+        y = result.rho_w_after._carried_factor[0]
+        e = np.zeros((y.shape[0], 1))
+        e[int(np.argmin(result.rho_w_after._populations))] = 1.0
+        shifted = DensityMatrix._from_factor(
+            np.hstack([math.sqrt(1.0 - 1e-6) * y, math.sqrt(1e-6) * e])
+        )
+        assert isinstance(shifted, _FactorState)
+        _, routes = _consistency_routes(config, rho_w_after=shifted)
+        for exc in routes:
+            assert isinstance(exc, HardAssertionError)
+            assert "mixture marginals deviate" in str(exc)
+
+
 class TestValidatedAtTheBoundary:
     """The cycle builds its states privately and re-proves nothing the
     engine's build certified; what it builds still passes the public
@@ -1164,6 +1273,40 @@ class TestStrokesStayPlanes:
         ).pointer_group_commutators
         assert got == want
         assert len(got) == 1 and len(got[0][0]) == 2
+
+
+class TestStatesStayFactors:
+    """A weight state built from a factor no wider than the weight is held
+    as that factor, and no build, cycle or feature score of a window engine
+    forms its n x n entries: the dimension, trace, spectrum, populations
+    and the joint check's marginal all read the factor.  Asked for, the
+    entries are ``X X^dag`` bit for bit."""
+
+    @pytest.mark.parametrize("N", [120, 1000])
+    def test_window_forms_no_weight_state(self, N):
+        config = scenario_library("example_II", N=N)
+        result = run_cycle(config)
+        evaluate_features(result, config)
+        states = _weight_states(config, result)
+        assert len(states) == 4
+        assert all(isinstance(rho, _FactorState) for rho in states)
+        assert not any("entries" in vars(rho) for rho in states)
+        for rho in states:
+            x = rho._carried_factor[0]
+            assert np.array_equal(rho.entries, x @ x.conj().T)
+
+    def test_no_engine_forms_a_held_initial_or_branch_weight(self):
+        # a scan engine's average weight is too small for the marginal
+        # core, so only the joint check's dense route reads its entries
+        held = 0
+        for config in _library_and_family_configs():
+            result = run_cycle(config)
+            evaluate_features(result, config)
+            for rho in _weight_states(config, result)[:-1]:
+                if isinstance(rho, _FactorState):
+                    held += 1
+                    assert "entries" not in vars(rho), config.label
+        assert held >= 30
 
 
 class TestWeightTrajectory:

@@ -591,10 +591,15 @@ class TestOscillatorWeight:
         with pytest.raises(ValueError):
             build_oscillator_weight(1.0, 5, dim=7)
 
-    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "omega",
+        [math.nan, math.inf, -math.inf, 0.0, -1.0, 10**400,
+         True, "1", 1j, complex(1.0, 0.0), None],
+    )
     def test_omega_must_be_finite_and_positive(self, omega):
         # refused at construction, naming the field, before any ladder is
-        # built: an infinite omega once warned from the multiply first
+        # built: an infinite omega once warned from the multiply first, True
+        # was read as omega = 1 and "1" failed with a bare TypeError
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="omega must be finite and positive"):
