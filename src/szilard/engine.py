@@ -442,17 +442,20 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     state is built from the branches' stacked factors, so entropies come
     from singular values and no state of the joint dimension is formed.
     Each stroke acts through ``Operator._apply``, so a stroke built from
-    planes moves only its plane rows and its n x n entries are never
-    formed.  The results are ordinary :class:`DensityMatrix` objects; the
-    weight states are held as their factors, so their n x n entries are
-    formed only if read.
+    planes moves only its plane rows, in one 2x2 product, and its n x n
+    entries are never formed.  With a reservoir, the branch factors keep
+    only their nonzero columns, so the averaged weight stacks thin.  The
+    results are ordinary :class:`DensityMatrix` objects; the weight states
+    are held as their factors, so their n x n entries are formed only if
+    read.
 
     Every marginal is cross-checked against the joint evolution of the
     weight-system-demon(-reservoir) state, carried as a low-rank factor
     through the controlled feedback, and the order-of-objectification
     gap is evaluated on the same joint; both are upper bounds of their dense
-    values.  A marginal deviation above tolerance fails hard on every
-    engine.
+    values.  On a register of 0/1 records the joint moves only each
+    record's rows.  A marginal deviation above tolerance, or a NaN one,
+    fails hard on every engine.
     """
     ctx = config.thermo
     h_w, rho_w = config.weight.hamiltonian, config.weight.initial
@@ -570,14 +573,9 @@ def _dropped_mass(parts: Sequence[tuple[float, float]]) -> float:
 def _outer_difference_norm(f: np.ndarray, g: np.ndarray) -> float:
     """``operator_norm(F F^dag - G G^dag)`` without forming either product.
 
-    Equal factors give the zero matrix, so the norm is exactly 0; this is
-    the joint check's case whenever the record register is classical (0/1
-    diagonal projectors), where pinching commutes with the feedback.
-    Otherwise the reduced QR ``[F G] = Q [R1 R2]`` has an isometry ``Q``,
-    so the difference equals ``Q (R1 R1^dag - R2 R2^dag) Q^dag`` and shares
-    its norm with a core as wide as ``F`` and ``G`` together."""
-    if np.array_equal(f, g):
-        return 0.0
+    The reduced QR ``[F G] = Q [R1 R2]`` has an isometry ``Q``, so the
+    difference equals ``Q (R1 R1^dag - R2 R2^dag) Q^dag`` and shares its
+    norm with a core as wide as ``F`` and ``G`` together."""
     r = np.linalg.qr(np.hstack([f, g]), mode="r")
     r1, r2 = r[:, : f.shape[1]], r[:, f.shape[1] :]
     return operator_norm(r1 @ dagger(r1) - r2 @ dagger(r2))
@@ -617,17 +615,27 @@ def _joint_consistency(
     The joint state has rank at most a few columns, so ``X`` goes through
     the controlled feedback, each ``U_x`` acting on its record's slice
     ``(1 (x) P_x) X`` through ``Operator._apply`` (plane by plane on a
-    stroke built from planes), and the gap is taken on the small QR core of
-    the two pinched factors, or is exactly 0 where they are equal; no n x n
-    array exists.  A register of 0/1 diagonal projectors pinches by
-    multiplying with the diagonals, and any other register by contracting
-    with the projectors.  A marginal held as its factor is compared with
-    the joint's marginal on their QR core where the two factors stacked are
-    thin (:func:`_marginal_deviation`), and densely otherwise.  Populations
-    the factorization drops are added back in trace norm, once to the
-    deviation and twice to the gap;
-    pinching, unitary conjugation and the partial trace do not increase the
-    trace norm, so both stay upper bounds of their dense values.
+    stroke built from planes); no n x n array exists.
+
+    On a register of 0/1 diagonal projectors the slice is the record's
+    demon rows, gathered, so each ``U_x`` moves only those.  The records
+    partition the demon basis and the feedback leaves it alone, so pinching
+    after the feedback returns the same slices: the gap is exactly the
+    dropped-mass term below, and no second pinch or QR is taken.  The W, S
+    (and R) marginal factors stack the slices, and the demon's holds each
+    slice on its record's rows and its own columns.  Any other register is
+    pinched by contracting with its projectors, before and after the
+    feedback, and the gap is taken on the small QR core of the two pinched
+    factors (:func:`_outer_difference_norm`).
+
+    A marginal held as its factor is compared with the joint's marginal on
+    their QR core where the two factors stacked are thin
+    (:func:`_marginal_deviation`), and densely otherwise; every marginal is
+    compared, and a NaN deviation fails as one above tolerance does.
+    Populations the factorization drops are added back in trace norm, once
+    to the deviation and twice to the gap; pinching, unitary conjugation and
+    the partial trace do not increase the trace norm, so both stay upper
+    bounds of their dense values.
     """
     dw = rho_w.dim
     ds = config.rho_s.dim
@@ -669,36 +677,55 @@ def _joint_consistency(
     records = config.records.outcomes
     units = [config.feedback.unitary_for(l) for l, _, _ in records]
     diags = config.records._zero_one_diagonals
+    if diags is not None:
+        # V = sum_x U_x (x) P_x: each U_x moves only its record's rows.  The
+        # records partition the demon basis and no U_x acts on the demon,
+        # so pinching after the feedback returns these slices unchanged
+        rows = [np.flatnonzero(d) for d in diags]
+        y = x.reshape(nb, dd, -1)  # rows (branch, demon)
+        moved = [
+            u._apply(y[:, r].reshape(nb, -1)).reshape(*dims[:-1], r.size, -1)
+            for u, r in zip(units, rows)
+        ]
+        gap = 2.0 * dropped
+        # the W, S (and R) marginal factors stack the record slices; the
+        # demon's holds each slice on its own rows and columns
+        a_d = np.zeros((dd, sum(m[..., 0, :].size for m in moved)), dtype=complex)
+        col = 0
+        for r, m in zip(rows, moved):
+            b = np.moveaxis(m, -2, 0).reshape(r.size, -1)
+            a_d[r, col : col + b.shape[1]] = b
+            col += b.shape[1]
+        factors = [
+            np.hstack([np.moveaxis(m, ax, 0).reshape(d, -1) for m in moved])
+            for ax, d in enumerate(dims[:-1])
+        ] + [a_d]
+    else:
+        def pinch(z: np.ndarray) -> list[np.ndarray]:
+            # (1 (x) P_x) z for each x, rows (branch, demon)
+            z = z.reshape(nb, dd, -1)
+            return [np.einsum("ab,ibk->iak", p.entries, z) for _, _, p in records]
 
-    def pinch(y: np.ndarray) -> list[np.ndarray]:
-        # (1 (x) P_x) y for each x, rows (branch, demon)
-        y = y.reshape(nb, dd, -1)
-        if diags is not None:
-            return [y * d[:, None] for d in diags]
-        return [np.einsum("ab,ibk->iak", p.entries, y) for _, _, p in records]
+        moved = [u._apply(s.reshape(nb, -1)) for u, s in zip(units, pinch(x))]
+        first = np.hstack([m.reshape(n, -1) for m in moved])
+        last = np.hstack([s.reshape(n, -1) for s in pinch(sum(moved))])
+        gap = _outer_difference_norm(first, last) + 2.0 * dropped
+        t = first.reshape(*dims, -1)
+        factors = [
+            np.moveaxis(t, ax, 0).reshape(d, -1) for ax, d in enumerate(dims)
+        ]
 
-    # V = sum_x U_x (x) P_x: each U_x acts on its own record's slice only
-    moved = [u._apply(s.reshape(nb, -1)) for u, s in zip(units, pinch(x))]
-    first = np.hstack([m.reshape(n, -1) for m in moved])
-    last = np.hstack([s.reshape(n, -1) for s in pinch(sum(moved))])
-    gap = _outer_difference_norm(first, last) + 2.0 * dropped
-
-    # pinch-first is the state the branch pipeline actually realises;
-    # its marginals must match the mixture-built ones exactly
-    dev = 0.0
+    # pinch-first is the state the branch pipeline actually realises; its
+    # marginals must match the mixture-built ones exactly.  numpy's max
+    # keeps a NaN deviation, which then fails the check
     marginals = [rho_w_after, rho_s_after]
-    axes = [0, 1]
     if config.tau_r is not None:
         marginals.append(rho_r_after)
-        axes.append(2)
     marginals.append(rho_d_after)
-    axes.append(len(dims) - 1)
-    t = first.reshape(*dims, -1)
-    for m, ax in zip(marginals, axes):
-        a = np.moveaxis(t, ax, 0).reshape(dims[ax], -1)
-        dev = max(dev, _marginal_deviation(a, m))
-    dev += dropped
-    if dev > EPS_ASSERT:
+    dev = float(np.max([
+        _marginal_deviation(a, m) for a, m in zip(factors, marginals)
+    ])) + dropped
+    if not dev <= EPS_ASSERT:
         raise HardAssertionError(
             f"mixture marginals deviate from the joint evolution by {dev}"
         )

@@ -365,7 +365,11 @@ def conditional_feedback_map(
     with ``A`` the evolved factor reshaped with that factor's axis first, and
     each returned state is held as ``A``, or carries a thin factor of
     ``A A^dag`` where ``A`` is wider than its dimension
-    (``DensityMatrix._from_factor``).
+    (``DensityMatrix._from_factor``).  With a reservoir, the Gibbs factor's
+    basis columns leave most (system, reservoir) slices of ``A`` empty, so
+    its all-zero columns are dropped first: a 34 x 32 weight factor at
+    ``dim_R = 4`` is held as its 7 nonzero columns.  Without a reservoir
+    there are none to drop, so no column is scanned.
     ``U`` acts through ``Operator._apply``: a stroke built from planes moves
     only the rows of its planes, and no n x n array is formed.
     """
@@ -380,10 +384,12 @@ def conditional_feedback_map(
         )
     x = functools.reduce(_kron, (_factor(r, floor=0.0)[0] for r in states))
     t = u._apply(x).reshape(*dims, -1)
-    out = [
-        DensityMatrix._from_factor(np.moveaxis(t, ax, 0).reshape(d, -1))
-        for ax, d in enumerate(dims)
-    ]
+    out = []
+    for ax, d in enumerate(dims):
+        a = np.moveaxis(t, ax, 0).reshape(d, -1)
+        if rho_reservoir is not None:
+            a = a[:, a.any(axis=0)]
+        out.append(DensityMatrix._from_factor(a))
     return BranchOutput(
         rho_system=out[1],
         rho_weight=out[0],

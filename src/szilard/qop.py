@@ -474,7 +474,7 @@ class Operator:
         planes must be disjoint and in range, so that ``U^dag U - 1``,
         ``[U, L]`` and the difference of two strokes on the same planes are
         direct sums of 2x2 blocks; other input raises ``ValueError``.  The
-        stroke keeps the planes, its dimension and the ``(m, 2)`` array of
+        stroke keeps the planes, its dimension and the ``(2, m)`` array of
         plane indices that :meth:`_apply` gathers by; no n x n array is
         formed until ``entries`` is read."""
         i, j = np.asarray(i), np.asarray(j)
@@ -490,7 +490,7 @@ class Operator:
         op = object.__new__(_PlaneStroke)
         object.__setattr__(op, "_dim", int(dim))
         object.__setattr__(op, "_planes", (_freeze(i), _freeze(j), _freeze(b)))
-        object.__setattr__(op, "_ij", _freeze(np.stack((i, j), axis=1)))
+        object.__setattr__(op, "_ij", _freeze(np.stack((i, j))))
         return op
 
     @property
@@ -559,13 +559,15 @@ class _PlaneStroke(Operator):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """``entries @ x`` on a copy of ``x``: rows off every plane are kept,
-        and the rows of each plane are gathered, multiplied by the block in
-        one stacked product and scattered back."""
+        and the rows of all planes are gathered as a ``(2, m w)`` array for
+        ``m`` planes and ``w`` columns, multiplied by the block in one
+        ``(2, 2)`` product and scattered back."""
         y = np.array(x, dtype=complex, order="C")
         if y.shape[0] != self._dim:
             raise ValueError(f"operand has {y.shape[0]} rows, stroke dim {self._dim}")
         t = y.reshape(self._dim, -1)
-        t[self._ij] = self._planes[2] @ t[self._ij]
+        g = t[self._ij]
+        t[self._ij] = (self._planes[2] @ g.reshape(2, -1)).reshape(g.shape)
         return y
 
 

@@ -413,6 +413,7 @@ LIBRARY_CASES = [
     ("example_II", {"N": 20}),
     ("reservoir_circumvention", {"dim_R": 2}),
     ("reservoir_circumvention", {"dim_R": 3}),
+    ("reservoir_circumvention", {"dim_R": 4}),
     ("degenerate_circumvention", {}),
     ("null_engine", {}),
     ("example_I", {}),
@@ -486,6 +487,48 @@ class TestJointConsistency:
         assert dev == pytest.approx(dev_d, abs=1e-12)
         assert gap == pytest.approx(gap_d, abs=1e-12)
 
+    def test_nan_deviation_fails(self, monkeypatch):
+        # max(0.0, nan) is 0.0 in Python, so a NaN from the first marginal
+        # must not be dropped by the later, finite ones
+        real = engine_mod._marginal_deviation
+        calls = []
+
+        def spy(a, m):
+            calls.append(m)
+            return math.nan if len(calls) == 1 else real(a, m)
+
+        monkeypatch.setattr(engine_mod, "_marginal_deviation", spy)
+        with pytest.raises(HardAssertionError, match="deviate .* by nan"):
+            run_cycle(scenario_library("example_II", N=20))
+        assert len(calls) == 3  # W, S and D: every marginal is still compared
+
+    def test_zero_one_registers_take_no_qr_for_the_gap(self, monkeypatch):
+        # the record slices are not pinched a second time, so the gap takes
+        # no QR; the rotated pointer's two pinched factors still do
+        qrs = []
+        real = np.linalg.qr
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda *a, **k: qrs.append(a[0].shape) or real(*a, **k)
+        )
+        for config in (
+            scenario_library("example_II", N=20),
+            scenario_library("reservoir_circumvention", dim_R=4),
+            _pm_record_engine(),
+        ):
+            result = run_cycle(config)
+            sigma_sd, gem, _ = engine_mod._measure(config)
+            qrs.clear()
+            gap, _ = engine_mod._joint_consistency(
+                config, sigma_sd, gem, config.weight.initial, result.rho_s_after,
+                result.rho_w_after, result.rho_d_after, result.rho_r_after,
+            )
+            joint_dim = config.feedback.branch_dim * config.demon_dim
+            joint = [q for q in qrs if q[0] == joint_dim]
+            if config.records._zero_one_diagonals is not None:
+                assert joint == [] and gap == 0.0, config.label
+            else:
+                assert len(joint) == 1 and gap > 0.0
+
 
 class TestOuterDifferenceNorm:
     """The joint check's gap core against the dense difference."""
@@ -516,16 +559,6 @@ class TestOuterDifferenceNorm:
         r1, r2 = r[:, : f.shape[1]], r[:, f.shape[1] :]
         return operator_norm(r1 @ r1.conj().T - r2 @ r2.conj().T)
 
-    @pytest.mark.parametrize("rows, cols", [(544, 32), (40, 3), (3, 4), (1, 1)])
-    def test_identical_factors_give_exactly_zero(self, rows, cols):
-        # F F^dag - F F^dag is the zero matrix; the QR route reads only
-        # rounding there
-        rng = np.random.default_rng(rows * cols)
-        f = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        f /= np.linalg.norm(f)
-        assert engine_mod._outer_difference_norm(f, f.copy()) == 0.0
-        assert self._qr_route(f, f) < 1e-14
-
     @pytest.mark.parametrize("delta", [1e-15, 1e-12, 1e-6])
     def test_perturbed_factors_take_the_qr_route(self, delta):
         rng = np.random.default_rng(23)
@@ -553,6 +586,19 @@ class TestOuterDifferenceNorm:
         assert rotated.records._zero_one_diagonals is None
         gap = run_cycle(rotated).objectification_order_gap
         assert 0.0 < gap < 1e-12
+
+
+@pytest.mark.parametrize("dim_r", [2, 3, 4])
+def test_reservoir_weight_factors_hold_no_zero_column(dim_r):
+    # the Gibbs factor's basis columns leave most (system, reservoir)
+    # slices empty; the branch map drops them, so the averaged weight
+    # stacks only columns that carry amplitude
+    result = run_cycle(scenario_library("reservoir_circumvention", dim_R=dim_r))
+    states = [br.post_weight for br in result.branches] + [result.rho_w_after]
+    assert len(states) == 3
+    for rho in states:
+        f = _factor(rho)[0]
+        assert np.abs(f).max(axis=0).min() > 0.0
 
 
 class TestFactoredBranchMap:

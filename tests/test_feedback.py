@@ -735,7 +735,7 @@ class TestPlaneApplication:
     product with the element-wise loop's matrix (``tests/_dense.py``)."""
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    @pytest.mark.parametrize("width", [1, 4, 16])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 16])
     @pytest.mark.parametrize(
         "kind", ["unitary", "near_unitary", "arbitrary", "no_plane"]
     )
