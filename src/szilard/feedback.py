@@ -119,19 +119,11 @@ def _check_labels(scheme: FeedbackScheme, records: Observable) -> None:
 def compose_feedback_unitary(
     scheme: FeedbackScheme, records: Observable
 ) -> Operator:
-    """The full controlled unitary ``sum_x U_x (x) P_x``, each ``U_x``
-    controlled by its outcome's projector in the record register, demon as
-    the last tensor factor.
-
-    Unitarity needs no runtime product here: the scheme validated each
-    branch unitary and the register the orthogonal completeness of its
-    projectors, which force the sum to be unitary.  Each nonzero entry
-    ``P_x[a, b]`` adds ``U_x P_x[a, b]`` into the ``(branch, demon, branch,
-    demon)`` view of V, so no ``U_x (x) P_x`` is formed.  A stroke held as
-    planes adds the two entries of each of its columns, so its n x n entries
-    are never formed; a dense ``U_x`` adds a sixteenth of its rows at a
-    time, so each scratch product is at most ``1/16`` of it.  V is frozen as
-    it is built, not copied."""
+    """The full controlled unitary ``sum_x U_x (x) P_x``, demon last: the
+    dense reference no engine forms.  Each nonzero ``P_x[a, b]`` adds
+    ``U_x P_x[a, b]`` into the ``(branch, demon, branch, demon)`` view of V,
+    from a plane stroke's two entries per column or a sixteenth of a dense
+    ``U_x``'s rows at a time, and V is frozen as it is built, not copied."""
     _check_labels(scheme, records)
     bd, dd = scheme.branch_dim, records.dim
     v = np.zeros((bd * dd, bd * dd), dtype=complex)
@@ -162,16 +154,38 @@ class FormReport:
     probe_residual: float
 
 
-def _register_form(records: Observable) -> FormReport | None:
-    """The report :func:`check_feedback_form` gives a scheme's V controlled
-    by ``records`` when every record projector is a diagonal of exact 0s
-    and 1s, else ``None``.  Such a V permutes the direct sum of the ``U_x``
-    (each ``rank P_x`` times), so it is controlled by construction, and the
-    scheme judged each ``U_x`` on ``||U^dag U - 1||``, which equals the
-    ``||U U^dag - 1||`` the dense check judges.  No V is formed."""
-    if records._zero_one_diagonals is None:
-        return None
-    return FormReport(passed=True, block_residual=0.0, probe_residual=0.0)
+def _register_form(scheme: FeedbackScheme, records: Observable) -> FormReport:
+    """Upper bounds of the residuals :func:`check_feedback_form` reports on
+    ``V = sum_z U_z (x) P_z``, from the register's ``Observable._register``
+    and each ``U_x``'s unitarity residual; no V is formed (README "One
+    register route").  ``B_x = sum_z c_xz U_z = U_x + E_x``, so where
+    ``E_x = 0`` the scheme's verdict on ``U_x`` stands: on a 0/1 register
+    c is the identity, M and every ``P_a P_b`` with ``a != b`` are 0, and
+    the report is ``(True, 0.0, 0.0)``."""
+    dev, m, probe, _, _ = records._register
+    n = math.sqrt(1.0 + EPS_ALG)  # ||U_z|| <= n, ||U_z||_F <= n sqrt(dim)
+    unitary = all(  # ||E_x|| <= e = n dev_x
+        e == 0.0
+        or _unitarity_residual(scheme.unitary_for(x)) + e * (2.0 * n + e) <= EPS_ALG
+        for x, e in zip(records.labels, (n * d for d in dev))
+    )
+    # bounds of the operator norm, raised to the Frobenius bound where that
+    # is at most EPS_ALG: operator_norm reports the Frobenius norm there
+    block, probe = (
+        max(n * b, min(n * b * math.sqrt(scheme.branch_dim), EPS_ALG))
+        for b in (m, probe)
+    )
+    return FormReport(
+        passed=block <= EPS_ALG and unitary, block_residual=block, probe_residual=probe
+    )
+
+
+def _unitarity_residual(u: Operator) -> float:
+    """``||U^dag U - 1||``; a stroke built from planes has its 2x2 block's."""
+    m = u.entries if u._planes is None else u._planes[2]
+    if u._planes is not None and u._planes[0].size == 0:
+        return 0.0
+    return operator_norm(dagger(m) @ m - np.eye(m.shape[0]))
 
 
 def check_feedback_form(

@@ -16,7 +16,6 @@ conservation.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .qop import (
     _diagonal_of,
     _energy_sectors,
     _kron,
+    _read,
     _within_eps,
     commutator_norm,
     dagger,
@@ -80,7 +80,7 @@ class Observable:
 
     def __post_init__(self) -> None:
         outs = tuple(
-            (label, float(val), _coerce(Operator, p))
+            (label, _read(val, float, label, "outcome"), _coerce(Operator, p))
             for (label, val, p) in self.outcomes
         )
         if not outs:
@@ -88,23 +88,33 @@ class Observable:
         labels = [o[0] for o in outs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"outcome labels not unique: {labels}")
-        dim = outs[0][2].dim
+        dim, k = outs[0][2].dim, len(outs)
         for label, _, p in outs:
             if p.dim != dim:
                 raise ValueError("projector dimensions inconsistent")
             if not p.is_projector:
                 raise ValueError(f"outcome {label!r}: not a projector")
-        diagonals = [p._diagonal for _, _, p in outs]
-        if all(d is not None for d in diagonals):
-            # the products and the sum of diagonal projectors are diagonal,
-            # and a diagonal matrix's operator norm is its largest |entry|
-            d = np.array(diagonals)
-            orth = [np.abs(a * d[i + 1 :]).max(1) <= EPS_ALG for i, a in enumerate(d)]
-            complete = float(np.abs(d.sum(axis=0) - 1.0).max()) <= EPS_ALG
+        diagonal = all(p._diagonal is not None for _, _, p in outs)
+        stack = np.array([p._diagonal if diagonal else p.entries for _, _, p in outs])
+        if diagonal:
+            # products and sums of diagonal projectors are diagonal, and a
+            # diagonal matrix's operator norm is its largest |entry|
+            orth = [
+                np.abs(a * stack[i + 1 :]).max(1) <= EPS_ALG
+                for i, a in enumerate(stack)
+            ]
+            complete = float(np.abs(stack.sum(axis=0) - 1.0).max()) <= EPS_ALG
+            # tr(P_x P_z P_x) and ||P_a P_b||_F from k x dd products
+            sq = np.abs(stack) ** 2
+            cubes, pairs = (stack * stack) @ stack.T, np.sqrt(sq @ sq.T)
         else:
-            m = [p.entries for _, _, p in outs]
-            orth = [[_within_eps(a @ b) for b in m[i + 1 :]] for i, a in enumerate(m)]
-            complete = _within_eps(sum(m) - np.eye(dim))
+            prods = stack[:, None] @ stack[None]  # P_a P_b at [a, b]
+            orth = [
+                [_within_eps(prods[i, j]) for j in range(i + 1, k)] for i in range(k)
+            ]
+            complete = _within_eps(stack.sum(axis=0) - np.eye(dim))
+            cubes = np.einsum("xzij,xji->xz", prods, stack)
+            pairs = np.linalg.norm(prods, axis=(2, 3))
         for i, row in enumerate(orth):
             for j, ok in enumerate(row, start=i + 1):
                 if not ok:
@@ -113,10 +123,28 @@ class Observable:
                     )
         if not complete:
             raise ValueError("projectors do not sum to the identity")
-        for label, _, p in outs:
-            if p.rank_estimate() == 0:
-                raise ValueError(f"outcome {label!r}: projector is zero")
+        ranks = [p.rank_estimate() for _, _, p in outs]
+        if 0 in ranks:
+            raise ValueError(f"outcome {labels[ranks.index(0)]!r}: projector is zero")
         object.__setattr__(self, "outcomes", outs)
+        # each real diagonal, in outcome order, when every one holds exact
+        # 0s and 1s (the joint check gathers their rows), else None
+        zero_one = diagonal and bool(np.all((stack == 0) | (stack == 1)))
+        object.__setattr__(
+            self, "_zero_one_diagonals", tuple(stack.real) if zero_one else None
+        )
+        # V's residual bounds read (README "One register route"): each x's
+        # sum_z |c_xz - [x = z]|, sum_z ||M_z||_F, max_x sum_z (||P_z P_x||_F
+        # + ||P_x P_z||_F), o = max_{a != b} ||P_a P_b||_F and pi
+        c = cubes / np.array(ranks)[:, None]
+        m_z = (np.tensordot(c, stack, (0, 0)) - stack).reshape(k, -1)
+        np.fill_diagonal(pairs, 0.0)
+        object.__setattr__(self, "_register", (
+            np.abs(c - np.eye(k)).sum(axis=1).tolist(),
+            float(np.linalg.norm(m_z, axis=1).sum()),
+            float((pairs + pairs.T).sum(axis=0).max()), float(pairs.max()),
+            float(np.linalg.norm(stack.reshape(k, -1), axis=1).max()),
+        ))
 
     @property
     def dim(self) -> int:
@@ -139,18 +167,6 @@ class Observable:
     @property
     def is_nondegenerate(self) -> bool:
         return all(p.rank_estimate() == 1 for _, _, p in self.outcomes)
-
-    @functools.cached_property
-    def _zero_one_diagonals(self) -> tuple[np.ndarray, ...] | None:
-        """The real diagonal of each projector, in outcome order, when every
-        one is a diagonal of exact 0s and 1s, else ``None``."""
-        out = []
-        for _, _, p in self.outcomes:
-            d = p._diagonal
-            if d is None or not np.all((d == 0) | (d == 1)):
-                return None
-            out.append(d.real)  # a read-only view, as the diagonal is
-        return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -36,6 +36,7 @@ from .qop import (
     _diagonal_of,
     _entries_of,
     _kron,
+    _positive,
     _ptrace_nd,
     _within_eps,
     dagger,
@@ -74,10 +75,12 @@ class ThermoContext:
     def __post_init__(self) -> None:
         for name in ("temperature", "kb"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            try:  # True is no temperature, whatever it converts to
+                object.__setattr__(self, name, _positive(value, name))
+            except ValueError:
                 raise ValueError(
                     f"{name} must be finite and positive, got {value}"
-                )
+                ) from None
         if not (0.0 < self.kt < math.inf and 1.0 / self.kt < math.inf):
             raise ValueError(
                 f"kb * temperature = {self.kt!r} must be a positive finite "

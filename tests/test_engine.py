@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from szilard import (
     SCAN_FAMILIES,
@@ -37,6 +38,7 @@ from szilard import (
     build_swap_erasure,
     build_transition_model,
     check_feedback_energy,
+    check_feedback_form,
     compose_feedback_unitary,
     erase_demon,
     evaluate_features,
@@ -53,13 +55,17 @@ from szilard import (
 )
 
 import szilard.engine as engine_mod
+import szilard.feedback as feedback_mod
 import szilard.thermo as thermo_mod
-from szilard.qop import _FactorState, _check_joint_dim, _factor, _read
+from szilard.feedback import _plane_stroke
+from szilard.qop import EPS_ALG, _FactorState, _check_joint_dim, _factor, _read
 import _dense
 from _oracles import harvest_works, superposed_post_work
 from conftest import assert_refused_before_allocating, golden_document
 from szilard.cli import parse_scenario
 from test_cli import _explicit_block
+from test_feedback import random_unitary
+import test_golden
 
 
 def _swapped_post_model(h_s_gap: float = 1.0):
@@ -182,6 +188,15 @@ class TestEngineConfigValidation:
             assert not (
                 isinstance(value, Operator) and value.dim == config.total_dim
             ), key
+
+    @pytest.mark.parametrize("tol_s", [True, "0.1", 1j, -1.0, math.nan, math.inf])
+    def test_tol_s_must_be_a_non_negative_number(self, tol_s):
+        # True was read as 1.0 and "0.1" failed with a bare TypeError
+        config = scenario_library("example_I")
+        with pytest.raises(ValueError, match="tol_s must be finite and non-negative"):
+            dataclasses.replace(config, tol_s=tol_s)
+        assert dataclasses.replace(config, tol_s=np.float64(0.5)).tol_s == 0.5
+        assert type(dataclasses.replace(config, tol_s=1).tol_s) is float
 
     def test_nonconserving_feedback_refused(self):
         cfg = scenario_library("example_I")
@@ -504,7 +519,9 @@ class TestJointConsistency:
 
     def test_zero_one_registers_take_no_qr_for_the_gap(self, monkeypatch):
         # the record slices are not pinched a second time, so the gap takes
-        # no QR; the rotated pointer's two pinched factors still do
+        # no joint-sized QR on any register: it is twice the dropped mass
+        # plus the register's 2 k^3 (1 + EPS_ALG) pi^2 o, which a 0/1
+        # register makes exactly 0
         qrs = []
         real = np.linalg.qr
         monkeypatch.setattr(
@@ -523,11 +540,168 @@ class TestJointConsistency:
                 result.rho_w_after, result.rho_d_after, result.rho_r_after,
             )
             joint_dim = config.feedback.branch_dim * config.demon_dim
-            joint = [q for q in qrs if q[0] == joint_dim]
+            assert [q for q in qrs if q[0] == joint_dim] == [], config.label
+            *_, o, pi = config.records._register
+            k = len(config.records.outcomes)
+            assert gap == 2 * k**3 * (1.0 + EPS_ALG) * pi**2 * o, config.label
             if config.records._zero_one_diagonals is not None:
-                assert joint == [] and gap == 0.0, config.label
-            else:
-                assert len(joint) == 1 and gap > 0.0
+                assert gap == 0.0, config.label
+
+
+def _rotated_register_engine(
+    seed: int, dd: int, k: int, exponent: float | None, planes: bool
+) -> EngineConfig:
+    """A non-conforming-flagged engine whose k records project onto the
+    columns of a Haar-random unitary on ``dd`` demon levels, each nudged by
+    ``10**exponent`` times a random unit-norm Hermitian matrix (not at all
+    for ``None``), so the records are neither idempotent nor orthogonal
+    beyond that.  The system has k levels, read in its basis and written to
+    the first column of each record's group; ``H_S = H_D = 0`` and the
+    weight has levels 0 and 1, so each ``U_x = 1 (x) V_x`` conserves energy:
+    ``V_x`` is a dense Haar unitary, or one random 2x2 block on the plane of
+    system levels 0 and 1, held as planes."""
+    rng = np.random.default_rng(seed)
+    w = random_unitary(rng, dd)
+    groups = np.array_split(rng.permutation(dd), k)
+    projs = []
+    for g in groups:
+        h = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        h += h.conj().T
+        nudge = 0.0 if exponent is None else 10.0**exponent / np.linalg.norm(h)
+        projs.append(w[:, g] @ w[:, g].conj().T + nudge * h)
+    labels = [f"x{i}" for i in range(k)]
+    pointer = Observable(tuple(
+        (x, float(i), Operator(p)) for i, (x, p) in enumerate(zip(labels, projs))
+    ))
+    target = engine_mod._basis_records(labels)
+    transitions = [
+        Transition(x, PureState(basis_state(k, i)), PureState(basis_state(k, i)),
+                   PureState(w[:, g[0]]))
+        for i, (x, g) in enumerate(zip(labels, groups))
+    ]
+    h_s, h_d = Operator(np.zeros((k, k))), Operator(np.zeros((dd, dd)))
+    model = build_transition_model(
+        target, pointer, PureState(w[:, groups[0][0]]), transitions, (h_s, h_d)
+    )
+    if planes:
+        strokes = [
+            _plane_stroke(2 * k, [0, k], [1, k + 1], random_unitary(rng, 2))
+            for _ in labels
+        ]
+    else:
+        strokes = [Operator(np.kron(np.eye(2), random_unitary(rng, k))) for _ in labels]
+    return EngineConfig(
+        rho_s=DensityMatrix(np.diag(rng.dirichlet(np.ones(k)))),
+        h_s=h_s,
+        measurement=model,
+        feedback=FeedbackScheme(tuple(zip(labels, strokes))),
+        weight=GenericWeight(
+            Operator(np.diag([0.0, 1.0])), DensityMatrix(np.diag([1.0, 0.0]))
+        ),
+        thermo=ThermoContext(1.0),
+        h_d=h_d,
+        non_conforming=True,
+    )
+
+
+def _dense_register_routes(config):
+    """The form report and order gap of the dense oracles: V composed and
+    checked, the gap of ``objectification_order_gap`` on the premeasured
+    joint, and ``_dense.joint_consistency``'s."""
+    projs = [(x, p) for x, _, p in config.records.outcomes]
+    v = compose_feedback_unitary(config.feedback, config.records)
+    form = check_feedback_form(v, projs, config.feedback.branch_dim)
+    result = run_cycle(config)
+    joint = np.kron(config.weight.initial.entries, result.premeasured.entries)
+    gap = objectification_order_gap(v, joint, projs, config.feedback.branch_dim)
+    sigma_sd, gem, _ = engine_mod._measure(config)
+    dense_gap, _ = _dense.joint_consistency(
+        config, sigma_sd, gem, config.weight.initial, result.rho_s_after,
+        result.rho_w_after, result.rho_d_after, result.rho_r_after,
+    )
+    return result, form, (gap, dense_gap)
+
+
+class TestRotatedRegisters:
+    """Every register's form report and order gap are bounded from its own
+    residuals; the composed V and the dense joint are the oracles."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dd=st.integers(2, 6),
+        k=st.integers(2, 4),
+        exponent=st.floats(-13.0, -11.0),
+        planes=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bounds_dominate_the_dense_values(self, seed, dd, k, exponent, planes):
+        # records off by o in 1e-13 .. 1e-11: each reported residual is at
+        # least the dense one, and the verdicts agree
+        config = _rotated_register_engine(seed, dd, min(k, dd), exponent, planes)
+        o = config.records._register[3]
+        assume(1e-13 <= o <= 1e-11)
+        result, form, gaps = _dense_register_routes(config)
+        got = config.certification.feedback_form
+        assert got.block_residual >= form.block_residual
+        assert got.probe_residual >= form.probe_residual
+        assert got.passed is form.passed
+        assert result.objectification_order_gap >= max(gaps)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dd=st.integers(2, 6),
+        k=st.integers(2, 4),
+        planes=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rounding_level_registers_agree(self, seed, dd, k, planes):
+        # projectors exact but for rounding: both routes read rounding only
+        config = _rotated_register_engine(seed, dd, min(k, dd), None, planes)
+        result, form, gaps = _dense_register_routes(config)
+        got = config.certification.feedback_form
+        assert got.passed is form.passed is True
+        for value in (got.block_residual, got.probe_residual, form.block_residual,
+                      form.probe_residual, result.objectification_order_gap, *gaps):
+            assert value <= EPS_ALG
+
+    def test_no_build_or_cycle_composes_v_or_takes_a_joint_qr(self, monkeypatch):
+        # no library scenario, scan family or golden document, the rotated
+        # pointer included, composes V, checks it densely or takes a QR of
+        # the joint dimension, in its build or its cycle
+        calls, qrs = [], []
+        for name in ("compose_feedback_unitary", "check_feedback_form"):
+            for module in (feedback_mod, engine_mod):
+                monkeypatch.setattr(
+                    module, name, lambda *a, _n=name, **k: calls.append(_n),
+                    raising=False,
+                )
+        real = np.linalg.qr
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda *a, **k: qrs.append(a[0].shape) or real(*a, **k)
+        )
+        rng = np.random.default_rng(19)
+        builds = [lambda n=n: [scenario_library(n)] for n in SCENARIO_NAMES]
+        builds += [
+            lambda: [scenario_library("example_II", N=120)],
+            lambda: [scenario_library("reservoir_circumvention", dim_R=4)],
+        ]
+        builds += [
+            lambda f=f, t=t: [SCAN_FAMILIES[f](rng, t)]
+            for f in sorted(SCAN_FAMILIES) for t in (False, True)
+        ]
+        builds += [
+            lambda e=e: [run.config for run in parse_scenario(e["document"])]
+            for e in test_golden.LIBRARY
+        ]
+        seen = set()
+        for build in builds:
+            qrs.clear()
+            for config in build():
+                run_cycle(config)
+                joint = config.feedback.branch_dim * config.demon_dim
+                assert not [q for q in qrs if q[0] == joint], config.label
+                seen.add(config.records._zero_one_diagonals is None)
+        assert calls == [] and seen == {False, True}
 
 
 class TestOuterDifferenceNorm:
@@ -963,20 +1137,6 @@ class TestScenarioLibrary:
         for name in SCENARIO_NAMES:
             config = scenario_library(name)
             assert config.label == name
-
-    def test_no_library_build_composes_v(self, monkeypatch):
-        # every library register is 0/1 diagonal, so the form is certified
-        # from the scheme; the window and reservoir workloads included
-        calls = []
-        for name in ("compose_feedback_unitary", "check_feedback_form"):
-            monkeypatch.setattr(
-                engine_mod, name, lambda *a, _n=name, **k: calls.append(_n)
-            )
-        for name in SCENARIO_NAMES:
-            scenario_library(name)
-        scenario_library("example_II", N=120)
-        scenario_library("reservoir_circumvention", dim_R=4)
-        assert calls == []
 
     def test_window_build_allocates_less_than_one_stroke(self):
         # the strokes are formed in place and certified from their planes:
@@ -1591,6 +1751,20 @@ class TestImpossibilityScan:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             impossibility_scan(1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "count, seed, field",
+        [(True, 1, "count"), (2.5, 1, "count"), ("2", 1, "count"),
+         (1, False, "seed"), (1, 0.5, "seed"), (1, None, "seed")],
+    )
+    def test_count_and_seed_must_be_integers(self, count, seed, field):
+        # True was kept as the report's count, and 2.5 or "2" failed with a
+        # bare TypeError
+        with pytest.raises(ValueError, match=f"argument '{field}': expected"):
+            impossibility_scan(count, seed)
+        report = impossibility_scan(2.0, seed=3.0)
+        assert (report.count, report.seed) == (2, 3)
+        assert (type(report.count), type(report.seed)) == (int, int)
+
     def test_each_engine_is_certified_once(self, monkeypatch):
         import szilard.measurement as measurement_mod
 
@@ -1610,9 +1784,9 @@ class TestImpossibilityScan:
         # the build reaches both through measurement.way_witness
         for name in ("check_repeatable", "check_energy_conserving_measurement"):
             counted(measurement_mod, name)
-        # a register of 0/1 diagonal records certifies the form without V
+        # every register certifies the form without V
         for name in ("compose_feedback_unitary", "check_feedback_form"):
-            counted(engine_mod, name)
+            counted(feedback_mod, name)
         impossibility_scan(8, seed=1)
         assert calls == {
             "__init__": 8,
@@ -1625,8 +1799,6 @@ class TestImpossibilityScan:
             "__init__": 1,
             "check_repeatable": 1,
             "check_energy_conserving_measurement": 1,
-            "compose_feedback_unitary": 1,
-            "check_feedback_form": 1,
         }
         rng = np.random.default_rng(0)
         assert SCAN_FAMILIES["eigenstate_posts"](rng, False).label == (

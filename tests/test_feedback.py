@@ -268,14 +268,14 @@ def _shipped_engines():
 
 
 class TestRegisterRoute:
-    """A register of 0/1 diagonal records certifies the controlled form
+    """Every register certifies the controlled form from its own residuals,
     without V; the dense route is the oracle it is compared against."""
 
     def test_every_shipped_engine_takes_it_and_agrees_bit_for_bit(self):
         # every shipped register has outcomes of rank 1, where the dense
         # route is exact: the two reports are equal, not merely close
         for label, config in _shipped_engines():
-            register = _register_form(config.records)
+            register = _register_form(config.feedback, config.records)
             assert register is not None, label
             assert register == _dense_form(config.feedback, config.records), label
             assert config.certification.feedback_form == register, label
@@ -294,7 +294,7 @@ class TestRegisterRoute:
         scheme = FeedbackScheme(tuple(
             (l, Operator(random_unitary(rng, 6))) for l in ("a", "b")
         ))
-        register = _register_form(records)
+        register = _register_form(scheme, records)
         dense = _dense_form(scheme, records)
         assert register.passed is dense.passed is True
         if rank in (1, 2, 4):  # sums of `rank` copies of U_x divide exactly
@@ -303,7 +303,11 @@ class TestRegisterRoute:
             assert dense.block_residual <= 1e-15
             assert dense.probe_residual <= 1e-15
 
-    def test_other_registers_take_the_dense_route(self):
+    def test_other_registers_are_bounded_from_their_residuals(self):
+        # |+>/|-> records differ from a projector pair by rounding only, and
+        # a near-diagonal pair by 1e-13: each bound is at least the dense
+        # residual there, and at rounding level both pass
+        rng = np.random.default_rng(8)
         s = 1.0 / math.sqrt(2.0)
         rotated = Observable((
             ("a", 1.0, Operator(np.outer([s, s], [s, s]))),
@@ -313,14 +317,25 @@ class TestRegisterRoute:
             ("a", 1.0, Operator(np.diag([1.0, 1e-13]))),
             ("b", -1.0, Operator(np.diag([0.0, 1.0 - 1e-13]))),
         ))
-        assert _register_form(rotated) is None
-        assert _register_form(near) is None
+        scheme = FeedbackScheme(tuple(
+            (l, Operator(random_unitary(rng, 3))) for l in ("a", "b")
+        ))
+        for records in (rotated, near):
+            assert records._zero_one_diagonals is None
+            register = _register_form(scheme, records)
+            dense = _dense_form(scheme, records)
+            assert register.passed is dense.passed is True
+            assert register.block_residual <= EPS_ALG
+            assert register.probe_residual <= EPS_ALG
+        register, dense = _register_form(scheme, near), _dense_form(scheme, near)
+        assert register.block_residual >= dense.block_residual > 1e-14
         (run,) = parse_scenario(golden_document("explicit_rotated_pointer"))
         config = run.config
-        assert _register_form(config.records) is None
+        got = config.certification.feedback_form
+        assert got == _register_form(config.feedback, config.records)
         want = _dense_form(config.feedback, config.records)
-        assert config.certification.feedback_form == want
-        assert want.passed and 0.0 < want.block_residual <= EPS_ALG
+        assert got.passed is want.passed is True
+        assert 0.0 < got.block_residual <= EPS_ALG
 
 
 class TestEnergyCheck:
@@ -1018,7 +1033,6 @@ class TestComposedV:
             ("a", 1.0, Operator(np.outer([s, s], [s, s]))),
             ("b", -1.0, Operator(np.outer([s, -s], [s, -s]))),
         ))
-        assert _register_form(records) is None
         scheme = FeedbackScheme(tuple(
             (l, Operator(random_unitary(rng, 128))) for l in ("a", "b")
         ))

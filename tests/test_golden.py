@@ -14,9 +14,9 @@ scenarios at their defaults, ``example_II`` at N = 5, 20 and 120,
 ``reservoir_circumvention`` at dim_R = 4, the explicit qubit block of
 ``test_cli._explicit_block`` with Landauer-optimal and with swap erasure,
 and an explicit block whose pointer records are ``|+>`` and ``|->`` (a
-demon starting in ``|+>``).  That last register is the only one whose
-feedback form is certified on the composed dense V, so its nonzero
-``block_residual`` pins that route.  The same gate applies to every record,
+demon starting in ``|+>``).  That last register is the only one off
+the demon basis, so its nonzero ``block_residual`` pins the register
+bounds of a rotated register.  The same gate applies to every record,
 so neither the scenario builders nor the explicit-config parser can move a
 number unnoticed.
 """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ class TestObservable:
         pv = Operator(np.outer(v, v.conj()))
         with pytest.raises(ValueError):
             Observable((("a", 0.0, p0), ("b", 1.0, pv)))
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, True, "1", 1j, None, 10**400]
+    )
+    def test_outcome_value_must_be_a_finite_number(self, value):
+        # refused at construction, naming the outcome: NaN and inf were
+        # accepted, and operator() then warned and returned a NaN matrix;
+        # True was read as 1.0 and None failed with a bare TypeError
+        p0, p1 = Operator(np.diag([1.0, 0j])), Operator(np.diag([0j, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outcome 'b': expected a"):
+                Observable((("a", 0.0, p0), ("b", value, p1)))
+        obs = Observable((("a", np.float64(0.5), p0), ("b", 2, p1)))
+        assert [type(v) for _, v, _ in obs.outcomes] == [float, float]
+        assert obs.outcomes[1][1] == 2.0
 
     def test_operator_reconstruction_and_degeneracy(self):
         obs = basis_observable(3)

@@ -80,6 +80,18 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ThermoContext(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, "1", 1j, None, 10**400])
+    @pytest.mark.parametrize("field", ["temperature", "kb"])
+    def test_context_needs_real_numbers(self, field, value):
+        # True was read as 1 and "1" failed with a bare TypeError that named
+        # no field; each is refused in the message of an infinite value
+        kwargs = {"temperature": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            ThermoContext(**kwargs)
+        ctx = ThermoContext(2, kb=np.float64(0.5))
+        assert (type(ctx.temperature), type(ctx.kb)) == (float, float)
+        assert ctx.kt == 1.0
+
     @pytest.mark.parametrize(
         "kb, temperature",
         [(1e-200, 1e-200), (1e-160, 1e-160), (1e200, 1e200)],
