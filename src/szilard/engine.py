@@ -172,23 +172,51 @@ class Certification:
         )
 
 
+# every memo here holds at most this many entries, least recently used first
+_MODELS_BOUND = 32
+
+
 def _basis_records(labels: Sequence[object]) -> Observable:
     """The register an instrument's outcomes are written to: ``|i><i|``
-    with value ``i`` for the ``i``-th label."""
+    with value ``i`` for the ``i``-th label.
+
+    Engines with the same labels share one register from a bounded memo.
+    Its key holds the labels' repr as well, since labels that compare equal
+    but print differently (``1``, ``1.0``, ``True``) each keep their own
+    register."""
+    labels = tuple(labels)
+    return _basis_register(labels, repr(labels))
+
+
+@functools.lru_cache(maxsize=_MODELS_BOUND)
+def _basis_register(labels: tuple[object, ...], shown: str) -> Observable:
+    # ``shown``, the labels' repr, only keys the memo
     rows = np.eye(len(labels))
     return Observable(tuple(
         (x, float(i), Operator(np.diag(rows[i]))) for i, x in enumerate(labels)
     ))
 
 
+# what a build derives from an engine's structure
+_DERIVED = (
+    "_records", "_h_d", "_tau_r", "_tau_e", "_work_floor", "_certification",
+)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class EngineConfig:
     """One complete engine: state preparation through erasure accounting.
 
-    Construction certifies the engine once and keeps the report.
-    ``non_conforming`` (for negative tests) still runs and keeps that
-    certification but does not raise ``ConstructionError`` when it fails;
-    it also disables the hard assertions that are theorems only for
+    The engine's structure is every field but the system state ``rho_s``
+    and the per-engine ``tol_s``, ``label`` and ``non_conforming``; no
+    certificate reads those.  Construction validates the structure, derives
+    what it implies and certifies it once, keeping the report.  An engine
+    whose structure fields are the very objects of an engine memoised by
+    :func:`scenario_library` shares that engine's derived facts and
+    certification instead, and validates only its own ``tol_s`` and system
+    state dimension.  ``non_conforming`` (for negative tests) still runs and
+    keeps the certification but does not raise ``ConstructionError`` when it
+    fails; it also disables the hard assertions that are theorems only for
     certified engines.
 
     What the engine can derive is not an input.  The feedback is controlled
@@ -219,10 +247,33 @@ class EngineConfig:
                 object.__setattr__(self, "tol_s", _non_negative(self.tol_s, "tol_s"))
             except ValueError:
                 raise ValueError(
-                    f"tol_s must be finite and non-negative, got {self.tol_s}"
+                    f"tol_s must be finite and non-negative, got {self.tol_s!r}"
                 ) from None
         if self.rho_s.dim != self.h_s.dim:
             raise ValueError("system state and Hamiltonian dimensions differ")
+        template = _certified_template(self)
+        if template is None:
+            self._derive()
+        else:
+            for name in _DERIVED:
+                object.__setattr__(self, name, getattr(template, name))
+        cert = self._certification
+        if not self.non_conforming:
+            failures = []
+            if cert.way is not None and not cert.way.energy.passed:
+                failures.append(
+                    "measurement violates energy conservation "
+                    f"(norms {cert.way.energy})"
+                )
+            if not cert.feedback_energy.passed:
+                failures.append("feedback violates energy conservation")
+            if not cert.feedback_form.passed:
+                failures.append("feedback is not of controlled form")
+            if failures:
+                raise ConstructionError("; ".join(failures))
+
+    def _derive(self) -> None:
+        """Validate the structure and set each of ``_DERIVED`` from it."""
         _check_hermitian(self.h_s, "system Hamiltonian h_s must be Hermitian")
         m = self.measurement
         model = isinstance(m, MeasurementModel)
@@ -273,21 +324,7 @@ class EngineConfig:
                 )
             tau_e = thermal_state(self.erasure.h_r, self.thermo.beta)
         object.__setattr__(self, "_tau_e", tau_e)
-        cert = self._certify()
-        object.__setattr__(self, "_certification", cert)
-        if not self.non_conforming:
-            failures = []
-            if model and not cert.way.energy.passed:
-                failures.append(
-                    "measurement violates energy conservation "
-                    f"(norms {cert.way.energy})"
-                )
-            if not cert.feedback_energy.passed:
-                failures.append("feedback violates energy conservation")
-            if not cert.feedback_form.passed:
-                failures.append("feedback is not of controlled form")
-            if failures:
-                raise ConstructionError("; ".join(failures))
+        object.__setattr__(self, "_certification", self._certify())
 
     def _certify(self) -> Certification:
         """Each certificate once: the feedback's energy bookkeeping, its
@@ -372,6 +409,14 @@ class EngineConfig:
     @property
     def total_dim(self) -> int:
         return self.feedback.branch_dim * self.demon_dim
+
+
+# the fields an engine's certificates and derived facts are read from: every
+# field but the per-engine ones, so a field added later counts as structure
+_STRUCTURE = tuple(
+    f.name for f in dataclasses.fields(EngineConfig)
+    if f.name not in {"rho_s", "tol_s", "label", "non_conforming"}
+)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +849,13 @@ def _record_register() -> tuple[tuple[PureState, PureState], Observable]:
 
 # record-write models by structure, least recently used first
 _MODELS: collections.OrderedDict = collections.OrderedDict()
-_MODELS_BOUND = 32
+
+
+def _remember(memo: collections.OrderedDict, key: object, value: object) -> None:
+    """Store ``value`` in an LRU ``memo``, evicting past ``_MODELS_BOUND``."""
+    memo[key] = value
+    if len(memo) > _MODELS_BOUND:
+        memo.popitem(last=False)
 
 
 def _record_model(
@@ -852,10 +903,14 @@ def _record_model(
         basis, basis, PureState(psi), transitions, (h_s, h_d)
     )
     if key is not None:
-        _MODELS[key] = model
-        if len(_MODELS) > _MODELS_BOUND:
-            _MODELS.popitem(last=False)
+        _remember(_MODELS, key, model)
     return model
+
+
+def _qubit_state(q: float) -> DensityMatrix:
+    """``diag(q, 1 - q)``, the record-write system's input state."""
+    _check_range("q", q, 0.0, 1.0)
+    return DensityMatrix(np.diag([q, 1.0 - q]))
 
 
 def _record_write_engine(
@@ -878,7 +933,7 @@ def _record_write_engine(
     a reservoir given by ``h_r`` takes part in the strokes."""
     model = _record_model(h_s, h_d, posts, demon_initial)
     return EngineConfig(
-        rho_s=DensityMatrix(np.diag([q, 1.0 - q])),
+        rho_s=_qubit_state(q),
         h_s=h_s,
         measurement=model,
         feedback=FeedbackScheme(tuple(zip(model.pointer.labels, strokes))),
@@ -1163,19 +1218,51 @@ def _param_table(fn: Callable[..., EngineConfig]) -> dict:
     }
 
 
+# certified library engines by scenario and structure parameters, least
+# recently used first
+_ENGINES: collections.OrderedDict = collections.OrderedDict()
+
+
+def _certified_template(config: EngineConfig) -> EngineConfig | None:
+    """The memoised library engine whose structure fields are ``config``'s
+    own objects, or ``None``."""
+    for template in _ENGINES.values():
+        if all(getattr(config, f) is getattr(template, f) for f in _STRUCTURE):
+            return template
+    return None
+
+
 def scenario_library(name: str, **params) -> EngineConfig:
     """Build one of the named reference engines.
 
     Unknown names or parameters, and parameters of the wrong type, raise
     ``ValueError`` naming the offender, so front ends can surface precise
     diagnostics.  A ``None`` parameter takes its default.
+
+    Every parameter but ``q`` is structure.  The first build of a
+    structure is certified and memoised (at most ``_MODELS_BOUND`` of them,
+    least recently used dropped first); a later call with the same
+    structure parameters checks ``q``, builds ``diag(q, 1 - q)`` and
+    constructs an engine on the memoised structure objects, which shares
+    their certification (:class:`EngineConfig`).  A scenario without ``q``
+    reuses its memoised system state too.  Each call returns a new engine.
     """
     if name not in _SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
     fn = _SCENARIOS[name]
-    return fn(**_read(params, _param_table(fn), "", "parameter"))
+    args = _read(params, _param_table(fn), "", "parameter")
+    # repr tells -0.0 from 0.0, which a builder need not treat alike
+    key = (name, repr({k: v for k, v in args.items() if k != "q"}))
+    template = _ENGINES.get(key)
+    if template is None:
+        template = fn(**args)
+        _remember(_ENGINES, key, template)
+        return template
+    _ENGINES.move_to_end(key)
+    rho_s = _qubit_state(args["q"]) if "q" in args else template.rho_s
+    return dataclasses.replace(template, rho_s=rho_s)
 
 
 # ---------------------------------------------------------------------------

@@ -962,7 +962,7 @@ def thermal_state(h: object, beta: float) -> DensityMatrix:
     m = _entries_of(h)
     _check_hermitian(m, "thermal_state requires a Hermitian Hamiltonian")
     if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+        raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
     ev, vec = np.linalg.eigh(m)
     w = np.exp(-beta * (ev - ev.min()))
     w /= w.sum()

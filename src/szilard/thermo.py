@@ -79,7 +79,7 @@ class ThermoContext:
                 object.__setattr__(self, name, _positive(value, name))
             except ValueError:
                 raise ValueError(
-                    f"{name} must be finite and positive, got {value}"
+                    f"{name} must be finite and positive, got {value!r}"
                 ) from None
         if not (0.0 < self.kt < math.inf and 1.0 / self.kt < math.inf):
             raise ValueError(

@@ -3,6 +3,8 @@ the scenario library, and the randomized scan machinery."""
 
 from __future__ import annotations
 
+import collections
+import copy
 import dataclasses
 import inspect
 import math
@@ -21,6 +23,7 @@ from szilard import (
     ConstructionError,
     DensityMatrix,
     EngineConfig,
+    FeatureReport,
     FeedbackScheme,
     GenericWeight,
     HardAssertionError,
@@ -66,6 +69,23 @@ from szilard.cli import parse_scenario
 from test_cli import _explicit_block
 from test_feedback import random_unitary
 import test_golden
+
+
+def _clear_memos() -> None:
+    engine_mod._ENGINES.clear()
+    engine_mod._MODELS.clear()
+    engine_mod._basis_register.cache_clear()
+
+
+@pytest.fixture
+def cleared_memos():
+    """Start from empty memos, so no engine the test builds shares a
+    structure, or a cache an earlier test formed on one, with an engine
+    built before it; and leave them empty, so no later test shares one
+    this test formed or altered."""
+    _clear_memos()
+    yield
+    _clear_memos()
 
 
 def _swapped_post_model(h_s_gap: float = 1.0):
@@ -197,6 +217,13 @@ class TestEngineConfigValidation:
             dataclasses.replace(config, tol_s=tol_s)
         assert dataclasses.replace(config, tol_s=np.float64(0.5)).tol_s == 0.5
         assert type(dataclasses.replace(config, tol_s=1).tol_s) is float
+
+    @pytest.mark.parametrize("tol_s", ["0.1", -1, "nan"])
+    def test_tol_s_refusal_shows_the_value_as_given(self, tol_s):
+        # "0.1" read "got 0.1", the text the number gives
+        config = scenario_library("example_I")
+        with pytest.raises(ValueError, match=re.escape(f"got {tol_s!r}")):
+            dataclasses.replace(config, tol_s=tol_s)
 
     def test_nonconserving_feedback_refused(self):
         cfg = scenario_library("example_I")
@@ -664,7 +691,9 @@ class TestRotatedRegisters:
                       form.probe_residual, result.objectification_order_gap, *gaps):
             assert value <= EPS_ALG
 
-    def test_no_build_or_cycle_composes_v_or_takes_a_joint_qr(self, monkeypatch):
+    def test_no_build_or_cycle_composes_v_or_takes_a_joint_qr(
+        self, monkeypatch, cleared_memos
+    ):
         # no library scenario, scan family or golden document, the rotated
         # pointer included, composes V, checks it densely or takes a QR of
         # the joint dimension, in its build or its cycle
@@ -1445,7 +1474,7 @@ class TestStrokesStayPlanes:
     features apply them.  Asked for, the entries are the element-wise loop's
     matrix."""
 
-    def test_build_cycle_and_features_form_no_stroke(self):
+    def test_build_cycle_and_features_form_no_stroke(self, cleared_memos):
         configs = [scenario_library(name) for name in SCENARIO_NAMES]
         rng = np.random.default_rng(22)
         for thermal in (False, True):
@@ -1489,19 +1518,26 @@ class TestStatesStayFactors:
     entries are ``X X^dag`` bit for bit."""
 
     @pytest.mark.parametrize("N", [120, 1000])
-    def test_window_forms_no_weight_state(self, N):
-        config = scenario_library("example_II", N=N)
-        result = run_cycle(config)
-        evaluate_features(result, config)
-        states = _weight_states(config, result)
-        assert len(states) == 4
-        assert all(isinstance(rho, _FactorState) for rho in states)
-        assert not any("entries" in vars(rho) for rho in states)
-        for rho in states:
-            x = rho._carried_factor[0]
-            assert np.array_equal(rho.entries, x @ x.conj().T)
+    def test_window_forms_no_weight_state(self, N, cleared_memos):
+        # the second engine is a memo hit, sharing the first's weight
+        configs = [scenario_library("example_II", N=N, q=q) for q in (0.5, 0.3)]
+        assert configs[1].weight is configs[0].weight
+        cycles = []
+        for config in configs:
+            result = run_cycle(config)
+            evaluate_features(result, config)
+            cycles.append((config, result))
+        for config, result in cycles:
+            states = _weight_states(config, result)
+            assert len(states) == 4
+            assert all(isinstance(rho, _FactorState) for rho in states)
+            assert not any("entries" in vars(rho) for rho in states)
+        for config, result in cycles:
+            for rho in _weight_states(config, result):
+                x = rho._carried_factor[0]
+                assert np.array_equal(rho.entries, x @ x.conj().T)
 
-    def test_no_engine_forms_a_held_initial_or_branch_weight(self):
+    def test_no_engine_forms_a_held_initial_or_branch_weight(self, cleared_memos):
         # a scan engine's average weight is too small for the marginal
         # core, so only the joint check's dense route reads its entries
         held = 0
@@ -1703,13 +1739,195 @@ class TestSharedModels:
     def test_import_builds_no_register(self):
         code = (
             "import szilard.engine as e; "
-            "print(e._record_register.cache_info().currsize, len(e._MODELS))"
+            "print(e._record_register.cache_info().currsize, len(e._MODELS), "
+            "e._basis_register.cache_info().currsize, len(e._ENGINES))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
+def _takes_q(name: str) -> bool:
+    return "q" in inspect.signature(engine_mod._SCENARIOS[name]).parameters
+
+
+def _count_calls(monkeypatch, targets) -> collections.Counter:
+    """Count the calls of each ``(owner, name)`` in ``targets`` by name."""
+    calls: collections.Counter = collections.Counter()
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _features_or_refusal(result, config) -> FeatureReport | str:
+    """The feature report, or the message of the exclusion assertion:
+    example_I at q = 1 starts excited, and its one branch reports all three
+    features, which that assertion refuses."""
+    try:
+        return evaluate_features(result, config)
+    except HardAssertionError as exc:
+        return str(exc)
+
+
+CERTIFICATES = (
+    (engine_mod, "check_feedback_energy"),
+    (engine_mod, "way_witness"),
+    (engine_mod, "_register_form"),
+)
+
+
+class TestCertifiedStructureMemo:
+    """A library scenario's structure (every parameter but ``q``) is built
+    and certified once; a later call at any ``q`` constructs a new engine
+    on the same structure objects, sharing their certification, and is the
+    engine a fresh build gives, bit for bit."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_hit_matches_a_build_from_cleared_memos(self, name, cleared_memos):
+        template = scenario_library(name)
+        for q in (0.0, 0.2, 0.5, 0.73, 1.0) if _takes_q(name) else (None,):
+            params = {} if q is None else {"q": q}
+            hit = scenario_library(name, **params)
+            assert hit is not template
+            assert hit.certification is template.certification
+            result = run_cycle(hit)
+            report = _features_or_refusal(result, hit)
+            _clear_memos()
+            fresh = scenario_library(name, **params)
+            assert fresh.certification is not hit.certification
+            assert fresh.weight is not hit.weight
+            _assert_same(hit.rho_s, fresh.rho_s, "rho_s")
+            _assert_same(hit.certification, fresh.certification, "certification")
+            fresh_result = run_cycle(fresh)
+            _assert_same(result, fresh_result, "cycle")
+            _assert_same(report, _features_or_refusal(fresh_result, fresh), "features")
+            template = fresh
+
+    def test_large_window_hit_matches_a_fresh_build(self, cleared_memos):
+        want = superposed_post_work(1000, 1.0, 1.0)
+        scenario_library("example_II", N=1000)
+        hit = scenario_library("example_II", N=1000, q=0.3)
+        result = run_cycle(hit)
+        report = evaluate_features(result, hit)
+        assert all(abs(b.work - want) <= 1e-9 for b in result.branches)
+        _clear_memos()
+        fresh = scenario_library("example_II", N=1000, q=0.3)
+        assert fresh.certification is not hit.certification
+        fresh_result = run_cycle(fresh)
+        _assert_same(result, fresh_result, "cycle")
+        _assert_same(report, evaluate_features(fresh_result, fresh), "features")
+
+    def test_ten_inputs_certify_once(self, monkeypatch, cleared_memos):
+        calls = _count_calls(monkeypatch, [*CERTIFICATES, (EngineConfig, "__init__")])
+        configs = [scenario_library("example_II", q=0.05 + i / 10) for i in range(10)]
+        assert calls == {
+            "check_feedback_energy": 1, "way_witness": 1, "_register_form": 1,
+            "__init__": 10,
+        }
+        assert len({id(c) for c in configs}) == 10
+        assert all(c.certification is configs[0].certification for c in configs)
+        assert [c.rho_s.entries[0, 0].real for c in configs] == [
+            0.05 + i / 10 for i in range(10)
+        ]
+
+    @pytest.mark.parametrize("field", engine_mod._STRUCTURE)
+    def test_replacing_a_structure_field_recertifies(
+        self, field, monkeypatch, cleared_memos
+    ):
+        name, params = "example_II", {"N": 8}
+        if field == "h_r":
+            name, params = "reservoir_circumvention", {"dim_R": 3, "N": 6}
+        config = scenario_library(name, **params)
+        assert scenario_library(name, **params).certification is config.certification
+        if field == "degenerate_target":
+            # the flag is checked against the target again, and refused
+            with pytest.raises(ValueError, match="contradicts the target"):
+                dataclasses.replace(config, degenerate_target=True)
+            return
+        new = _swap_erasure() if field == "erasure" else copy.copy(getattr(config, field))
+        calls = _count_calls(monkeypatch, CERTIFICATES)
+        other = dataclasses.replace(config, **{field: new})
+        assert calls == {
+            "check_feedback_energy": 1, "way_witness": 1, "_register_form": 1,
+        }
+        assert other.certification is not config.certification
+        _assert_same(other.certification, config.certification, "certification")
+
+    @pytest.mark.parametrize("q", [-0.25, 1.5])
+    def test_hit_still_refuses_q_out_of_range(self, q, cleared_memos):
+        config = scenario_library("example_II", N=8)
+        with pytest.raises(ValueError, match=f"parameter 'q' = {q} outside"):
+            scenario_library("example_II", N=8, q=q)
+        assert list(engine_mod._ENGINES.values()) == [config]
+        again = scenario_library("example_II", N=8, q=0.25)
+        assert again.certification is config.certification
+
+    def test_hit_still_checks_its_own_system_state(self, cleared_memos):
+        config = scenario_library("example_II", N=8)
+        with pytest.raises(ValueError, match="system state and Hamiltonian"):
+            dataclasses.replace(config, rho_s=DensityMatrix(np.eye(3) / 3))
+        with pytest.raises(ValueError, match="tol_s must be finite"):
+            dataclasses.replace(config, tol_s=-1.0)
+        # the verdict is the engine's own: a non-conforming flag on the
+        # shared certification raises nothing, and conforming reads it
+        flagged = dataclasses.replace(config, non_conforming=True)
+        assert flagged.certification is config.certification
+        assert config.conforming and not flagged.conforming
+        # a failing shared certification is refused on every hit
+        cert = config.certification
+        failing = dataclasses.replace(
+            cert, feedback_form=dataclasses.replace(cert.feedback_form, passed=False)
+        )
+        object.__setattr__(config, "_certification", failing)
+        with pytest.raises(ConstructionError, match="not of controlled form"):
+            scenario_library("example_II", N=8, q=0.25)
+        assert not dataclasses.replace(config, non_conforming=True).conforming
+
+    def test_memo_stays_within_its_bound(self, cleared_memos):
+        bound = engine_mod._MODELS_BOUND
+        built = {n: scenario_library("example_I", N=n) for n in range(2, bound + 10)}
+        assert len(engine_mod._ENGINES) == bound
+        # N = 2..9 were dropped first; touching N = 10 keeps it past N = 11
+        assert scenario_library("example_I", N=10).certification is (
+            built[10].certification
+        )
+        scenario_library("example_I", N=bound + 10)
+        assert len(engine_mod._ENGINES) == bound
+        for n, kept in ((10, True), (12, True), (2, False), (11, False)):
+            again = scenario_library("example_I", N=n)
+            assert (again.certification is built[n].certification) is kept, n
+
+    def test_scan_draws_never_enter_the_memo(self, cleared_memos):
+        template = scenario_library("example_II")
+        rng = np.random.default_rng(12)
+        for thermal in (False, True):
+            for family in SCAN_FAMILIES.values():
+                config = family(rng, thermal)
+                assert engine_mod._certified_template(config) is None
+        impossibility_scan(8, seed=1)
+        assert list(engine_mod._ENGINES.values()) == [template]
+
+    def test_basis_registers_are_shared_by_labels(self, cleared_memos):
+        a = engine_mod._basis_records(["x0", "x1"])
+        assert engine_mod._basis_records(("x0", "x1")) is a
+        # labels equal to 1 and 0 that print differently keep their own
+        ones = [engine_mod._basis_records([v, 0]) for v in (1, 1.0, True)]
+        assert len({id(r) for r in ones}) == 3
+        assert [type(r.labels[0]) for r in ones] == [int, float, bool]
+        # two degenerate_circumvention builds share the register
+        configs = [scenario_library("degenerate_circumvention", N=n) for n in (3, 4)]
+        assert configs[0].records is configs[1].records
+        # unhashable labels cannot key the memo and are refused, as before
+        with pytest.raises(TypeError, match="unhashable"):
+            engine_mod._basis_records([["a"], ["b"]])
 
 
 class TestImpossibilityScan:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -883,6 +884,11 @@ class TestThermalState:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="beta must be finite and non-negative"):
                 thermal_state(np.diag([0.0, 1.0]), beta)
+
+    def test_beta_refusal_shows_the_value_as_given(self):
+        beta = np.float64(-1.0)
+        with pytest.raises(ValueError, match=re.escape(f"got {beta!r}")):
+            thermal_state(np.diag([0.0, 1.0]), beta)
 
     def test_zero_temperature_limit(self):
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)

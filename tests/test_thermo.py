@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestFreeEnergy:
         kwargs = {"temperature": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ThermoContext(**kwargs)
+
+    @pytest.mark.parametrize("value", ["1", "-1.0", -1, np.float64(-1.0)])
+    def test_refusal_shows_the_value_as_given(self, value):
+        # "1" read "got 1", the text the number 1 gives
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            ThermoContext(value)
 
     @pytest.mark.parametrize("value", [True, "1", 1j, None, 10**400])
     @pytest.mark.parametrize("field", ["temperature", "kb"])
