@@ -272,7 +272,7 @@ def parse_scenario(
         if has_ref:
             config = scenario_library(d["scenario"], **block)
             if d["non_conforming"]:
-                config = config._as_non_conforming()
+                config = dataclasses.replace(config, non_conforming=True)
         else:
             config = _parse_explicit_config(block, d["non_conforming"])
         runs.append(

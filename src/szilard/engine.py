@@ -21,7 +21,6 @@ fully-certified reference constructions.
 from __future__ import annotations
 
 import collections
-import copy
 import dataclasses
 import functools
 import inspect
@@ -172,25 +171,9 @@ class Certification:
         )
 
 
-# every memo here holds at most this many entries, least recently used first
-_MODELS_BOUND = 32
-
-
 def _basis_records(labels: Sequence[object]) -> Observable:
     """The register an instrument's outcomes are written to: ``|i><i|``
-    with value ``i`` for the ``i``-th label.
-
-    Engines with the same labels share one register from a bounded memo.
-    Its key holds the labels' repr as well, since labels that compare equal
-    but print differently (``1``, ``1.0``, ``True``) each keep their own
-    register."""
-    labels = tuple(labels)
-    return _basis_register(labels, repr(labels))
-
-
-@functools.lru_cache(maxsize=_MODELS_BOUND)
-def _basis_register(labels: tuple[object, ...], shown: str) -> Observable:
-    # ``shown``, the labels' repr, only keys the memo
+    with value ``i`` for the ``i``-th label."""
     rows = np.eye(len(labels))
     return Observable(tuple(
         (x, float(i), Operator(np.diag(rows[i]))) for i, x in enumerate(labels)
@@ -242,6 +225,8 @@ class EngineConfig:
     label: str = "engine"
 
     def __post_init__(self) -> None:
+        for flag in ("degenerate_target", "non_conforming"):
+            _read(getattr(self, flag), bool, flag)
         if self.tol_s is not None:
             try:
                 object.__setattr__(self, "tol_s", _non_negative(self.tol_s, "tol_s"))
@@ -344,13 +329,6 @@ class EngineConfig:
             feedback_energy=fb_energy,
             feedback_form=_register_form(self.feedback, records),
         )
-
-    def _as_non_conforming(self) -> EngineConfig:
-        """This engine flagged non-conforming, sharing its certification:
-        certifying does not depend on the flag, so nothing is re-run."""
-        out = copy.copy(self)
-        object.__setattr__(out, "non_conforming", True)
-        return out
 
     # -- derived views ------------------------------------------------------
 
@@ -847,6 +825,9 @@ def _record_register() -> tuple[tuple[PureState, PureState], Observable]:
     return records, basis
 
 
+# every memo here holds at most this many entries, least recently used first
+_MODELS_BOUND = 32
+
 # record-write models by structure, least recently used first
 _MODELS: collections.OrderedDict = collections.OrderedDict()
 
@@ -931,9 +912,10 @@ def _record_write_engine(
     in its energy basis by :func:`_record_model`, and the record selects
     the outcome's stroke.  ``posts`` and ``strokes`` are in outcome order;
     a reservoir given by ``h_r`` takes part in the strokes."""
+    rho_s = _qubit_state(q)
     model = _record_model(h_s, h_d, posts, demon_initial)
     return EngineConfig(
-        rho_s=_qubit_state(q),
+        rho_s=rho_s,
         h_s=h_s,
         measurement=model,
         feedback=FeedbackScheme(tuple(zip(model.pointer.labels, strokes))),
@@ -960,7 +942,6 @@ def _ladder_engine(
     """A record-write engine on a qubit of gap ``omega`` whose strokes turn
     each post state to the ground state while raising an ``N``-level
     ladder weight one rung."""
-    _check_range("q", q, 0.0, 1.0)
     if N < 2:
         raise ValueError(f"parameter 'N' = {N} must be at least 2")
     weight = build_oscillator_weight(omega, N)
@@ -1114,7 +1095,6 @@ def _reservoir_circumvention(
     """Fully degenerate system: feedback partially swaps reservoir quanta
     into the weight conditioned on the record, extracting work from heat at
     the price of a growing weight entropy."""
-    _check_range("q", q, 0.0, 1.0)
     _check_range("theta", theta, 0.0, math.pi)
     if dim_R < 2:
         raise ValueError(f"parameter 'dim_R' = {dim_R} must be at least 2")
@@ -1396,6 +1376,7 @@ def impossibility_scan(
     """
     count = _read(count, int, "count", "argument")
     seed = _read(seed, int, "seed", "argument")
+    thermal_system = _read(thermal_system, bool, "thermal_system", "argument")
     if count < 1:
         raise ValueError("count must be positive")
     if seed < 0:

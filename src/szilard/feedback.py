@@ -120,26 +120,13 @@ def compose_feedback_unitary(
     scheme: FeedbackScheme, records: Observable
 ) -> Operator:
     """The full controlled unitary ``sum_x U_x (x) P_x``, demon last: the
-    dense reference no engine forms.  Each nonzero ``P_x[a, b]`` adds
-    ``U_x P_x[a, b]`` into the ``(branch, demon, branch, demon)`` view of V,
-    from a plane stroke's two entries per column or a sixteenth of a dense
-    ``U_x``'s rows at a time, and V is frozen as it is built, not copied."""
+    dense reference no engine forms.  A plane stroke enters through
+    :meth:`Operator._apply`, so it forms no entries of its own."""
     _check_labels(scheme, records)
-    bd, dd = scheme.branch_dim, records.dim
-    v = np.zeros((bd * dd, bd * dd), dtype=complex)
-    t = v.reshape(bd, dd, bd, dd)
-    k, step = np.arange(bd), -(-bd // 16)
+    n = scheme.branch_dim
+    v = np.zeros((n * records.dim,) * 2, dtype=complex)
     for label, u in scheme.branch_unitaries:
-        p = records.projector_for(label).entries
-        cols = None if u._planes is None else _plane_columns(u)
-        for a, b in zip(*np.nonzero(p)):
-            if cols is not None:
-                diag, row, off = cols
-                t[k, a, k, b] += diag * p[a, b]
-                t[row, a, k, b] += off * p[a, b]
-            else:
-                for r in range(0, bd, step):
-                    t[r : r + step, a, :, b] += u.entries[r : r + step] * p[a, b]
+        v += _kron(u._apply(np.eye(n)), records.projector_for(label).entries)
     return Operator._wrap(v)
 
 
@@ -208,9 +195,7 @@ def check_feedback_form(
     non-finite entry fails the check: the verdict is ``False`` or the exact
     norm raises ``LinAlgError``.
 
-    All contractions ride on the demon being the (small) final factor.  The
-    reconstruction is finished and dropped before the probes start, and each
-    probe subtracts in place, so at most three n x n arrays are held at once.
+    All contractions ride on the demon being the (small) final factor.
     """
     m = _entries_of(v)
     dps = [(l, _coerce(Operator, p)) for l, p in demon_projectors]
@@ -232,13 +217,12 @@ def check_feedback_form(
         # the predicate forms X^dag X, which is B B^dag for X = B^dag
         if not _is_unitary(dagger(b)):
             blocks_unitary = False
-    block_residual = operator_norm(np.subtract(m, recon, out=recon))
-    del recon
+    block_residual = operator_norm(m - recon)
     probe = 0.0
     for label, p in dps:
         left = np.einsum("ibjc,cd->ibjd", t, p.entries).reshape(m.shape)
-        left -= np.einsum("bd,idjc->ibjc", p.entries, t).reshape(m.shape)
-        probe = max(probe, operator_norm(left))
+        right = np.einsum("bd,idjc->ibjc", p.entries, t).reshape(m.shape)
+        probe = max(probe, operator_norm(left - right))
     passed = block_residual <= EPS_ALG and blocks_unitary
     return FormReport(
         passed=passed, block_residual=block_residual, probe_residual=probe

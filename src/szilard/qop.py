@@ -8,8 +8,10 @@ Conventions fixed here and relied on throughout the package:
 
 * natural logarithms everywhere, so entropies are in nats;
 * Boltzmann's constant enters only through ``ThermoContext`` (default 1);
-* subsystem factors are ordered (W, S, D, R) left to right in every tensor
-  product, and single-factor operators are padded with identities;
+* subsystem factors are ordered (W, S, R, D) left to right in the
+  controlled feedback, the demon control last (and R absent without a
+  feedback reservoir), and (D, R) in an explicit erasure; single-factor
+  operators are padded with identities;
 * spectral quantities come from Hermitian eigendecompositions, and
   non-Hermitian input is rejected rather than symmetrised so that
   construction bugs surface early.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -16,7 +17,8 @@ import yaml
 
 import szilard
 import szilard.cli as cli
-from szilard import EngineConfig, HardAssertionError
+import szilard.engine as engine_mod
+from szilard import HardAssertionError, scenario_library
 from szilard.cli import main, parse_scenario, run_records
 from szilard.qop import REQUIRED
 
@@ -137,19 +139,29 @@ class TestParseScenario:
         assert runs[0].config.non_conforming
 
     def test_non_conforming_library_engine_is_built_once(self, monkeypatch):
-        built = []
-        original = EngineConfig.__init__
+        # the flag is a dataclasses.replace of the library engine, which
+        # shares its memoised certification
+        calls = collections.Counter()
+        for name in ("check_feedback_energy", "way_witness", "_register_form"):
+            real = getattr(engine_mod, name)
 
-        def counted(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(EngineConfig, "__init__", counted)
+            monkeypatch.setattr(engine_mod, name, counted)
+        monkeypatch.setattr(engine_mod, "_ENGINES", collections.OrderedDict())
+        monkeypatch.setattr(engine_mod, "_MODELS", collections.OrderedDict())
         runs = parse_scenario({"scenario": "example_I", "non_conforming": True})
-        assert len(built) == 1
+        assert calls == {
+            "check_feedback_energy": 1, "way_witness": 1, "_register_form": 1,
+        }
         config = runs[0].config
         assert config.non_conforming and not config.conforming
         assert config.certification.passed
+        memoised = scenario_library("example_I")
+        assert config is not memoised and not memoised.non_conforming
+        assert config.certification is memoised.certification
 
     def test_document_must_be_mapping(self):
         with pytest.raises(ValueError, match="mapping"):

@@ -74,7 +74,6 @@ import test_golden
 def _clear_memos() -> None:
     engine_mod._ENGINES.clear()
     engine_mod._MODELS.clear()
-    engine_mod._basis_register.cache_clear()
 
 
 @pytest.fixture
@@ -224,6 +223,24 @@ class TestEngineConfigValidation:
         config = scenario_library("example_I")
         with pytest.raises(ValueError, match=re.escape(f"got {tol_s!r}")):
             dataclasses.replace(config, tol_s=tol_s)
+
+    @pytest.mark.parametrize(
+        "name, flag, value",
+        [
+            ("example_II", "non_conforming", "false"),
+            ("example_I", "non_conforming", 1),
+            ("null_engine", "degenerate_target", "no"),
+            ("example_I", "degenerate_target", 0),
+        ],
+    )
+    def test_flags_must_be_booleans(self, name, flag, value):
+        # "false" built an engine with every hard assertion off, "no" was
+        # kept as given, and 0 passed the model's degeneracy check
+        config = scenario_library(name)
+        message = f"{flag!r}: expected true or false, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(config, **{flag: value})
+        assert dataclasses.replace(config, non_conforming=True).non_conforming is True
 
     def test_nonconserving_feedback_refused(self):
         cfg = scenario_library("example_I")
@@ -1740,13 +1757,13 @@ class TestSharedModels:
         code = (
             "import szilard.engine as e; "
             "print(e._record_register.cache_info().currsize, len(e._MODELS), "
-            "e._basis_register.cache_info().currsize, len(e._ENGINES))"
+            "len(e._ENGINES))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0"]
 
 
 def _takes_q(name: str) -> bool:
@@ -1915,19 +1932,44 @@ class TestCertifiedStructureMemo:
         impossibility_scan(8, seed=1)
         assert list(engine_mod._ENGINES.values()) == [template]
 
-    def test_basis_registers_are_shared_by_labels(self, cleared_memos):
-        a = engine_mod._basis_records(["x0", "x1"])
-        assert engine_mod._basis_records(("x0", "x1")) is a
-        # labels equal to 1 and 0 that print differently keep their own
+    def test_basis_registers_are_shared_by_labels(self):
+        # labels equal to 1 and 0 that print differently keep their type
         ones = [engine_mod._basis_records([v, 0]) for v in (1, 1.0, True)]
         assert len({id(r) for r in ones}) == 3
         assert [type(r.labels[0]) for r in ones] == [int, float, bool]
-        # two degenerate_circumvention builds share the register
-        configs = [scenario_library("degenerate_circumvention", N=n) for n in (3, 4)]
-        assert configs[0].records is configs[1].records
-        # unhashable labels cannot key the memo and are refused, as before
+        # unhashable labels are refused
         with pytest.raises(TypeError, match="unhashable"):
             engine_mod._basis_records([["a"], ["b"]])
+
+    def test_instrument_engines_share_their_register_through_the_memo(
+        self, cleared_memos
+    ):
+        configs = [scenario_library("degenerate_circumvention") for _ in range(2)]
+        assert configs[0] is not configs[1]
+        assert configs[0].records is configs[1].records
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("example_II", {"N": 8}),
+            ("reservoir_circumvention", {"dim_R": 3, "N": 6}),
+        ],
+    )
+    @pytest.mark.parametrize("q", [-0.25, 1.5])
+    def test_miss_refuses_q_before_building(self, name, params, q, cleared_memos):
+        # the record-write build reads q before its model, so a refused q
+        # memoises no model and no engine
+        def memos():
+            return [list(m.items()) for m in (engine_mod._MODELS, engine_mod._ENGINES)]
+
+        scenario_library("null_engine")
+        before = memos()
+        with pytest.raises(
+            ValueError, match=rf"parameter 'q' = {q} outside \[0.0, 1.0\]"
+        ):
+            scenario_library(name, q=q, **params)
+        assert memos() == before
+        assert len(before[1]) == 1
 
 
 class TestImpossibilityScan:
@@ -1982,6 +2024,14 @@ class TestImpossibilityScan:
         report = impossibility_scan(2.0, seed=3.0)
         assert (report.count, report.seed) == (2, 3)
         assert (type(report.count), type(report.seed)) == (int, int)
+
+    @pytest.mark.parametrize("thermal_system", ["no", 0, None])
+    def test_thermal_system_must_be_a_boolean(self, thermal_system):
+        # "no" ran the thermal scan
+        with pytest.raises(
+            ValueError, match="argument 'thermal_system': expected true or false"
+        ):
+            impossibility_scan(4, 1, thermal_system=thermal_system)
 
     def test_each_engine_is_certified_once(self, monkeypatch):
         import szilard.measurement as measurement_mod
