@@ -307,6 +307,11 @@ class EngineConfig:
                     "erasure must be an ExplicitReservoir or None, got "
                     f"{self.erasure!r}"
                 )
+            reset, joint = self.erasure.u_r.dim, records.dim * self.erasure.h_r.dim
+            if reset != joint:
+                raise ValueError(
+                    f"reset operator dimension {reset} != demon*reservoir {joint}"
+                )
             tau_e = thermal_state(self.erasure.h_r, self.thermo.beta)
         object.__setattr__(self, "_tau_e", tau_e)
         object.__setattr__(self, "_certification", self._certify())

@@ -18,6 +18,7 @@ from szilard import (
     run_cycle,
     scenario_library,
 )
+import szilard.engine as engine_mod
 
 SCAN_SEED = 20260814
 SCAN_COUNT = 500
@@ -47,6 +48,23 @@ def assert_refused_before_allocating(build) -> None:
         tracemalloc.stop()
     assert elapsed < 0.5, elapsed
     assert peak < 10 * 2**20, peak
+
+
+def clear_memos() -> None:
+    """Empty the model and certified-structure memos."""
+    engine_mod._ENGINES.clear()
+    engine_mod._MODELS.clear()
+
+
+@pytest.fixture
+def cleared_memos():
+    """Start from empty memos, so no engine the test builds shares a
+    structure, or a cache an earlier test formed on one, with an engine
+    built before it; and leave them empty, so no later test shares one
+    this test formed or altered."""
+    clear_memos()
+    yield
+    clear_memos()
 
 
 def _cycle(name: str, **params):

@@ -20,7 +20,6 @@ from szilard import (
     Observable,
     Operator,
     OscillatorWeight,
-    PureState,
     basis_state,
     build_oscillator_weight,
     build_shift_unitary,
@@ -102,53 +101,6 @@ class TestScheme:
         )
         assert operator_norm(v.entries - want) < 1e-12
         assert v.is_unitary
-
-    @pytest.mark.parametrize("planes", [False, True])
-    @pytest.mark.parametrize("rotated", [False, True])
-    def test_composed_is_the_kron_sum_bit_for_bit(self, rotated, planes):
-        # adding U_x P_x[a, b] for each nonzero P_x[a, b] makes the same
-        # products and sums as adding U_x (x) P_x, in the same order; a
-        # stroke held as planes is added from its planes
-        rng = np.random.default_rng(23)
-        if rotated:
-            s = 1.0 / math.sqrt(2.0)
-            records = Observable((
-                ("a", 1.0, Operator(np.outer([s, s], [s, s]))),
-                ("b", -1.0, Operator(np.outer([s, -s], [s, -s]))),
-            ))
-        else:
-            p0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-            records = Observable((
-                ("a", 1.0, Operator(p0)), ("b", -1.0, Operator(np.eye(3) - p0)),
-            ))
-        scheme = FeedbackScheme(tuple(
-            (l, _plane_stroke(5, [0, 3], [2, 1], random_unitary(rng, 2)) if planes
-             else Operator(random_unitary(rng, 5)))
-            for l in ("a", "b")
-        ))
-        got = compose_feedback_unitary(scheme, records).entries
-        if planes:
-            assert not any("entries" in vars(u) for _, u in scheme.branch_unitaries)
-        want = np.zeros((5 * records.dim,) * 2, dtype=complex)
-        for l, u in scheme.branch_unitaries:
-            want += np.kron(u.entries, records.projector_for(l).entries)
-        assert np.array_equal(got, want)
-
-    def test_composed_takes_its_controls_from_the_register(self):
-        # a register rotated off the demon basis: each U_x is controlled by
-        # that register's P_x, exactly sum_x U_x (x) P_x
-        rng = np.random.default_rng(17)
-        s = 1.0 / math.sqrt(2.0)
-        plus = Operator(np.outer([s, s], [s, s]).astype(complex))
-        minus = Operator(np.outer([s, -s], [s, -s]).astype(complex))
-        records = Observable((("a", 1.0, plus), ("b", -1.0, minus)))
-        us = [Operator(random_unitary(rng, 3)) for _ in range(2)]
-        scheme = FeedbackScheme((("b", us[1]), ("a", us[0])))
-        v = compose_feedback_unitary(scheme, records)
-        want = np.kron(us[1].entries, minus.entries) + np.kron(
-            us[0].entries, plus.entries
-        )
-        assert np.array_equal(v.entries, want)
 
     def test_labels_must_match_the_register(self):
         u = Operator(np.eye(2, dtype=complex))
@@ -252,33 +204,10 @@ def _dense_form(scheme, records):
     )
 
 
-def _shipped_engines():
-    for name in SCENARIO_NAMES:
-        yield name, scenario_library(name)
-    for n in (5, 20, 120):
-        yield f"example_II N={n}", scenario_library("example_II", N=n)
-    yield "reservoir dim_R=4", scenario_library(
-        "reservoir_circumvention", dim_R=4
-    )
-    rng = np.random.default_rng(41)
-    for thermal in (False, True):
-        for family in sorted(SCAN_FAMILIES):
-            for _ in range(3):
-                yield family, SCAN_FAMILIES[family](rng, thermal)
-
-
 class TestRegisterRoute:
-    """Every register certifies the controlled form from its own residuals,
-    without V; the dense route is the oracle it is compared against."""
-
-    def test_every_shipped_engine_takes_it_and_agrees_bit_for_bit(self):
-        # every shipped register has outcomes of rank 1, where the dense
-        # route is exact: the two reports are equal, not merely close
-        for label, config in _shipped_engines():
-            register = _register_form(config.feedback, config.records)
-            assert register is not None, label
-            assert register == _dense_form(config.feedback, config.records), label
-            assert config.certification.feedback_form == register, label
+    """Hand-built registers certify the controlled form from their own
+    residuals, without V, against the dense route; a test in
+    ``test_routes.py`` runs every shipped engine through both."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_hand_built_register_agrees(self, rank):
@@ -795,32 +724,11 @@ def _dense_scheme(scheme):
     ))
 
 
-def _branch_law(config):
-    hs = (config.weight.hamiltonian, config.h_s)
-    return qop_mod._additive_hamiltonian(
-        *(hs if config.h_r is None else hs + (config.h_r,))
-    )
-
-
 def _energy_report(scheme, config):
     return check_feedback_energy(
         scheme, config.records, config.weight.hamiltonian, config.h_s,
         config._h_d, config.h_r,
     )
-
-
-def _assert_residual_bounds_dense(u, law):
-    """The plane residual is 0.0 exactly where the dense one is, agrees with
-    it to 1e-12, and is not below the dense spectral norm by more than the
-    rounding of the SVD that computes that norm."""
-    got = qop_mod._conservation_residual(u, law)
-    dense = qop_mod._diagonal_commutator_norm(u.entries, law)
-    if dense == 0.0:
-        assert got == 0.0
-        return
-    spectral = float(np.linalg.norm(u.entries * (law[None, :] - law[:, None]), 2))
-    assert got >= spectral - 4 * np.spacing(spectral), (got, spectral)
-    assert got == pytest.approx(dense, rel=1e-12)
 
 
 def _assert_same_report(got, want):
@@ -835,49 +743,11 @@ def _assert_same_report(got, want):
         assert c == pytest.approx(d, rel=1e-12)
 
 
-def _shipped_configs():
-    yield from _shipped_engines()
-    for name in ("explicit", "explicit_swap", "explicit_rotated_pointer"):
-        for run in parse_scenario(golden_document(name)):
-            yield name, run.config
-
-
 class TestPlaneCertificates:
     """Strokes built from planes are certified on their 2x2 blocks; the
-    dense route, on a plain copy of the same entries, is the oracle."""
-
-    def test_every_shipped_stroke_agrees_with_the_dense_route(self):
-        for label, config in _shipped_configs():
-            law = _branch_law(config)
-            assert law.ndim == 1, label
-            for _, u in config.feedback.branch_unitaries:
-                assert u._planes is not None, label
-                assert u.is_unitary == qop_mod._is_unitary(u.entries), label
-                _assert_residual_bounds_dense(u, law)
-            got = _energy_report(config.feedback, config)
-            want = _energy_report(_dense_scheme(config.feedback), config)
-            _assert_same_report(got, want)
-            assert config.certification.feedback_energy == got, label
-
-    def test_random_planes_agree_with_the_dense_route(self):
-        # planes drawn across sectors or inside them, blocks unitary, near
-        # unitary or not, on a ladder times a qubit
-        rng = np.random.default_rng(2024)
-        law = (np.arange(9.0)[:, None] + np.array([0.5, -0.5])[None, :]).ravel()
-        for _ in range(300):
-            k = int(rng.integers(0, 10))
-            idx = rng.permutation(law.size)[: 2 * k]
-            block = random_unitary(rng, 2)
-            kind = rng.integers(3)
-            if kind == 1:
-                block = block + 1e-6 * rng.normal(size=(2, 2))
-            elif kind == 2:
-                block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            u = _plane_stroke(law.size, idx[:k], idx[k:], block)
-            want = _dense.plane_stroke(law.size, idx[:k], idx[k:], block)
-            assert np.array_equal(u.entries, want)
-            assert u.is_unitary == qop_mod._is_unitary(u.entries)
-            _assert_residual_bounds_dense(u, law)
+    dense route, on a plain copy of the same entries, is the oracle (for
+    every shipped stroke and random planes, in the tests in
+    ``test_routes.py``)."""
 
     def test_no_plane_is_the_identity(self):
         none = np.arange(0)
@@ -1022,29 +892,6 @@ class TestPlaneCertificates:
     def test_unsound_planes_are_refused(self, i, j, block):
         with pytest.raises(ValueError):
             _plane_stroke(4, i, j, block)
-
-
-class TestComposedV:
-    def test_rotated_register_is_built_in_place(self):
-        rng = np.random.default_rng(5)
-        s = 1.0 / math.sqrt(2.0)
-        records = Observable((
-            ("a", 1.0, Operator(np.outer([s, s], [s, s]))),
-            ("b", -1.0, Operator(np.outer([s, -s], [s, -s]))),
-        ))
-        scheme = FeedbackScheme(tuple(
-            (l, Operator(random_unitary(rng, 128))) for l in ("a", "b")
-        ))
-        v = compose_feedback_unitary(scheme, records)
-        assert not v.entries.flags.writeable
-        # the additions of one U_x P_x[a, b] at a time, in the same order
-        want = np.zeros((256, 256), dtype=complex)
-        t = want.reshape(128, 2, 128, 2)
-        for label, u in scheme.branch_unitaries:
-            p = records.projector_for(label).entries
-            for a, b in zip(*np.nonzero(p)):
-                t[:, a, :, b] += u.entries * p[a, b]
-        assert np.array_equal(v.entries, want)
 
 
 class TestRandomConservingUnitary:
