@@ -180,9 +180,9 @@ def _basis_records(labels: Sequence[object]) -> Observable:
     ))
 
 
-# what a build derives from an engine's structure
+# what a build derives from an engine's structure, under the names read
 _DERIVED = (
-    "_records", "_h_d", "_tau_r", "_tau_e", "_work_floor", "_certification",
+    "records", "demon_initial", "tau_r", "_tau_e", "work_floor", "certification",
 )
 
 
@@ -202,12 +202,16 @@ class EngineConfig:
     fails; it also disables the hard assertions that are theorems only for
     certified engines.
 
-    What the engine can derive is not an input.  The feedback is controlled
-    by the measurement's own record register (:attr:`records`), and a
-    reservoir is given by its Hamiltonian: a reservoir taking part in the
-    feedback (``h_r``) and an explicit erasure reservoir both start in
-    their Gibbs state at the context temperature, derived once here.
-    Without an erasure reservoir the record is erased Landauer-optimally.
+    What the engine can derive is not an input.  The build sets each
+    derived fact once, as the attribute its readers use: ``records``, the
+    register that controls the feedback (a model's pointer, or ``|i><i|``
+    with value ``i`` for an instrument's ``i``-th outcome);
+    ``demon_initial``, the blank record state; ``tau_r``, the Gibbs state
+    of the feedback reservoir ``h_r`` at the context temperature (``None``
+    without one); ``work_floor``; and ``certification``.  It resolves
+    ``h_d``, ``None`` to the register's zero Hamiltonian.  An explicit
+    erasure reservoir starts in its Gibbs state too; without one the
+    record is erased Landauer-optimally.
     """
 
     rho_s: DensityMatrix
@@ -242,7 +246,7 @@ class EngineConfig:
         else:
             for name in _DERIVED:
                 object.__setattr__(self, name, getattr(template, name))
-        cert = self._certification
+        cert = self.certification
         if not self.non_conforming:
             failures = []
             if cert.way is not None and not cert.way.energy.passed:
@@ -258,7 +262,8 @@ class EngineConfig:
                 raise ConstructionError("; ".join(failures))
 
     def _derive(self) -> None:
-        """Validate the structure and set each of ``_DERIVED`` from it."""
+        """Validate the structure, resolve ``h_d`` and set each of
+        ``_DERIVED`` from it."""
         _check_hermitian(self.h_s, "system Hamiltonian h_s must be Hermitian")
         m = self.measurement
         model = isinstance(m, MeasurementModel)
@@ -272,7 +277,7 @@ class EngineConfig:
         elif m.dim != self.rho_s.dim:
             raise ValueError("instrument dimension mismatch")
         floor = work_threshold(self.weight.scale, self.thermo)
-        object.__setattr__(self, "_work_floor", floor)
+        object.__setattr__(self, "work_floor", floor)
         branch_dim = self.weight.hamiltonian.dim * self.rho_s.dim
         if self.h_r is not None:
             branch_dim *= self.h_r.dim
@@ -283,23 +288,23 @@ class EngineConfig:
             )
         _check_joint_dim(branch_dim, m.demon_dim if model else len(m.labels))
         records = m.pointer if model else _basis_records(m.labels)
-        object.__setattr__(self, "_records", records)
-        if set(self.feedback.labels) != set(records.labels):
-            raise ValueError("feedback outcome labels differ from measurement")
+        object.__setattr__(self, "records", records)
+        blank = m.demon_initial if model else PureState(basis_state(records.dim, 0))
+        object.__setattr__(self, "demon_initial", blank)
         h_d = self.h_d
         if h_d is None:
             h_d = Operator(np.zeros((records.dim, records.dim)))
         elif h_d.dim != records.dim:
             raise ValueError("demon Hamiltonian dimension mismatch")
         _check_hermitian(h_d, "demon Hamiltonian h_d must be Hermitian")
-        object.__setattr__(self, "_h_d", h_d)
+        object.__setattr__(self, "h_d", h_d)
         tau_r = None
         if self.h_r is not None:
             _check_hermitian(
                 self.h_r, "reservoir Hamiltonian h_r must be Hermitian"
             )
             tau_r = thermal_state(self.h_r, self.thermo.beta)
-        object.__setattr__(self, "_tau_r", tau_r)
+        object.__setattr__(self, "tau_r", tau_r)
         tau_e = None
         if self.erasure is not None:
             if not isinstance(self.erasure, ExplicitReservoir):
@@ -314,32 +319,28 @@ class EngineConfig:
                 )
             tau_e = thermal_state(self.erasure.h_r, self.thermo.beta)
         object.__setattr__(self, "_tau_e", tau_e)
-        object.__setattr__(self, "_certification", self._certify())
+        object.__setattr__(self, "certification", self._certify())
 
     def _certify(self) -> Certification:
-        """Each certificate once: the feedback's energy bookkeeping, its
+        """Each certificate once: the feedback's energy bookkeeping, which
+        also refuses feedback labels other than the record labels, its
         controlled form bounded from the record register's own residuals
         (:func:`feedback._register_form`; no register composes V) and a
         model's WAY report."""
-        records = self._records
         fb_energy = check_feedback_energy(
-            self.feedback, records, self.weight.hamiltonian, self.h_s,
-            self._h_d, self.h_r,
+            self.feedback, self.records, self.weight.hamiltonian, self.h_s,
+            self.h_d, self.h_r,
         )
         way = None
         if isinstance(self.measurement, MeasurementModel):
-            way = way_witness(self.measurement, self.h_s, self._h_d)
+            way = way_witness(self.measurement, self.h_s, self.h_d)
         return Certification(
             way=way,
             feedback_energy=fb_energy,
-            feedback_form=_register_form(self.feedback, records),
+            feedback_form=_register_form(self.feedback, self.records),
         )
 
     # -- derived views ------------------------------------------------------
-
-    @property
-    def certification(self) -> Certification:
-        return self._certification
 
     @property
     def conforming(self) -> bool:
@@ -347,25 +348,13 @@ class EngineConfig:
         return (not self.non_conforming) and self.certification.passed
 
     @property
-    def records(self) -> Observable:
-        """The demon's record register, which controls the feedback: a
-        model's pointer, or ``|i><i|`` with value ``i`` for an instrument's
-        ``i``-th outcome."""
-        return self._records
-
-    @property
     def outcome_labels(self) -> tuple[object, ...]:
-        return self._records.labels
+        return self.records.labels
 
     @property
     def record_projectors(self) -> tuple[np.ndarray, ...]:
         """Each outcome's record projector, in outcome order."""
-        return tuple(p.entries for _, _, p in self._records.outcomes)
-
-    @property
-    def tau_r(self) -> DensityMatrix | None:
-        """The feedback reservoir's Gibbs state, or ``None`` without one."""
-        return self._tau_r
+        return tuple(p.entries for _, _, p in self.records.outcomes)
 
     @property
     def reservoir_in_feedback(self) -> bool:
@@ -373,25 +362,7 @@ class EngineConfig:
 
     @property
     def demon_dim(self) -> int:
-        return self._records.dim
-
-    @property
-    def demon_hamiltonian(self) -> Operator:
-        return self._h_d
-
-    @property
-    def demon_initial(self) -> PureState:
-        if isinstance(self.measurement, MeasurementModel):
-            return self.measurement.demon_initial
-        return PureState(basis_state(self.demon_dim, 0))
-
-    @property
-    def work_floor(self) -> float:
-        return self._work_floor
-
-    @property
-    def total_dim(self) -> int:
-        return self.feedback.branch_dim * self.demon_dim
+        return self.records.dim
 
 
 # the fields an engine's certificates and derived facts are read from: every
@@ -553,7 +524,7 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     )
 
     erasure = _erase_demon(
-        rho_d_after, config.demon_hamiltonian, config.demon_initial, ctx,
+        rho_d_after, config.h_d, config.demon_initial, ctx,
         config.erasure, config._tau_e,
     )
     ledger = _work_ledger(
@@ -647,7 +618,7 @@ def _joint_consistency(
         model = config.measurement
         x_s, s_part = _factor(config.rho_s)
         x_sd = model.premeasurement.entries @ _kron(
-            x_s, model.demon_initial.amplitudes[:, None]
+            x_s, config.demon_initial.amplitudes[:, None]
         )
         terms.append((1.0, x_sd, s_part))
     else:
@@ -1176,9 +1147,7 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 # how outside input is read for each annotation a scenario parameter has
 _PARAM_KINDS = {
     "int": int,
-    "int | None": int,
     "float": float,
-    "float | None": float,
     "Sequence[int]": [int],
 }
 
@@ -1357,9 +1326,6 @@ class ScanReport:
     seed: int
     records: tuple[ScanRecord, ...]
     all_three_count: int
-
-    def pattern_count(self, triple: tuple[bool, bool, bool]) -> int:
-        return sum(1 for r in self.records if r.triple == tuple(triple))
 
     @property
     def pattern_counts(self) -> tuple[tuple[tuple[bool, bool, bool], int], ...]:

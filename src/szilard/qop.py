@@ -51,7 +51,6 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "von_neumann_entropy",
-    "relative_entropy",
     "thermal_state",
     "projector_onto",
     "basis_state",
@@ -933,30 +932,6 @@ def _entropy_of(ev: np.ndarray) -> float:
     if ev.size == 0:
         return 0.0
     return float(-(ev * np.log(ev)).sum())
-
-
-def relative_entropy(rho: object, sigma: object) -> float:
-    """``tr[rho ln rho] - tr[rho ln sigma]``; +inf on support violation."""
-    a = _entries_of(rho)
-    b = _entries_of(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    eb, vb = sigma._eigh if isinstance(sigma, DensityMatrix) else np.linalg.eigh(b)
-    null = eb <= EPS_EIG
-    if np.any(null):
-        vn = vb[:, null]
-        # population of rho inside the null space of sigma
-        leak = float(np.einsum("ij,jk,ki->", dagger(vn), a, vn).real)
-        if leak > EPS_EIG:
-            return math.inf
-    ea = np.linalg.eigvalsh(a)
-    ea = ea[ea > EPS_EIG]
-    s_rho = float((ea * np.log(ea)).sum()) if ea.size else 0.0
-    sup = ~null
-    vs = vb[:, sup]
-    pops = np.einsum("ij,jk,ki->i", dagger(vs), a, vs).real
-    s_cross = float((pops * np.log(eb[sup])).sum())
-    return s_rho - s_cross
 
 
 def thermal_state(h: object, beta: float) -> DensityMatrix:

@@ -43,7 +43,6 @@ from .qop import (
     projector_onto,
     thermal_state,
     von_neumann_entropy,
-    relative_entropy,
 )
 
 __all__ = [
@@ -523,20 +522,29 @@ def _reservoir_chain(
     h_r: object, h_w: object, ctx: ThermoContext,
 ) -> ChainReport:
     """:func:`reservoir_assisted_bound` given the branch work ``w_x``, for
-    a ``tau_r`` already known to be thermal."""
+    a ``tau_r`` already known to be thermal.
+
+    ``tau_r`` is ``exp(-beta (H_R - e_0)) / Z`` with ``e_0`` the least
+    level of ``H_R``, so ``S(tau' || tau_r) = beta tr[H_R tau'] - beta e_0
+    + ln Z - S(tau')`` needs no eigendecomposition of ``tau_r`` and no
+    eigenvalue cutoff.  The heat identity then checks the kept entropy of
+    ``tau_r`` against the partition function of ``h_r``."""
     t = ctx.kt
-    tau_after = _entries_of(tau_r_after)
     ds_w = von_neumann_entropy(rho_w_after) - von_neumann_entropy(rho_w)
     de_w = _energy(h_w, rho_w_after, rho_w)
     de_s_drop = _energy(h_s, rho_s_branch, rho_s_after)
-    energy_form = _energy(h_r, tau_r, tau_after) + de_s_drop
+    energy_form = _energy(h_r, tau_r, tau_r_after) + de_s_drop
     if abs(de_w - energy_form) > EPS_ASSERT:
         raise HardAssertionError(
             f"weight energy gain {de_w} does not match the released energy "
             f"{energy_form}; the branch is not energy conserving"
         )
-    rel = t * relative_entropy(tau_after, tau_r)
-    s_tau, s_tau_after = von_neumann_entropy(tau_r), von_neumann_entropy(tau_after)
+    levels = _diagonal_of(h_r)
+    levels = np.linalg.eigvalsh(_entries_of(h_r)) if levels is None else levels.real
+    e_0 = levels.min()
+    log_z = math.log(np.exp(-ctx.beta * (levels - e_0)).sum())
+    s_tau, s_tau_after = von_neumann_entropy(tau_r), von_neumann_entropy(tau_r_after)
+    rel = t * (ctx.beta * (_energy(h_r, tau_r_after) - e_0) + log_z - s_tau_after)
     heat_identity_form = t * (s_tau - s_tau_after) - rel + de_s_drop
     if abs(energy_form - heat_identity_form) > EPS_ROUTE:
         raise HardAssertionError(

@@ -171,7 +171,7 @@ ROTATED = "golden/explicit_rotated_pointer"
 COMMUTATORS = ("random A, diagonal B", "diagonal A, random B", "diagonal A and B")
 
 CASES = {
-    **{name: _library(*LIBRARY_PARAMS[name]) for name in (*LIBRARY, WINDOW)},
+    **{name: _library(*LIBRARY_PARAMS[name]) for name in (*LIBRARY, *SCENARIOS, WINDOW)},
     **{
         name: _draws(family, name.endswith("thermal"), SEED, 3)
         for name in SCAN for family in [name.split()[0]]

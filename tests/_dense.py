@@ -8,8 +8,10 @@ low-rank factor; it takes the same arguments as
 ``HardAssertionError``.  ``conditional_feedback_map`` is the dense branch
 map ``U rho U^dag`` that ``szilard.feedback.conditional_feedback_map``
 replaced with a factored one, and ``entropy`` / ``free_energy`` price its
-outputs from a fresh ``eigvalsh``.  ``shift_stroke``, ``top_swap``,
-``reservoir_swap`` and ``harvest_plane`` are the element-by-element loops
+outputs from a fresh ``eigvalsh``.  ``relative_entropy`` takes both
+states' ``eigh``: the reference for the reservoir chain's Gibbs-form term.
+``shift_stroke``, ``top_swap``, ``reservoir_swap`` and ``harvest_plane``
+are the element-by-element loops
 that built the feedback strokes before they went through
 ``szilard.feedback._plane_stroke``, and ``plane_stroke`` is that loop for
 any planes.  ``complete_unitary`` is the
@@ -151,6 +153,16 @@ def entropy(rho: np.ndarray) -> float:
 
 def free_energy(rho: np.ndarray, h: np.ndarray, kt: float) -> float:
     return float(np.trace(h @ rho).real) - kt * entropy(rho)
+
+
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """``tr[rho ln rho] - tr[rho ln sigma]`` for a full-rank ``sigma``, from
+    one ``eigh`` of each; populations of ``rho`` at or below 0 dropped."""
+    ea = np.linalg.eigvalsh(rho)
+    ea = ea[ea > 0.0]
+    eb, vb = np.linalg.eigh(sigma)
+    pops = np.einsum("ji,jk,ki->i", vb.conj(), rho, vb).real
+    return float((ea * np.log(ea)).sum() - (pops * np.log(eb)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ class TestRandomizedExclusionScan:
             (True, False, True),
             (False, True, True),
         ]:
-            assert scan500.pattern_count(pattern) > 0
+            assert dict(scan500.pattern_counts).get(pattern, 0) > 0
 
 
 # ---------------------------------------------------------------------------

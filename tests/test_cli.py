@@ -629,6 +629,15 @@ class TestRunCommand:
         assert main(["run", path]) == 2
         assert "hard assertion failed" in capsys.readouterr().err
 
+    def test_reservoir_below_the_eigenvalue_cutoff_runs(self, tmp_path, capsys):
+        # tau_R's top Gibbs population falls below EPS_EIG at dim_R = 120,
+        # and the reservoir chain's heat identity must still hold
+        doc = {"scenario": "reservoir_circumvention",
+               "params": {"dim_R": 120, "N": 2}}
+        code, out, err = _run(tmp_path, capsys, doc)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["records"][0]["certification"]["conforming"]
+
     def test_pointer_outcome_without_a_transition_needs_feedback(
         self, tmp_path, capsys
     ):

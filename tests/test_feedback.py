@@ -727,7 +727,7 @@ def _dense_scheme(scheme):
 def _energy_report(scheme, config):
     return check_feedback_energy(
         scheme, config.records, config.weight.hamiltonian, config.h_s,
-        config._h_d, config.h_r,
+        config.h_d, config.h_r,
     )
 
 

@@ -28,7 +28,6 @@ from szilard import (
     partial_trace,
     projector_onto,
     random_energy_conserving_unitary,
-    relative_entropy,
     tensor_product,
     thermal_state,
     von_neumann_entropy,
@@ -360,27 +359,6 @@ class TestEntropy:
         s_a = von_neumann_entropy(DensityMatrix(a))
         s_b = von_neumann_entropy(DensityMatrix(b))
         assert s_joint <= s_a + s_b + EPS_ALG
-
-    @given(seeds, dims)
-    @settings(max_examples=25, deadline=None)
-    def test_relative_entropy_nonnegative(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        rho = random_density(rng, dim)
-        sigma = random_density(rng, dim)
-        assert relative_entropy(rho, sigma) >= -EPS_ALG
-        assert relative_entropy(rho, rho) < 1e-9
-
-    def test_relative_entropy_support_violation(self):
-        rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-        sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-        assert relative_entropy(rho, sigma) == math.inf
-
-    def test_relative_entropy_commuting_closed_form(self):
-        p, q = 0.2, 0.7
-        rho = DensityMatrix(np.diag([p, 1 - p]).astype(complex))
-        sigma = DensityMatrix(np.diag([q, 1 - q]).astype(complex))
-        want = p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
-        assert abs(relative_entropy(rho, sigma) - want) < 1e-10
 
     def test_norm_is_exact_above_1024_dims(self):
         # rank-one residual whose kernel holds the all-ones vector, so an

@@ -44,6 +44,7 @@ import _cases
 import _dense
 from _oracles import harvest_works, superposed_post_work
 from conftest import clear_memos
+import test_feedback
 from test_feedback import _dense_form, _dense_scheme, _energy_report
 
 # ---------------------------------------------------------------------------
@@ -443,6 +444,41 @@ def test_commutator_norm_matches_the_dense_commutator(case):
         got = commutator_norm(a, b)
         within(got, operator_norm(a @ b - b @ a), rel=1e-12, where=f"n={a.shape[0]}")
         assert case != "diagonal A and B" or got == 0.0
+
+
+@pytest.mark.parametrize("case", (*_cases.SCAN, *_cases.MANY_DRAWS))
+def test_energy_certificate_commutators_match_the_kron_route(case):
+    """Each branch commutator of the build's energy certificate, taken
+    against the diagonal law, within 1e-12 relative of the commutator
+    against the ``np.kron``-formed additive Hamiltonian, and 0.0 exactly
+    where that is."""
+    for i, config in enumerate(_cases.configs(case)):
+        got = [c for _, c in config.certification.feedback_energy.branch_commutators]
+        want = test_feedback.TestEnergyCheck._kron_commutators(
+            config.feedback, config.weight.hamiltonian, config.h_s, config.h_r
+        )
+        within(got, want, rel=1e-12, where=f"draw {i}")
+
+
+RESERVOIRS = (
+    *(c for c in (*_cases.LIBRARY, *_cases.MEMO_HITS) if c.startswith("reservoir")),
+    "reservoir_circumvention",
+)
+
+
+@pytest.mark.parametrize("case", RESERVOIRS)
+def test_chain_relative_entropy_matches_the_dense_reference(case):
+    """The reservoir chain's ``K_B T S(tau' || tau_R)``, read from the
+    Gibbs form of ``tau_R``, within 1e-12 of the term from both states'
+    ``eigh``."""
+    for config in _cases.configs(case):
+        result = run_cycle(config)
+        assert len(result.reservoir_chains) == len(result.branches) == 2
+        for br, (x, chain) in zip(result.branches, result.reservoir_chains):
+            want = config.thermo.kt * _dense.relative_entropy(
+                br.post_reservoir.entries, config.tau_r.entries
+            )
+            within(chain.rel_entropy_term, want, abs=1e-12, where=f"branch {x}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from szilard import (
     reservoir_assisted_bound,
 )
 from szilard.qop import _ptrace_nd
+import szilard.thermo as thermo_mod
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -131,6 +132,18 @@ class TestFreeEnergy:
         want = float(np.trace(h @ rho.entries).real)
         want -= ctx.kt * von_neumann_entropy(rho)
         assert free_energy(rho, h, ctx) == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_energy_difference_matches_the_trace(self, diagonal):
+        # tr[H (a - b)] of two states, on either route
+        rng = np.random.default_rng(9)
+        a, b = random_density(rng, 5), random_density(rng, 5)
+        h = np.diag(rng.normal(size=5)).astype(complex)
+        if not diagonal:
+            h[1, 4] = h[4, 1] = 0.3
+        want = float(np.trace(h @ (a.entries - b.entries)).real)
+        assert thermo_mod._energy(h, a, b) == pytest.approx(want, abs=1e-14)
+        assert abs(want) > 1e-3
 
 
 class TestBranchWork:
@@ -262,6 +275,16 @@ class TestErasure:
         rho_d = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ErasureError):
             erase_demon(rho_d, np.zeros((2, 2)), blank, ctx, lazy)
+
+    def test_reset_must_fit_demon_and_reservoir(self):
+        # a reservoir built for a qutrit demon, offered a qubit record
+        ctx = ThermoContext(1.0)
+        reservoir = build_swap_erasure(PureState(basis_state(3, 0)), ctx)
+        rho_d = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValueError, match=re.escape("dimension 36 != demon*reservoir 24")):
+            erase_demon(
+                rho_d, np.zeros((2, 2)), PureState(basis_state(2, 0)), ctx, reservoir
+            )
 
     def test_arrays_are_accepted_as_operators(self):
         ctx = ThermoContext(1.0)
