@@ -348,21 +348,8 @@ class EngineConfig:
         return (not self.non_conforming) and self.certification.passed
 
     @property
-    def outcome_labels(self) -> tuple[object, ...]:
-        return self.records.labels
-
-    @property
-    def record_projectors(self) -> tuple[np.ndarray, ...]:
-        """Each outcome's record projector, in outcome order."""
-        return tuple(p.entries for _, _, p in self.records.outcomes)
-
-    @property
     def reservoir_in_feedback(self) -> bool:
         return self.h_r is not None
-
-    @property
-    def demon_dim(self) -> int:
-        return self.records.dim
 
 
 # the fields an engine's certificates and derived facts are read from: every
@@ -429,7 +416,7 @@ def _measure(config: EngineConfig) -> tuple[DensityMatrix | None, Gemenge, dict]
         gem = Gemenge(tuple(sys_branches))
         return sigma, gem, demon_records
     gem = apply_instrument(config.measurement, config.rho_s)
-    return None, gem, dict(zip(config.outcome_labels, config.record_projectors))
+    return None, gem, {x: p.entries for x, _, p in config.records.outcomes}
 
 
 def run_cycle(config: EngineConfig) -> CycleResult:
@@ -466,7 +453,8 @@ def run_cycle(config: EngineConfig) -> CycleResult:
     rho_s_after = np.zeros((ds, ds), dtype=complex)
     # factor of the mixture sum_x p_x rho_W^x, one block of columns a branch
     w_after_factor = []
-    rho_d_after = np.zeros((config.demon_dim, config.demon_dim), dtype=complex)
+    dd = config.records.dim
+    rho_d_after = np.zeros((dd, dd), dtype=complex)
     rho_r_after = None if tau_r is None else np.zeros((tau_r.dim,) * 2, dtype=complex)
     # F(rho_W) and each branch work are taken once, here, and handed to
     # the ledger and the reservoir chain
@@ -609,7 +597,7 @@ def _joint_consistency(
     """
     dw = rho_w.dim
     ds = config.rho_s.dim
-    dd = config.demon_dim
+    dd = config.records.dim
     x_w, w_part = _factor(rho_w)
     parts = [w_part]
     # (probability, factor on (S, D), its system-side (kept, dropped))
@@ -627,7 +615,7 @@ def _joint_consistency(
             if b.probability <= EPS_EIG or b.state is None:
                 continue
             x_b, b_part = _factor(b.state)
-            idx = list(config.outcome_labels).index(b.outcome)
+            idx = list(config.records.labels).index(b.outcome)
             rec = basis_state(dd, idx)[:, None]
             terms.append((b.probability, _kron(x_b, rec), b_part))
     x = np.hstack(
@@ -880,7 +868,6 @@ def _record_write_engine(
     demon_initial: np.ndarray,
     weight: OscillatorWeight | GenericWeight,
     strokes: Sequence[Operator],
-    tol_s: float | None = None,
     h_r: Operator | None = None,
 ) -> EngineConfig:
     """The two-outcome engine behind every model-based scenario and scan
@@ -899,7 +886,6 @@ def _record_write_engine(
         thermo=ctx,
         h_d=h_d,
         h_r=h_r,
-        tol_s=tol_s,
         label=label,
     )
 
@@ -913,7 +899,6 @@ def _ladder_engine(
     h_d: Operator,
     posts: Sequence[np.ndarray],
     demon_initial: np.ndarray,
-    tol_s: float | None = None,
 ) -> EngineConfig:
     """A record-write engine on a qubit of gap ``omega`` whose strokes turn
     each post state to the ground state while raising an ``N``-level
@@ -925,7 +910,7 @@ def _ladder_engine(
     h_s = Operator(np.diag([omega / 2, -omega / 2]))
     strokes = [build_shift_unitary(weight, post) for post in posts]
     return _record_write_engine(
-        label, ctx, q, h_s, h_d, posts, demon_initial, weight, strokes, tol_s
+        label, ctx, q, h_s, h_d, posts, demon_initial, weight, strokes
     )
 
 
@@ -935,13 +920,12 @@ def _eigenstate_engine(
     q: float,
     N: int,
     omega: float,
-    tol_s: float | None = None,
 ) -> EngineConfig:
     """Each outcome leaves its measured eigenstate and the demon has no
     energy.  ``example_I`` and the ``eigenstate_posts`` family build here."""
     h_d = Operator(np.zeros((2, 2)))
     posts = (basis_state(2, 0), basis_state(2, 1))
-    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], tol_s)
+    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0])
 
 
 def _superposition_engine(
@@ -952,53 +936,38 @@ def _superposition_engine(
     omega: float,
     c1: float,
     c2: float,
-    tol_s: float | None = None,
 ) -> EngineConfig:
     """Outcomes leave ``c1|0> + c2|1>`` and ``c1|0> - c2|1>``; the demon
     carries the system's Hamiltonian and starts in the first post state.
     ``example_II`` and the ``superposition_posts`` family build here."""
     h_d = Operator(np.diag([omega / 2, -omega / 2]))
     posts = (np.array([c1, c2], dtype=complex), np.array([c1, -c2], dtype=complex))
-    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0], tol_s)
+    return _ladder_engine(label, ctx, q, N, omega, h_d, posts, posts[0])
 
 
 def _example_I(
-    q: float = 0.5,
-    N: int = 20,
-    omega: float = 1.0,
-    temperature: float = 1.0,
-    kb: float = 1.0,
-    tol_s: float | None = None,
+    ctx: ThermoContext, q: float = 0.5, N: int = 20, omega: float = 1.0
 ) -> EngineConfig:
     """Eigenstate measurement in the energy basis; one branch lifts the
     weight a full quantum, the other does nothing."""
-    ctx = ThermoContext(temperature, kb)
-    return _eigenstate_engine("example_I", ctx, q, N, omega, tol_s)
+    return _eigenstate_engine("example_I", ctx, q, N, omega)
 
 
 def _example_II(
-    q: float = 0.5,
-    N: int = 50,
-    omega: float = 1.0,
-    temperature: float = 1.0,
-    kb: float = 1.0,
-    tol_s: float | None = None,
+    ctx: ThermoContext, q: float = 0.5, N: int = 50, omega: float = 1.0
 ) -> EngineConfig:
     """Eigenstate measurement whose post states are balanced superpositions;
     both branches extract close to half a quantum at large N."""
-    ctx = ThermoContext(temperature, kb)
     s = 1.0 / math.sqrt(2.0)
-    return _superposition_engine("example_II", ctx, q, N, omega, s, s, tol_s)
+    return _superposition_engine("example_II", ctx, q, N, omega, s, s)
 
 
 def _degenerate_circumvention(
+    ctx: ThermoContext,
     d: int = 4,
     ranks: Sequence[int] = (2, 2),
     N: int = 10,
     omega: float = 1.0,
-    temperature: float = 1.0,
-    kb: float = 1.0,
-    tol_s: float | None = None,
 ) -> EngineConfig:
     """Degenerate target observable read out by a coarse-grained instrument:
     a finer level readout is merged per subspace, every branch collapses to
@@ -1020,7 +989,6 @@ def _degenerate_circumvention(
         raise ValueError(f"parameter 'N' = {N} must be at least 2")
     weight = build_oscillator_weight(omega, N, dim=N + d + 2)
     _check_joint_dim(weight.dim, d, len(ranks))
-    ctx = ThermoContext(temperature, kb)
     h_s = Operator(np.diag([omega * s for s in range(d)]))
     # outcome x covers system levels [offset, offset + rank); merging the
     # level readout means one Kraus |top_x><s| per covered level s
@@ -1053,20 +1021,17 @@ def _degenerate_circumvention(
         weight=weight,
         thermo=ctx,
         degenerate_target=True,
-        tol_s=tol_s,
         label="degenerate_circumvention",
     )
 
 
 def _reservoir_circumvention(
+    ctx: ThermoContext,
     dim_R: int = 16,
     theta: float = math.pi / 2,
     q: float = 0.5,
     N: int = 30,
     omega: float = 0.25,
-    temperature: float = 1.0,
-    kb: float = 1.0,
-    tol_s: float | None = None,
 ) -> EngineConfig:
     """Fully degenerate system: feedback partially swaps reservoir quanta
     into the weight conditioned on the record, extracting work from heat at
@@ -1079,7 +1044,6 @@ def _reservoir_circumvention(
     weight = build_oscillator_weight(omega, N)
     dw = weight.dim
     _check_joint_dim(dw, 2, dim_R, 2)
-    ctx = ThermoContext(temperature, kb)
     h_r = Operator(np.diag([omega * k for k in range(dim_R)]))
     c, s = math.cos(theta), math.sin(theta)
     block = [[c, -1j * s], [-1j * s, c]]
@@ -1103,19 +1067,12 @@ def _reservoir_circumvention(
         posts[0],
         weight,
         strokes,
-        tol_s,
         h_r,
     )
 
 
-def _null_engine(
-    omega: float = 1.0,
-    temperature: float = 1.0,
-    kb: float = 1.0,
-    tol_s: float | None = None,
-) -> EngineConfig:
+def _null_engine(ctx: ThermoContext, omega: float = 1.0) -> EngineConfig:
     """Trivial single-outcome measurement and identity feedback."""
-    ctx = ThermoContext(temperature, kb)
     h_s = Operator(np.diag([omega / 2, -omega / 2]))
     instr = Instrument((("0", (Operator(np.eye(2)),)),))
     weight = build_oscillator_weight(omega, 4)
@@ -1128,7 +1085,6 @@ def _null_engine(
         feedback=FeedbackScheme((("0", identity),)),
         weight=weight,
         thermo=ctx,
-        tol_s=tol_s,
         label="null_engine",
     )
 
@@ -1151,24 +1107,31 @@ _PARAM_KINDS = {
     "Sequence[int]": [int],
 }
 
-# parameters every builder names alike, whose range the reader checks too
-_NAMED_KINDS = {
-    "temperature": _positive,
-    "kb": _positive,
-    "omega": _positive,
-    "tol_s": _non_negative,
+# parameters builders name alike, whose range the reader checks too
+_NAMED_KINDS = {"omega": _positive}
+
+# the parameters every scenario shares, which the library reads itself
+_SHARED = {
+    "temperature": (_positive, 1.0),
+    "kb": (_positive, 1.0),
+    "tol_s": (_non_negative, None),
 }
 
 
 @functools.cache
 def _param_table(fn: Callable[..., EngineConfig]) -> dict:
-    """A scenario builder's parameters as a reader block: name -> (kind,
-    default), built once per builder and shared: ``_read`` only reads it.
-    An annotation without a kind raises ``KeyError``, so no scenario
-    parameter goes unchecked."""
+    """A scenario's parameters as a reader block: name -> (kind, default),
+    the builder's own (past its leading ``ctx``) and then ``_SHARED``, built
+    once per builder and shared: ``_read`` only reads it.  An annotation
+    without a kind raises ``KeyError``, so no scenario parameter goes
+    unchecked."""
+    _, *own = inspect.signature(fn).parameters.values()
     return {
-        key: (_NAMED_KINDS.get(key) or _PARAM_KINDS[p.annotation], p.default)
-        for key, p in inspect.signature(fn).parameters.items()
+        **{
+            p.name: (_NAMED_KINDS.get(p.name) or _PARAM_KINDS[p.annotation], p.default)
+            for p in own
+        },
+        **_SHARED,
     }
 
 
@@ -1193,13 +1156,18 @@ def scenario_library(name: str, **params) -> EngineConfig:
     ``ValueError`` naming the offender, so front ends can surface precise
     diagnostics.  A ``None`` parameter takes its default.
 
-    Every parameter but ``q`` is structure.  The first build of a
-    structure is certified and memoised (at most ``_MODELS_BOUND`` of them,
+    Each scenario takes its builder's own parameters and the shared
+    ``temperature``, ``kb`` and ``tol_s``.  Every parameter but ``q`` and
+    ``tol_s`` is structure.  The first build of a structure makes its
+    :class:`~szilard.thermo.ThermoContext`, hands it to the builder, and
+    certifies and memoises the engine (at most ``_MODELS_BOUND`` of them,
     least recently used dropped first); a later call with the same
     structure parameters checks ``q``, builds ``diag(q, 1 - q)`` and
     constructs an engine on the memoised structure objects, which shares
     their certification (:class:`EngineConfig`).  A scenario without ``q``
-    reuses its memoised system state too.  Each call returns a new engine.
+    reuses its memoised system state too.  ``tol_s`` is applied to the
+    returned engine, never to the memoised one.  Each call returns a new
+    engine.
     """
     if name not in _SCENARIOS:
         raise ValueError(
@@ -1207,16 +1175,18 @@ def scenario_library(name: str, **params) -> EngineConfig:
         )
     fn = _SCENARIOS[name]
     args = _read(params, _param_table(fn), "", "parameter")
+    tol_s = args.pop("tol_s")
     # repr tells -0.0 from 0.0, which a builder need not treat alike
     key = (name, repr({k: v for k, v in args.items() if k != "q"}))
     template = _ENGINES.get(key)
     if template is None:
-        template = fn(**args)
+        ctx = ThermoContext(args.pop("temperature"), args.pop("kb"))
+        template = fn(ctx, **args)
         _remember(_ENGINES, key, template)
-        return template
+        return template if tol_s is None else dataclasses.replace(template, tol_s=tol_s)
     _ENGINES.move_to_end(key)
     rho_s = _qubit_state(args["q"]) if "q" in args else template.rho_s
-    return dataclasses.replace(template, rho_s=rho_s)
+    return dataclasses.replace(template, rho_s=rho_s, tol_s=tol_s)
 
 
 # ---------------------------------------------------------------------------
@@ -1325,7 +1295,10 @@ class ScanReport:
     count: int
     seed: int
     records: tuple[ScanRecord, ...]
-    all_three_count: int
+
+    @property
+    def all_three_count(self) -> int:
+        return sum(all(r.triple) for r in self.records)
 
     @property
     def pattern_counts(self) -> tuple[tuple[tuple[bool, bool, bool], int], ...]:
@@ -1355,19 +1328,15 @@ def impossibility_scan(
     names = tuple(SCAN_FAMILIES)
     rng = np.random.default_rng(seed)
     records = []
-    all_three = 0
     for i in range(count):
         name = names[i % len(names)]
         config = SCAN_FAMILIES[name](rng, thermal_system)
         result = run_cycle(config)
         report = evaluate_features(result, config)
-        triple = report.triple
-        if all(triple):
-            all_three += 1
         records.append(
             ScanRecord(
                 family=name,
-                triple=triple,
+                triple=report.triple,
                 min_work=report.min_work,
                 w_net_coarse=result.ledger.w_net_coarse,
                 w_net_avg=result.ledger.w_net_avg,
@@ -1375,9 +1344,4 @@ def impossibility_scan(
                 order_gap=result.objectification_order_gap,
             )
         )
-    return ScanReport(
-        count=count,
-        seed=seed,
-        records=tuple(records),
-        all_three_count=all_three,
-    )
+    return ScanReport(count=count, seed=seed, records=tuple(records))

@@ -74,7 +74,7 @@ def joint_consistency(
     """Order-of-objectification gap and largest marginal deviation, dense."""
     dw = rho_w.dim
     ds = config.rho_s.dim
-    dd = config.demon_dim
+    dd = config.records.dim
     if sigma_sd is not None:
         joint = np.kron(rho_w.entries, sigma_sd.entries)  # (W, S, D)
     else:
@@ -83,7 +83,7 @@ def joint_consistency(
             if b.probability <= 1e-12 or b.state is None:
                 continue
             rec = np.zeros((dd, dd), dtype=complex)
-            idx = list(config.outcome_labels).index(b.outcome)
+            idx = list(config.records.labels).index(b.outcome)
             rec[idx, idx] = 1.0
             joint += b.probability * np.kron(
                 np.kron(rho_w.entries, b.state.entries), rec

@@ -212,7 +212,7 @@ class TestEngineConfigValidation:
         for key, value in vars(config).items():
             assert not (
                 isinstance(value, Operator)
-                and value.dim == config.feedback.branch_dim * config.demon_dim
+                and value.dim == config.feedback.branch_dim * config.records.dim
             ), key
 
     @pytest.mark.parametrize("tol_s", [True, "0.1", 1j, -1.0, math.nan, math.inf])
@@ -683,7 +683,7 @@ class TestFactoredBranchMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * (config.feedback.branch_dim * config.demon_dim) ** 2
+        assert peak < 16 * (config.feedback.branch_dim * config.records.dim) ** 2
 
     def test_no_diagonalisation_at_the_weight_dimension(self, monkeypatch):
         # the weight states' spectra come from their factors' singular
@@ -927,7 +927,7 @@ class TestScenarioLibrary:
     def test_ranks_list_is_read_as_integers(self):
         config = scenario_library("degenerate_circumvention", d=5, ranks=[3.0, 2])
         want = scenario_library("degenerate_circumvention", d=5, ranks=(3, 2))
-        assert config.outcome_labels == want.outcome_labels == ("x0", "x1")
+        assert config.records.labels == want.records.labels == ("x0", "x1")
         for (_, u), (_, v) in zip(
             config.feedback.branch_unitaries, want.feedback.branch_unitaries
         ):
@@ -938,19 +938,33 @@ class TestScenarioLibrary:
 
     def test_every_parameter_has_a_reader(self):
         # the parameter reader checks exactly these annotations; an
-        # ``erasure: str | ExplicitReservoir`` once passed through unchecked
-        known = {"int", "float", "int | None", "float | None", "Sequence[int]"}
+        # ``erasure: str | ExplicitReservoir`` once passed through unchecked.
+        # Each builder takes the library's context first, and the library
+        # reads the shared parameters after the builder's own
+        known = {"int", "float", "Sequence[int]"}
+        shared = {"temperature": 1.0, "kb": 1.0, "tol_s": None}
         for name, fn in engine_mod._SCENARIOS.items():
+            ctx, *own = inspect.signature(fn).parameters.values()
+            assert (ctx.name, ctx.annotation) == ("ctx", "ThermoContext"), name
             defaults = {}
-            for param in inspect.signature(fn).parameters.values():
+            for param in own:
                 assert param.annotation in known, (name, param.name)
                 defaults[param.name] = param.default
+            defaults.update(shared)
             table = engine_mod._param_table(fn)
+            assert list(table) == list(defaults), name
             assert _read(defaults, table, "", "parameter") == defaults, name
             assert engine_mod._param_table(fn) is table  # built once
 
+    def test_context_is_not_a_parameter(self):
+        with pytest.raises(ValueError) as refused:
+            scenario_library("example_I", ctx=ThermoContext(1.0))
+        assert str(refused.value) == (
+            "unknown parameter 'ctx'; allowed: q, N, omega, temperature, kb, tol_s"
+        )
+
     def test_unknown_annotation_is_an_error(self):
-        def builder(erasure: str | ExplicitReservoir = "swap"):  # noqa: F821
+        def builder(ctx, erasure: str | ExplicitReservoir = "swap"):  # noqa: F821
             raise AssertionError("never built")
 
         with pytest.raises(KeyError, match=re.escape("str | ExplicitReservoir")):
@@ -1001,7 +1015,7 @@ class TestDerivedInputs:
     def test_model_records_are_its_pointer(self):
         config = scenario_library("example_I")
         assert config.records is config.measurement.pointer
-        assert config.outcome_labels == ("+", "-")
+        assert config.records.labels == ("+", "-")
 
     def test_instrument_records_are_basis_projectors(self):
         config = scenario_library("degenerate_circumvention", d=5, ranks=(3, 2))
@@ -1014,7 +1028,7 @@ class TestDerivedInputs:
         # the |+>/|-> pointer controls the feedback without being restated
         (config,) = _cases.configs(_cases.ROTATED)
         assert config.records is config.measurement.pointer
-        assert abs(config.record_projectors[0][0, 1]) == pytest.approx(0.5)
+        assert abs(config.records.outcomes[0][2].entries[0, 1]) == pytest.approx(0.5)
         assert config.conforming
         assert config.certification.feedback_form.passed
         assert config.certification.feedback_energy.passed
@@ -1253,8 +1267,9 @@ CERTIFICATES = (
 
 
 class TestCertifiedStructureMemo:
-    """A library scenario's structure (every parameter but ``q``) is built
-    and certified once; a later call at any ``q`` constructs a new engine
+    """A library scenario's structure (every parameter but ``q`` and
+    ``tol_s``) is built and certified once; a later call at any ``q`` or
+    ``tol_s`` constructs a new engine
     on the same structure objects, sharing their certification, and is the
     engine a fresh build gives, bit for bit."""
 
@@ -1293,6 +1308,24 @@ class TestCertifiedStructureMemo:
         }
         assert other.certification is not config.certification
         exact(other.certification, config.certification, "certification")
+
+    def test_tol_s_sweep_certifies_once(self, monkeypatch, cleared_memos):
+        # tol_s is an input of each engine, like q, not of its structure
+        calls = _count_calls(monkeypatch, [(engine_mod, "check_feedback_energy")])
+        sweep = [None, 1e-3, 2e-3, 1e-3]
+        configs = [scenario_library("example_II", N=8, tol_s=t) for t in sweep]
+        assert calls == {"check_feedback_energy": 1}
+        assert len(engine_mod._ENGINES) == 1
+        assert all(c.certification is configs[0].certification for c in configs)
+        assert [c.tol_s for c in configs] == sweep
+
+    def test_memoised_template_holds_no_tol_s(self, cleared_memos):
+        config = scenario_library("example_II", N=8, tol_s=1e-3)
+        (template,) = engine_mod._ENGINES.values()
+        assert config.tol_s == 1e-3 and template.tol_s is None
+        again = scenario_library("example_II", N=8)
+        assert again.tol_s is None
+        assert again.certification is config.certification
 
     @pytest.mark.parametrize("q", [-0.25, 1.5])
     def test_hit_still_refuses_q_out_of_range(self, q, cleared_memos):

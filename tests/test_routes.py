@@ -407,7 +407,7 @@ def test_order_gap_is_exactly_zero_on_a_zero_one_register(case):
 
 def test_order_gap_of_the_rotated_register_is_its_residual_bound():
     for config in _cases.configs(_cases.ROTATED):
-        projs = config.record_projectors
+        projs = [p.entries for _, _, p in config.records.outcomes]
         assert np.abs(projs[0] @ projs[1]).max() > 0.0 and config.conforming
         assert config.records._zero_one_diagonals is None
         gap = run_cycle(config).objectification_order_gap
@@ -511,7 +511,7 @@ def test_no_build_cycle_or_score_forms_an_n_squared_array(monkeypatch, cleared_m
         for config in build():
             result = run_cycle(config)
             evaluate_features(result, config)
-            joint = config.feedback.branch_dim * config.demon_dim
+            joint = config.feedback.branch_dim * config.records.dim
             assert not [c for c in qr.call_args_list if c.args[0].shape[0] == joint]
             cycles.append((config, result))
     windows = cycles[:4]
